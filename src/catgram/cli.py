@@ -34,7 +34,7 @@ from .errors import CatgramError, InputError
 from .freecat import FiniteGraph, Path
 from .grammar import Grammar, bilinearize, check_equiv_bounded, validate
 from .oracle import enumerate_language, enumerate_regular_language
-from .parser import count_parses, enumerate_parses, parse_forest, recognize
+from .parser import _recognize_and_parse, count_parses, enumerate_parses
 from .product import intersect, pullback_grammar
 
 
@@ -112,8 +112,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_parse(args: argparse.Namespace) -> int:
     grammar = _load_grammar(args.grammar)
     w = _parse_word(grammar, args.word)
-    colors = recognize(grammar, w)
-    forest = parse_forest(grammar, w)
+    colors, forest = _recognize_and_parse(grammar, w)
     count = count_parses(forest)
     parses = enumerate_parses(forest, args.limit)
     payload = {

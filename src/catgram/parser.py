@@ -4,25 +4,36 @@ Items are pairs of a nonterminal and a span of positions into the target
 path; in a free category every factorization of an arrow is a position
 split, so spans capture all of them.  The chart is the least family of
 items closed under the rule: a node derives a span whenever its fixed
-segments and recursively derived gap spans tile the span exactly.  The
-fixed point is reached by chaotic iteration over spans of increasing
-width, with an inner sweep per span to absorb empty-segment and unit
-dependencies; the resulting item set is independent of sweep order.
+segments and already derived gap items tile the span exactly.  The fixed
+point is reached by chaotic iteration over spans of increasing width, with
+an inner sweep per span to absorb empty-segment and unit dependencies; the
+resulting item set is independent of sweep order.
+
+One placement search serves the chart and the forest.  Each node becomes a
+rule (segments, their source objects, outer objects, fixed length), and a
+span only tries the rules whose outer objects and fixed length fit it.  The
+search walks the gaps left to right.  The ends of every gap but the last
+come from an index ``(color, start) -> ends`` of derived items, so only
+splits that some item covers are tried; the last gap is anchored, ending
+where the last segment starts, and costs one chart lookup.
 
 A packed forest shares subderivations: each item carries its local
 alternatives (a node plus child items), and unfolding the forest from the
-root item reproduces exactly the closed derivation trees of the word.
+root item reproduces exactly the closed derivation trees of the word.  The
+forest is unfolded from the root over the finished chart with the same
+search and holds one ``ParseItem`` object per item, so lookups keyed by
+items compare by identity.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple
 
 from .errors import InputError
 from .grammar import Grammar
-from .species import Apply, DerivationTree, Node, tree_key
+from .species import Apply, DerivationTree, Node, preorder_names
 from .freecat import Path
 
 
@@ -58,50 +69,98 @@ class PackedForest:
         return self.root is None
 
 
-def _objects_along(grammar: Grammar, w: Path) -> list[str]:
-    objs = [w.src]
-    table = grammar.category.generator_by_name
-    for name in w.gens:
-        objs.append(table[name].dst)
-    return objs
+class _Rule(NamedTuple):
+    """A node as the placement search reads it."""
+
+    node: Node
+    output: str
+    inputs: tuple[str, ...]
+    segments: tuple[tuple[str, ...], ...]  # generator names per segment
+    sources: tuple[str, ...]  # source object per segment
+    left: str
+    right: str
+    fixed: int  # total length of the segments
+    room: tuple[int, ...]  # room[m]: segment length between gap m and the last segment
 
 
-def _segment_matches(w: Path, objs: list[str], seg: Path, pos: int) -> bool:
-    end = pos + len(seg.gens)
-    if end > len(w.gens):
-        return False
-    if not seg.gens:
-        return objs[pos] == seg.src
-    return w.gens[pos:end] == seg.gens
+def _rules(grammar: Grammar) -> list[_Rule]:
+    """One rule per node, in declaration order."""
+    rules = []
+    for node in grammar.species.nodes:
+        splice = grammar.splice_of(node.name)
+        lengths = [len(s.gens) for s in splice.segments]
+        k = len(node.inputs)
+        rules.append(
+            _Rule(
+                node,
+                node.output,
+                node.inputs,
+                tuple(s.gens for s in splice.segments),
+                tuple(s.src for s in splice.segments),
+                splice.outer.left,
+                splice.outer.right,
+                sum(lengths),
+                tuple(sum(lengths[m + 1 : k]) for m in range(k)),
+            )
+        )
+    return rules
 
 
-def _placements(
-    w: Path, objs: list[str], segments: tuple[Path, ...], i: int, j: int
-) -> Iterator[tuple[tuple[int, int], ...]]:
-    """All ways to tile positions i..j with the fixed segments, yielding the
-    spans left over for the gaps."""
-    k = len(segments) - 1
-    if not _segment_matches(w, objs, segments[0], i):
-        return
-    if k == 0:
-        if i + len(segments[0].gens) == j:
-            yield ()
-        return
+class _Chart:
+    """The items derived so far along one path, with the index the
+    placement search reads."""
 
-    def rec(m: int, gap_start: int, spans: tuple[tuple[int, int], ...]) -> Iterator[
-        tuple[tuple[int, int], ...]
-    ]:
-        if m == k:
-            q = j - len(segments[k].gens)
-            if q >= gap_start and _segment_matches(w, objs, segments[k], q):
-                yield spans + ((gap_start, q),)
+    def __init__(self, grammar: Grammar, w: Path) -> None:
+        if not grammar.category.contains_path(w):
+            raise InputError("target is not a path of the grammar's category")
+        self.gens = w.gens
+        table = grammar.category.generator_by_name
+        self.objs = [w.src] + [table[name].dst for name in w.gens]
+        self.rules = _rules(grammar)
+        self.items: set[tuple[str, int, int]] = set()
+        # (color, start) -> ends; items arrive width by width, so each list
+        # is ascending
+        self.ends: dict[tuple[str, int], list[int]] = {}
+
+    def add(self, color: str, start: int, end: int) -> None:
+        self.items.add((color, start, end))
+        self.ends.setdefault((color, start), []).append(end)
+
+    def _matches(self, seg: tuple[str, ...], src: str, pos: int) -> bool:
+        if seg:
+            return self.gens[pos : pos + len(seg)] == seg
+        return self.objs[pos] == src
+
+    def placements(self, rule: _Rule, i: int, j: int) -> Iterator[tuple[tuple[int, int], ...]]:
+        """The gap spans of every way the rule's segments and derived gap
+        items tile ``i..j``, in ascending order of the gap ends."""
+        segments, sources = rule.segments, rule.sources
+        if rule.fixed > j - i or not self._matches(segments[0], sources[0], i):
             return
-        seg = segments[m]
-        for q in range(gap_start, j - len(seg.gens) + 1):
-            if _segment_matches(w, objs, seg, q):
-                yield from rec(m + 1, q + len(seg.gens), spans + ((gap_start, q),))
+        k = len(rule.inputs)
+        if k == 0:
+            if i + len(segments[0]) == j:
+                yield ()
+            return
+        last = j - len(segments[k])
+        if self._matches(segments[k], sources[k], last):
+            yield from self._gaps(rule, 0, i + len(segments[0]), last, ())
 
-    yield from rec(1, i + len(segments[0].gens), ())
+    def _gaps(
+        self, rule: _Rule, m: int, pos: int, last: int, spans: tuple[tuple[int, int], ...]
+    ) -> Iterator[tuple[tuple[int, int], ...]]:
+        color = rule.inputs[m]
+        if m == len(rule.inputs) - 1:
+            if (color, pos, last) in self.items:
+                yield spans + ((pos, last),)
+            return
+        seg, src = rule.segments[m + 1], rule.sources[m + 1]
+        limit = last - rule.room[m]
+        for q in self.ends.get((color, pos), ()):
+            if q > limit:
+                break
+            if self._matches(seg, src, q):
+                yield from self._gaps(rule, m + 1, q + len(seg), last, spans + ((pos, q),))
 
 
 def parse_chart(
@@ -112,96 +171,91 @@ def parse_chart(
     ``reverse_agenda`` flips every iteration order used to reach the fixed
     point; the result is the same least fixed point either way.
     """
-    return frozenset(_build_chart(grammar, w, reverse_agenda=reverse_agenda))
+    return frozenset(_build_chart(grammar, w, reverse_agenda=reverse_agenda).items)
 
 
-def _build_chart(grammar: Grammar, w: Path, reverse_agenda: bool = False) -> set[tuple[str, int, int]]:
-    if not grammar.category.contains_path(w):
-        raise InputError("target is not a path of the grammar's category")
+def _build_chart(grammar: Grammar, w: Path, reverse_agenda: bool = False) -> _Chart:
+    chart = _Chart(grammar, w)
     n = len(w.gens)
-    objs = _objects_along(grammar, w)
-    nodes = list(grammar.species.nodes)
-    if reverse_agenda:
-        nodes.reverse()
-    chart: set[tuple[str, int, int]] = set()
+    objs = chart.objs
+    by_outer: dict[tuple[str, str], list[_Rule]] = {}
+    for rule in reversed(chart.rules) if reverse_agenda else chart.rules:
+        by_outer.setdefault((rule.left, rule.right), []).append(rule)
     for width in range(n + 1):
         starts = range(n - width + 1)
         if reverse_agenda:
             starts = reversed(starts)  # type: ignore[assignment]
         for i in starts:
             j = i + width
+            rules = [r for r in by_outer.get((objs[i], objs[j]), ()) if r.fixed <= width]
             changed = True
             while changed:
                 changed = False
-                for node in nodes:
-                    key = (node.output, i, j)
-                    if key in chart:
+                for rule in rules:
+                    if (rule.output, i, j) in chart.items:
                         continue
-                    splice = grammar.splice_of(node.name)
-                    if splice.outer.left != objs[i] or splice.outer.right != objs[j]:
-                        continue
-                    if sum(len(s.gens) for s in splice.segments) > width:
-                        continue
-                    for spans in _placements(w, objs, splice.segments, i, j):
-                        if all(
-                            (c, a, b) in chart
-                            for c, (a, b) in zip(node.inputs, spans)
-                        ):
-                            chart.add(key)
-                            changed = True
-                            break
+                    if next(chart.placements(rule, i, j), None) is not None:
+                        chart.add(rule.output, i, j)
+                        changed = True
     return chart
+
+
+def _whole(chart: _Chart) -> frozenset[str]:
+    n = len(chart.gens)
+    return frozenset(c for (c, i, j) in chart.items if i == 0 and j == n)
 
 
 def recognize(grammar: Grammar, w: Path, reverse_agenda: bool = False) -> frozenset[str]:
     """Nonterminals deriving the whole path."""
-    chart = _build_chart(grammar, w, reverse_agenda=reverse_agenda)
-    n = len(w.gens)
-    return frozenset(c for (c, i, j) in chart if i == 0 and j == n)
+    return _whole(_build_chart(grammar, w, reverse_agenda=reverse_agenda))
 
 
 def parse_forest(grammar: Grammar, w: Path) -> PackedForest:
     """The packed forest of all derivations of the path at the start color."""
+    return _recognize_and_parse(grammar, w)[1]
+
+
+def _recognize_and_parse(grammar: Grammar, w: Path) -> tuple[frozenset[str], PackedForest]:
+    """``recognize`` and ``parse_forest`` of one path from one chart build."""
     chart = _build_chart(grammar, w)
-    n = len(w.gens)
-    objs = _objects_along(grammar, w)
-    root_key = (grammar.start, 0, n)
-    if root_key not in chart:
-        return PackedForest(word=w, root=None, alternatives={}, cyclic=False)
-    root = ParseItem(*root_key)
+    whole = _whole(chart)
+    if grammar.start not in whole:
+        return whole, PackedForest(word=w, root=None, alternatives={}, cyclic=False)
+    rules_into: dict[str, list[_Rule]] = {}
+    for rule in chart.rules:
+        rules_into.setdefault(rule.output, []).append(rule)
+    interned: dict[tuple[str, int, int], ParseItem] = {}
 
-    def local_alternatives(item: ParseItem) -> tuple[Alternative, ...]:
-        alts = []
-        for node in grammar.species.nodes:
-            if node.output != item.color:
-                continue
-            splice = grammar.splice_of(node.name)
-            for spans in _placements(w, objs, splice.segments, item.start, item.end):
-                children = tuple(
-                    ParseItem(c, a, b) for c, (a, b) in zip(node.inputs, spans)
-                )
-                if all((c.color, c.start, c.end) in chart for c in children):
-                    alts.append(Alternative(node, children))
-        return tuple(alts)
+    def item_of(key: tuple[str, int, int]) -> ParseItem:
+        item = interned.get(key)
+        if item is None:
+            item = interned[key] = ParseItem(*key)
+        return item
 
+    root = item_of((grammar.start, 0, len(w.gens)))
     alternatives: dict[ParseItem, tuple[Alternative, ...]] = {}
     stack = [root]
     while stack:
         item = stack.pop()
         if item in alternatives:
             continue
-        alts = local_alternatives(item)
-        alternatives[item] = alts
+        alts = []
+        for rule in rules_into.get(item.color, ()):
+            for spans in chart.placements(rule, item.start, item.end):
+                children = tuple(item_of((c, a, b)) for c, (a, b) in zip(rule.inputs, spans))
+                alts.append(Alternative(rule.node, children))
+        alternatives[item] = tuple(alts)
         for alt in alts:
             for child in alt.children:
                 if child not in alternatives:
                     stack.append(child)
-    return PackedForest(
+    forest = PackedForest(
         word=w,
         root=root,
         alternatives=alternatives,
         cyclic=_has_cycle(root, alternatives),
     )
+    return whole, forest
 
 
 def _has_cycle(root: ParseItem, alternatives: Mapping[ParseItem, tuple[Alternative, ...]]) -> bool:
@@ -239,26 +293,18 @@ def count_parses(forest: PackedForest) -> int | float:
         return 0
     if forest.cyclic:
         return math.inf
-    memo: dict[ParseItem, int] = {}
-
-    def count(item: ParseItem) -> int:
-        if item in memo:
-            return memo[item]
+    counts: dict[ParseItem, int] = {}
+    for item in _postorder(forest):
         total = 0
         for alt in forest.alternatives[item]:
             prod = 1
             for child in alt.children:
-                prod *= count(child)
+                prod *= counts[child]
                 if prod == 0:
                     break
             total += prod
-        memo[item] = total
-        return total
-
-    order = _postorder(forest)
-    for item in order:
-        count(item)
-    return count(forest.root)
+        counts[item] = total
+    return counts[forest.root]
 
 
 def _postorder(forest: PackedForest) -> list[ParseItem]:
@@ -282,6 +328,22 @@ def _postorder(forest: PackedForest) -> list[ParseItem]:
     return out
 
 
+def _size_bounds(forest: PackedForest) -> dict[ParseItem, tuple[int | float, int | float]]:
+    """Least and greatest node count of each item's trees; 1..inf for every
+    item of a cyclic forest."""
+    if forest.cyclic:
+        return {item: (1, math.inf) for item in forest.alternatives}
+    bounds: dict[ParseItem, tuple[int | float, int | float]] = {}
+    for item in _postorder(forest):
+        lo: int | float = math.inf
+        hi: int | float = 0
+        for alt in forest.alternatives[item]:
+            lo = min(lo, 1 + sum(bounds[c][0] for c in alt.children))
+            hi = max(hi, 1 + sum(bounds[c][1] for c in alt.children))
+        bounds[item] = (lo, hi)
+    return bounds
+
+
 def enumerate_parses(forest: PackedForest, limit: int) -> tuple[DerivationTree, ...]:
     """The first ``limit`` derivation trees in canonical order (node count,
     then preorder on node names); exact when the forest holds fewer."""
@@ -291,6 +353,7 @@ def enumerate_parses(forest: PackedForest, limit: int) -> tuple[DerivationTree, 
         return ()
     total = count_parses(forest)
     goal = limit if total is math.inf else min(limit, int(total))
+    bounds = _size_bounds(forest)
     memo: dict[tuple[ParseItem, int], tuple[Apply, ...]] = {}
 
     def trees(item: ParseItem, k: int) -> tuple[Apply, ...]:
@@ -299,36 +362,45 @@ def enumerate_parses(forest: PackedForest, limit: int) -> tuple[DerivationTree, 
             return memo[key]
         out: list[Apply] = []
         for alt in forest.alternatives[item]:
-            m = len(alt.children)
-            if m == 0:
+            if not alt.children:
                 if k == 1:
                     out.append(Apply(alt.node, ()))
                 continue
-            if k - 1 < m:
-                continue
-            for split in _compositions(k - 1, m):
+            sizes = [bounds[c] for c in alt.children]
+            for split in _splits(k - 1, sizes):
                 for children in _child_tuples(alt.children, split, trees):
                     out.append(Apply(alt.node, children))
-        out.sort(key=tree_key)
+        if len(out) > 1:
+            # every tree here has k nodes, so preorder alone is canonical order
+            out.sort(key=preorder_names)
         memo[key] = tuple(out)
         return memo[key]
 
     collected: list[Apply] = []
-    k = 1
-    while len(collected) < goal:
-        level = trees(forest.root, k)
+    k, most = bounds[forest.root]
+    while len(collected) < goal and k <= most:
+        level = trees(forest.root, k)  # type: ignore[arg-type]
         collected.extend(level)
         k += 1
     return tuple(collected[:goal])
 
 
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    if parts == 1:
-        yield (total,)
+def _splits(total: int, sizes: list[tuple[int | float, int | float]]) -> Iterator[tuple[int, ...]]:
+    """Ways to write ``total`` as an ordered sum with the ``t``-th part in
+    ``sizes[t]`` (inclusive bounds), first part ascending."""
+    lo, hi = sizes[0]
+    if len(sizes) == 1:
+        if lo <= total <= hi:
+            yield (total,)
         return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    rest = sizes[1:]
+    first = max(lo, total - sum(b for _, b in rest))
+    stop = min(hi, total - sum(a for a, _ in rest))
+    if first > stop:  # also when some part has no trees (bounds inf..0)
+        return
+    for part in range(first, stop + 1):  # type: ignore[arg-type]
+        for tail in _splits(total - part, rest):
+            yield (part,) + tail
 
 
 def _child_tuples(children, split, trees) -> Iterator[tuple[Apply, ...]]:

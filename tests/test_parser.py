@@ -2,6 +2,8 @@ import math
 import time
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from catgram import (
     InputError,
@@ -19,6 +21,10 @@ from catgram import (
     word,
 )
 from catgram.fixtures import G_AB, G_AMB, G_END, G_EPS, G_UNIT, GRAPH_A, GRAPH_AB
+from catgram.freecat import FiniteGraph, Generator
+from catgram.grammar import Grammar, grammar_from_rules
+from catgram.oracle import enumerate_language
+from catgram.species import tree_key
 
 # per-fixture tree bounds covering every word up to length 8:
 # G_AB derives a^k b^k from k+1 nodes, G_AMB derives a^n from 2n-1 nodes,
@@ -165,3 +171,129 @@ def test_bilinear_complexity_trend():
     assert items64 <= 16 * items16
     assert t64 <= 150 * max(t16, 0.005)
     assert t64 < 15.0
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_ambiguous_chart_and_forest_sizes(n):
+    w = word(GRAPH_A, "a" * n)
+    assert len(parse_chart(G_AMB, w)) == n * (n + 1) // 2
+    forest = parse_forest(G_AMB, w)
+    assert len(forest.alternatives) == n * (n + 1) // 2
+    assert sum(len(a) for a in forest.alternatives.values()) == math.comb(n + 1, 3) + n
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 17])
+def test_nullable_chart_and_forest_sizes(n):
+    w = GRAPH_A.path(("a",) * n, src="*")
+    assert len(parse_chart(G_EPS, w)) == (n + 1) * (n + 2) // 2
+    forest = parse_forest(G_EPS, w)
+    assert len(forest.alternatives) == n + 1
+    assert sum(len(a) for a in forest.alternatives.values()) == n + 1
+
+
+def test_forest_alternative_order():
+    forest = parse_forest(G_AMB, word(GRAPH_A, "aaa"))
+    got = {
+        (item.start, item.end): [
+            (alt.node.name, [(c.start, c.end) for c in alt.children]) for alt in alts
+        ]
+        for item, alts in forest.alternatives.items()
+    }
+    assert got == {
+        (0, 3): [("m", [(0, 1), (1, 3)]), ("m", [(0, 2), (2, 3)])],
+        (0, 1): [("c", [])],
+        (1, 3): [("m", [(1, 2), (2, 3)])],
+        (0, 2): [("m", [(0, 1), (1, 2)])],
+        (1, 2): [("c", [])],
+        (2, 3): [("c", [])],
+    }
+
+
+def test_forest_holds_one_object_per_item():
+    forest = parse_forest(G_AMB, word(GRAPH_A, "a" * 6))
+    canonical = {item: item for item in forest.alternatives}
+    for alts in forest.alternatives.values():
+        for alt in alts:
+            for child in alt.children:
+                assert canonical[child] is child
+
+
+# Random grammars over a two-object graph: every pair of objects has a path
+# of length at most one, so any gap pattern can be filled with segments.
+GRAPH_PQ = FiniteGraph(
+    objects=("p", "q"),
+    generators=(
+        Generator("a", "p", "q"),
+        Generator("b", "q", "p"),
+        Generator("c", "p", "p"),
+        Generator("d", "q", "q"),
+    ),
+)
+RANDOM_COLORS = ("S", "X", "Y")
+RANDOM_TREE_BOUND = 7
+RANDOM_WORD_BOUND = 4
+
+
+def _segment(draw, src, dst):
+    paths = enumerate_paths(GRAPH_PQ, src, dst, draw(st.integers(0, 2)))
+    paths = paths or enumerate_paths(GRAPH_PQ, src, dst, 1)
+    return draw(st.sampled_from([p.gens for p in paths]))
+
+
+@st.composite
+def random_grammars(draw):
+    """One constant per color, so most colors are productive, then up to
+    four nodes of arity 0-2, some of them unit nodes."""
+    colors = RANDOM_COLORS[: draw(st.integers(1, len(RANDOM_COLORS)))]
+    objects = st.sampled_from(GRAPH_PQ.objects)
+    gaps = {c: (draw(objects), draw(objects)) for c in colors}
+    rules = [(f"k{c}", c, (), (_segment(draw, *gaps[c]),)) for c in colors]
+    for index in range(draw(st.integers(1, 4))):
+        output = draw(st.sampled_from(colors))
+        if draw(st.integers(0, 3)) == 0:
+            # both segments empty, so the input shares the output's gap type
+            same = [c for c in colors if gaps[c] == gaps[output]]
+            rules.append((f"n{index}", output, (draw(st.sampled_from(same)),), ((), ())))
+            continue
+        inputs = tuple(draw(st.lists(st.sampled_from(colors), max_size=2)))
+        ends = [gaps[output][0]]
+        for c in inputs:
+            ends += gaps[c]
+        ends.append(gaps[output][1])
+        segments = tuple(_segment(draw, *pair) for pair in zip(ends[::2], ends[1::2]))
+        rules.append((f"n{index}", output, inputs, segments))
+    return grammar_from_rules(GRAPH_PQ, "S", gaps, rules)
+
+
+def _at_start(grammar, color):
+    return Grammar(
+        grammar.category, grammar.species, color, grammar.color_gap, grammar.node_splice
+    )
+
+
+@given(random_grammars())
+def test_parser_agrees_with_oracles_on_random_grammars(grammar):
+    for color in grammar.species.colors:
+        gap = grammar.gap_of(color)
+        language = set(enumerate_language(_at_start(grammar, color), RANDOM_WORD_BOUND))
+        for w in enumerate_paths(grammar.category, gap.left, gap.right, RANDOM_WORD_BOUND):
+            assert (color in recognize(grammar, w)) == (w in language), (color, w)
+            assert parse_chart(grammar, w) == parse_chart(grammar, w, reverse_agenda=True)
+
+    gap = grammar.gap_of(grammar.start)
+    small = {}
+    for t in enumerate_closed_trees(grammar.species, grammar.start, RANDOM_TREE_BOUND):
+        small.setdefault(eval_tree(grammar, t).as_path(), []).append(t)
+    for w in enumerate_paths(grammar.category, gap.left, gap.right, RANDOM_WORD_BOUND):
+        forest = parse_forest(grammar, w)
+        count = count_parses(forest)
+        expected = sorted(small.get(w, []), key=tree_key)
+        # the trees with at most RANDOM_TREE_BOUND nodes come first
+        assert list(enumerate_parses(forest, len(expected))) == expected, w
+        if count is math.inf:
+            assert forest.cyclic
+            continue
+        assert count >= len(expected)
+        trees = enumerate_parses(forest, count + 1)
+        assert len(trees) == count == len(set(trees))
+        assert all(eval_tree(grammar, t).as_path() == w for t in trees)
