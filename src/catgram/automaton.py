@@ -15,6 +15,7 @@ lifting, as ``ulf_check_bounded`` will demonstrate on such a functor.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
@@ -96,6 +97,15 @@ class Automaton:
         )
 
     @cached_property
+    def transitions_from(self) -> Mapping[tuple[str, str], list[Transition]]:
+        """Transitions keyed by source state and generator, in declaration
+        order."""
+        table: dict[tuple[str, str], list[Transition]] = {}
+        for t in self.transitions:
+            table.setdefault((t.src, t.over), []).append(t)
+        return table
+
+    @cached_property
     def functor(self) -> FreeFunctor:
         """The induced functor from the free category of runs to the base."""
         gen_table = self.base.generator_by_name
@@ -147,9 +157,7 @@ def import_classical(
 
 def runs_by_source(automaton: Automaton, w: Path) -> Mapping[str, tuple[Path, ...]]:
     """All runs over ``w`` grouped by source state, as state-graph paths."""
-    by_src_letter: dict[tuple[str, str], list[Transition]] = {}
-    for t in automaton.transitions:
-        by_src_letter.setdefault((t.src, t.over), []).append(t)
+    index = automaton.transitions_from
     out: dict[str, tuple[Path, ...]] = {}
     for s in automaton.states:
         if automaton.state_over[s.name] != w.src:
@@ -159,7 +167,7 @@ def runs_by_source(automaton: Automaton, w: Path) -> Mapping[str, tuple[Path, ..
         for letter in w.gens:
             extended: list[tuple[str, tuple[str, ...]]] = []
             for at, gens in partial:
-                for t in by_src_letter.get((at, letter), ()):
+                for t in index.get((at, letter), ()):
                     extended.append((t.dst, gens + (t.name,)))
             partial = extended
         out[s.name] = tuple(Path(s.name, at, gens) for at, gens in partial)
@@ -183,11 +191,9 @@ def run_membership(automaton: Automaton, w: Path) -> bool:
     if automaton.state_over[automaton.initial] != w.src:
         return False
     reachable = {automaton.initial}
-    by_letter: dict[str, list[Transition]] = {}
-    for t in automaton.transitions:
-        by_letter.setdefault(t.over, []).append(t)
+    index = automaton.transitions_from
     for letter in w.gens:
-        reachable = {t.dst for t in by_letter.get(letter, ()) if t.src in reachable}
+        reachable = {t.dst for q in reachable for t in index.get((q, letter), ())}
         if not reachable:
             return False
     return automaton.final in reachable
@@ -239,23 +245,14 @@ class WordsLift:
             src = outer[0] if i == 0 else gaps[i - 1][1]
             dst = outer[1] if i == n else gaps[i][0]
             per_segment.append(enumerate_runs(self.automaton, seg, src, dst))
-        lifted: list[SplicedArrow] = []
-
-        def build(i: int, acc: tuple[Path, ...]) -> None:
-            if i == len(per_segment):
-                lifted.append(
-                    SplicedArrow(
-                        outer=GapType(*outer),
-                        gaps=tuple(GapType(*g) for g in gaps),
-                        segments=acc,
-                    )
-                )
-                return
-            for run in per_segment[i]:
-                build(i + 1, acc + (run,))
-
-        build(0, ())
-        return tuple(lifted)
+        return tuple(
+            SplicedArrow(
+                outer=GapType(*outer),
+                gaps=tuple(GapType(*g) for g in gaps),
+                segments=runs,
+            )
+            for runs in itertools.product(*per_segment)
+        )
 
     def lift_count(
         self,
@@ -296,6 +293,14 @@ class TreeAutomaton:
     def __post_init__(self) -> None:
         object.__setattr__(self, "state_over", dict(self.state_over))
 
+    @cached_property
+    def by_node(self) -> Mapping[str, list[TreeTransition]]:
+        """Transitions keyed by base node name, in declaration order."""
+        table: dict[str, list[TreeTransition]] = {}
+        for t in self.transitions:
+            table.setdefault(t.node, []).append(t)
+        return table
+
 
 def validate_tree_automaton(ta: TreeAutomaton) -> list[str]:
     """Arity and coloring compatibility, read as a species map."""
@@ -329,14 +334,10 @@ def tree_accept(ta: TreeAutomaton, tree: DerivationTree) -> bool:
     if isinstance(tree, Leaf):
         raise InputError("tree automata run on closed trees only")
 
-    by_node: dict[str, list[TreeTransition]] = {}
-    for t in ta.transitions:
-        by_node.setdefault(t.node, []).append(t)
-
     def states_of(t: Apply) -> frozenset[str]:
         child_states = [states_of(c) for c in t.children]  # type: ignore[arg-type]
         out = set()
-        for tr in by_node.get(t.node.name, ()):
+        for tr in ta.by_node.get(t.node.name, ()):
             if all(q in child_states[i] for i, q in enumerate(tr.inputs)):
                 out.add(tr.output)
         return frozenset(out)

@@ -8,7 +8,8 @@ equivalence.  All commands read JSON files against the schemas in
 
 Exit codes: 0 on success and for properties that hold, 1 for properties
 that fail (a counterexample, a failed bounded check, a validation report),
-2 for malformed input.
+2 for malformed input and for input nested too deeply for the interpreter's
+recursion limit; every exit 2 prints one ``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -291,6 +292,9 @@ def run(argv: list[str] | None = None) -> int:
         return 2
     except CatgramError as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return 2
+    except RecursionError as exc:
+        sys.stderr.write(f"error: {args.command}: input nests too deeply ({exc})\n")
         return 2
 
 

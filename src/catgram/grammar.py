@@ -33,6 +33,7 @@ from .species import (
     Leaf,
     Node,
     Species,
+    derivable,
 )
 from .spliced import (
     GapType,
@@ -191,59 +192,35 @@ class GrammarProperties:
 
 def nullable_set(grammar: Grammar) -> tuple[str, ...]:
     """Colors deriving an identity arrow, as a least fixed point."""
-    nullable: set[str] = set()
-    changed = True
-    while changed:
-        changed = False
-        for node in grammar.species.nodes:
-            if node.output in nullable:
-                continue
-            splice = grammar.splice_of(node.name)
-            if all(seg.is_identity for seg in splice.segments) and all(
-                c in nullable for c in node.inputs
-            ):
-                nullable.add(node.output)
-                changed = True
+    nullable = derivable(
+        (node.inputs, node.output)
+        for node in grammar.species.nodes
+        if all(seg.is_identity for seg in grammar.splice_of(node.name).segments)
+    )
     return tuple(c for c in grammar.species.colors if c in nullable)
-
-
-def productive_set(grammar: Grammar) -> set[str]:
-    productive: set[str] = set()
-    changed = True
-    while changed:
-        changed = False
-        for node in grammar.species.nodes:
-            if node.output not in productive and all(c in productive for c in node.inputs):
-                productive.add(node.output)
-                changed = True
-    return productive
 
 
 def useful_set(grammar: Grammar) -> tuple[str, ...]:
     """Colors with a closed tree below them and a one-holed context up to the
     start color.
 
-    The context search walks the node graph from the start; descending
-    through a node at input position i requires every sibling position to be
-    productive, since the rest of the context must be completable to a closed
-    tree.
+    The context search walks the node graph down from the start, through
+    nodes whose inputs are all productive: the rest of the context must be
+    completable to a closed tree, and a productive color below a node whose
+    siblings are productive makes the node's output productive too.
     """
-    productive = productive_set(grammar)
-    reachable = {grammar.start}
-    changed = True
-    while changed:
-        changed = False
-        for node in grammar.species.nodes:
-            if node.output not in reachable:
-                continue
-            for i, c in enumerate(node.inputs):
-                if c in reachable:
-                    continue
-                if all(d in productive for j, d in enumerate(node.inputs) if j != i):
-                    reachable.add(c)
-                    changed = True
-    keep = productive & reachable
-    return tuple(c for c in grammar.species.colors if c in keep)
+    nodes = grammar.species.nodes
+    productive = derivable((node.inputs, node.output) for node in nodes)
+    reachable = derivable(
+        [((), grammar.start)]
+        + [
+            ((node.output,), c)
+            for node in nodes
+            if all(c in productive for c in node.inputs)
+            for c in node.inputs
+        ]
+    )
+    return tuple(c for c in grammar.species.colors if c in productive and c in reachable)
 
 
 def properties(grammar: Grammar) -> GrammarProperties:

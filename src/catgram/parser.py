@@ -22,7 +22,10 @@ alternatives (a node plus child items), and unfolding the forest from the
 root item reproduces exactly the closed derivation trees of the word.  The
 forest is unfolded from the root over the finished chart with the same
 search and holds one ``ParseItem`` object per item, so lookups keyed by
-items compare by identity.
+items compare by identity.  A forest is a hypergraph like a species, with
+items as vertices and alternatives as edges, so its cycle check, parse
+counts and size bounds fold over ``species.postorder``, and enumeration is
+``species.trees_by_size`` within those bounds.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from typing import Iterator, Mapping, NamedTuple
 
 from .errors import InputError
 from .grammar import Grammar
-from .species import Apply, DerivationTree, Node, preorder_names
+from .species import DerivationTree, Node, postorder, trees_by_size
 from .freecat import Path
 
 
@@ -253,37 +256,9 @@ def _recognize_and_parse(grammar: Grammar, w: Path) -> tuple[frozenset[str], Pac
         word=w,
         root=root,
         alternatives=alternatives,
-        cyclic=_has_cycle(root, alternatives),
+        cyclic=_postorder(root, alternatives) is None,
     )
     return whole, forest
-
-
-def _has_cycle(root: ParseItem, alternatives: Mapping[ParseItem, tuple[Alternative, ...]]) -> bool:
-    """Detect a derivation cycle (only possible through empty-segment or
-    unit chains) by iterative depth-first search from the root."""
-    WHITE, GRAY, BLACK = 0, 1, 2
-    state: dict[ParseItem, int] = {}
-    stack: list[tuple[ParseItem, bool]] = [(root, False)]
-    while stack:
-        item, leaving = stack.pop()
-        if leaving:
-            state[item] = BLACK
-            continue
-        mark = state.get(item, WHITE)
-        if mark == GRAY:
-            continue
-        if mark == BLACK:
-            continue
-        state[item] = GRAY
-        stack.append((item, True))
-        for alt in alternatives.get(item, ()):
-            for child in alt.children:
-                child_mark = state.get(child, WHITE)
-                if child_mark == GRAY:
-                    return True
-                if child_mark == WHITE:
-                    stack.append((child, False))
-    return False
 
 
 def count_parses(forest: PackedForest) -> int | float:
@@ -294,7 +269,7 @@ def count_parses(forest: PackedForest) -> int | float:
     if forest.cyclic:
         return math.inf
     counts: dict[ParseItem, int] = {}
-    for item in _postorder(forest):
+    for item in _postorder(forest.root, forest.alternatives):
         total = 0
         for alt in forest.alternatives[item]:
             prod = 1
@@ -307,25 +282,12 @@ def count_parses(forest: PackedForest) -> int | float:
     return counts[forest.root]
 
 
-def _postorder(forest: PackedForest) -> list[ParseItem]:
-    """Children-first ordering of the root-reachable items (forest acyclic)."""
-    out: list[ParseItem] = []
-    seen: set[ParseItem] = set()
-    stack: list[tuple[ParseItem, bool]] = [(forest.root, False)]  # type: ignore[list-item]
-    while stack:
-        item, leaving = stack.pop()
-        if leaving:
-            out.append(item)
-            continue
-        if item in seen:
-            continue
-        seen.add(item)
-        stack.append((item, True))
-        for alt in forest.alternatives[item]:
-            for child in alt.children:
-                if child not in seen:
-                    stack.append((child, False))
-    return out
+def _postorder(
+    root: ParseItem, alternatives: Mapping[ParseItem, tuple[Alternative, ...]]
+) -> list[ParseItem] | None:
+    """Children-first ordering of the root-reachable items, or ``None`` when
+    a derivation cycle (through empty-segment or unit chains) is reachable."""
+    return postorder(root, lambda item: [c for alt in alternatives[item] for c in alt.children])
 
 
 def _size_bounds(forest: PackedForest) -> dict[ParseItem, tuple[int | float, int | float]]:
@@ -334,7 +296,7 @@ def _size_bounds(forest: PackedForest) -> dict[ParseItem, tuple[int | float, int
     if forest.cyclic:
         return {item: (1, math.inf) for item in forest.alternatives}
     bounds: dict[ParseItem, tuple[int | float, int | float]] = {}
-    for item in _postorder(forest):
+    for item in _postorder(forest.root, forest.alternatives):
         lo: int | float = math.inf
         hi: int | float = 0
         for alt in forest.alternatives[item]:
@@ -354,59 +316,13 @@ def enumerate_parses(forest: PackedForest, limit: int) -> tuple[DerivationTree, 
     total = count_parses(forest)
     goal = limit if total is math.inf else min(limit, int(total))
     bounds = _size_bounds(forest)
-    memo: dict[tuple[ParseItem, int], tuple[Apply, ...]] = {}
-
-    def trees(item: ParseItem, k: int) -> tuple[Apply, ...]:
-        key = (item, k)
-        if key in memo:
-            return memo[key]
-        out: list[Apply] = []
-        for alt in forest.alternatives[item]:
-            if not alt.children:
-                if k == 1:
-                    out.append(Apply(alt.node, ()))
-                continue
-            sizes = [bounds[c] for c in alt.children]
-            for split in _splits(k - 1, sizes):
-                for children in _child_tuples(alt.children, split, trees):
-                    out.append(Apply(alt.node, children))
-        if len(out) > 1:
-            # every tree here has k nodes, so preorder alone is canonical order
-            out.sort(key=preorder_names)
-        memo[key] = tuple(out)
-        return memo[key]
-
-    collected: list[Apply] = []
+    trees = trees_by_size(
+        lambda item: ((alt.node, alt.children) for alt in forest.alternatives[item]),
+        bounds.__getitem__,
+    )
+    collected: list[DerivationTree] = []
     k, most = bounds[forest.root]
     while len(collected) < goal and k <= most:
-        level = trees(forest.root, k)  # type: ignore[arg-type]
-        collected.extend(level)
+        collected.extend(trees(forest.root, k))
         k += 1
     return tuple(collected[:goal])
-
-
-def _splits(total: int, sizes: list[tuple[int | float, int | float]]) -> Iterator[tuple[int, ...]]:
-    """Ways to write ``total`` as an ordered sum with the ``t``-th part in
-    ``sizes[t]`` (inclusive bounds), first part ascending."""
-    lo, hi = sizes[0]
-    if len(sizes) == 1:
-        if lo <= total <= hi:
-            yield (total,)
-        return
-    rest = sizes[1:]
-    first = max(lo, total - sum(b for _, b in rest))
-    stop = min(hi, total - sum(a for a, _ in rest))
-    if first > stop:  # also when some part has no trees (bounds inf..0)
-        return
-    for part in range(first, stop + 1):  # type: ignore[arg-type]
-        for tail in _splits(total - part, rest):
-            yield (part,) + tail
-
-
-def _child_tuples(children, split, trees) -> Iterator[tuple[Apply, ...]]:
-    if not children:
-        yield ()
-        return
-    for head in trees(children[0], split[0]):
-        for tail in _child_tuples(children[1:], split[1:], trees):
-            yield (head,) + tail

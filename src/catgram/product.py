@@ -9,6 +9,7 @@ category yields a grammar for the intersection of the two languages.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .errors import CompositionError
@@ -75,37 +76,26 @@ def pullback_grammar(grammar: Grammar, automaton: Automaton, trim_useless: bool 
     nodes: list[Node] = []
     node_splice: dict[str, SplicedArrow] = {}
 
-    def emit(node: Node, runs: tuple[Path, ...]) -> None:
-        q = runs[0].src
-        q2 = runs[-1].dst
-        inputs = tuple(
-            PullbackColor(runs[i].dst, c, runs[i + 1].src).name
-            for i, c in enumerate(node.inputs)
-        )
-        name = f"({node.name}|{'|'.join(_run_label(r) for r in runs)})"
-        nodes.append(Node(name, inputs, PullbackColor(q, node.output, q2).name))
-        node_splice[name] = SplicedArrow(
-            outer=GapType(q, q2),
-            gaps=tuple(GapType(runs[i].dst, runs[i + 1].src) for i in range(len(runs) - 1)),
-            segments=runs,
-        )
-
     for node in grammar.species.nodes:
-        splice = grammar.splice_of(node.name)
-
-        def extend(i: int, runs: tuple[Path, ...]) -> None:
-            if i == len(splice.segments):
-                emit(node, runs)
-                return
-            # source state of the next run is a free endpoint choice; only
-            # its underlying object is constrained
-            for q in state_names:
-                if over[q] != splice.segments[i].src:
-                    continue
-                for run in runs_from(splice.segments[i], q):
-                    extend(i + 1, runs + (run,))
-
-        extend(0, ())
+        # the source state of each run is a free endpoint choice; only its
+        # underlying object is constrained
+        per_segment = [
+            [run for q in state_names if over[q] == seg.src for run in runs_from(seg, q)]
+            for seg in grammar.splice_of(node.name).segments
+        ]
+        for runs in itertools.product(*per_segment):
+            q, q2 = runs[0].src, runs[-1].dst
+            inputs = tuple(
+                PullbackColor(runs[i].dst, c, runs[i + 1].src).name
+                for i, c in enumerate(node.inputs)
+            )
+            name = f"({node.name}|{'|'.join(_run_label(r) for r in runs)})"
+            nodes.append(Node(name, inputs, PullbackColor(q, node.output, q2).name))
+            node_splice[name] = SplicedArrow(
+                outer=GapType(q, q2),
+                gaps=tuple(GapType(runs[i].dst, runs[i + 1].src) for i in range(len(runs) - 1)),
+                segments=runs,
+            )
 
     species = Species(
         colors=tuple(c.name for c in colors),

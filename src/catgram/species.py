@@ -4,13 +4,23 @@ A species is bare generating data: nodes with a list of input colors and one
 output color.  The free operad on a species has derivation trees as its
 operations; composition is grafting a tree into a free leaf.  Trees keep
 explicit ``Leaf`` colors so that open (partially applied) operations exist.
+
+A species is also a hypergraph: colors are vertices and each node is an
+edge from its inputs to its output.  A packed forest is the same kind of
+object, with items as vertices and alternatives as edges.  The last section
+holds the fixed points both share: ``derivable`` (the vertices with a
+closed tree below them, read off any edge list), ``postorder`` (children
+first, or ``None`` on a cycle) and ``trees_by_size`` (the closed trees at a
+vertex with exactly k nodes, in canonical order).
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Mapping, Union
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence, TypeVar, Union
 
 from .errors import CompositionError, InputError
 
@@ -228,48 +238,103 @@ def enumerate_closed_trees(species: Species, color: str, max_nodes: int) -> tupl
         raise InputError("max_nodes must be at least 1")
     if color not in set(species.colors):
         raise InputError(f"unknown color {color!r}")
-
-    memo: dict[tuple[str, int], tuple[Apply, ...]] = {}
-
-    def exact(c: str, k: int) -> tuple[Apply, ...]:
-        key = (c, k)
-        if key in memo:
-            return memo[key]
-        out: list[Apply] = []
-        for node in species.nodes_into.get(c, ()):
-            if node.arity == 0:
-                if k == 1:
-                    out.append(Apply(node, ()))
-                continue
-            if k - 1 < node.arity:
-                continue
-            for split in _compositions(k - 1, node.arity):
-                for children in _tuples([exact(ci, ki) for ci, ki in zip(node.inputs, split)]):
-                    out.append(Apply(node, children))
-        memo[key] = tuple(out)
-        return memo[key]
-
-    trees: list[Apply] = []
-    for k in range(1, max_nodes + 1):
-        trees.extend(exact(color, k))
-    trees.sort(key=tree_key)
-    return tuple(trees)
+    trees = trees_by_size(
+        lambda c: ((node, node.inputs) for node in species.nodes_into[c]),
+        lambda c: (1, math.inf),
+    )
+    return tuple(t for k in range(1, max_nodes + 1) for t in trees(color, k))
 
 
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """Ways to write ``total`` as an ordered sum of ``parts`` positive ints."""
-    if parts == 1:
-        yield (total,)
+# ---------------------------------------------------------------------------
+# hypergraph fixed points
+
+V = TypeVar("V", bound=Hashable)
+
+
+def derivable(edges: Iterable[tuple[Sequence[V], V]]) -> set[V]:
+    """The least set of vertices closed under "a head holds once every tail
+    holds", for ``(tails, head)`` edges, by sweeping until nothing changes."""
+    edges = list(edges)
+    held: set[V] = set()
+    changed = True
+    while changed:
+        changed = False
+        for tails, head in edges:
+            if head not in held and all(map(held.__contains__, tails)):
+                held.add(head)
+                changed = True
+    return held
+
+
+def postorder(root: V, children: Callable[[V], Iterable[V]]) -> list[V] | None:
+    """The vertices reachable from ``root``, children first, or ``None`` when
+    a cycle is reachable; iterative depth-first search."""
+    done: dict[V, bool] = {}  # False while the vertex is on the search path
+    order: list[V] = []
+    stack = [(root, False)]
+    while stack:
+        vertex, leaving = stack.pop()
+        if leaving:
+            done[vertex] = True
+            order.append(vertex)
+            continue
+        if vertex in done:
+            continue
+        done[vertex] = False
+        stack.append((vertex, True))
+        for child in children(vertex):
+            mark = done.get(child)
+            if mark is None:
+                stack.append((child, False))
+            elif not mark:
+                return None
+    return order
+
+
+def trees_by_size(
+    alternatives: Callable[[V], Iterable[tuple[Node, Sequence[V]]]],
+    bounds: Callable[[V], tuple[float, float]],
+) -> Callable[[V, int], tuple[Apply, ...]]:
+    """A memoised ``trees(v, k)``: the closed trees at ``v`` with exactly
+    ``k`` nodes, sorted by preorder names.
+
+    ``alternatives(v)`` yields ``(node, child vertices)`` pairs, and
+    ``bounds(v)`` the least and greatest node count of any tree at ``v``
+    (``inf`` when unbounded); sizes are split among children only within
+    their bounds.
+    """
+    memo: dict[tuple[V, int], tuple[Apply, ...]] = {}
+
+    def trees(v: V, k: int) -> tuple[Apply, ...]:
+        if (v, k) not in memo:
+            out = [
+                Apply(node, picked)
+                for node, children in alternatives(v)
+                for split in _splits(k - 1, [bounds(c) for c in children])
+                for picked in itertools.product(*map(trees, children, split))
+            ]
+            if len(out) > 1:
+                # every tree here has k nodes, so preorder alone is canonical order
+                out.sort(key=preorder_names)
+            memo[v, k] = tuple(out)
+        return memo[v, k]
+
+    return trees
+
+
+def _splits(total: int, sizes: list[tuple[float, float]]) -> Iterator[tuple[int, ...]]:
+    """Ways to write ``total`` as an ordered sum with the ``t``-th part in
+    ``sizes[t]`` (inclusive bounds), first part ascending."""
+    if not sizes:
+        if total == 0:
+            yield ()
         return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
-def _tuples(choices: list[tuple[Apply, ...]]) -> Iterator[tuple[Apply, ...]]:
-    if not choices:
-        yield ()
+    lo, hi = sizes[0]
+    rest = sizes[1:]
+    first = max(lo, total - sum(b for _, b in rest))
+    stop = min(hi, total - sum(a for a, _ in rest))
+    if first > stop:  # also when some part has no trees (bounds inf..0)
         return
-    for head in choices[0]:
-        for tail in _tuples(choices[1:]):
-            yield (head,) + tail
+    for part in range(first, stop + 1):  # type: ignore[arg-type]
+        for tail in _splits(total - part, rest):
+            yield (part,) + tail

@@ -206,3 +206,18 @@ def test_outputs_are_byte_reproducible(files):
         second = run_cli(*cmd, seed="1")
         assert first.stdout == second.stdout, cmd
         assert first.returncode == second.returncode
+
+
+def test_recursion_error_exits_2_with_one_line(files, monkeypatch, capsys):
+    from catgram import cli
+
+    def too_deep(args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "_cmd_parse", too_deep)
+    assert cli.run(["parse", "-g", files["g_ab.json"], "-w", "aabb"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: parse: ")
+    assert "Traceback" not in captured.err

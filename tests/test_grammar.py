@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from catgram import (
     Apply,
@@ -20,6 +22,7 @@ from catgram import (
     import_classical,
     leaf_colors,
     monoid_graph,
+    nullable_set,
     parse_classical_text,
     properties,
     spliced_concat,
@@ -39,7 +42,11 @@ from catgram.fixtures import (
     GRAPH_AB,
     GRAPH_AB_END,
 )
+from catgram.grammar import Grammar
+from catgram.species import Species
 from conftest import words
+from test_parser import _at_start, random_grammars
+from test_species import _open_trees
 
 TOP = "⊤"
 
@@ -199,8 +206,6 @@ def test_nullable_matches_tree_oracle():
 def _useful_by_open_trees(g, max_nodes=6):
     """Brute force: a color is useful when some closed tree exists below it
     and some one-holed tree of the start color has it as the hole."""
-    from test_species import _open_trees
-
     productive = set()
     contexts = set()
     for color in g.species.colors:
@@ -231,6 +236,32 @@ def test_useful_matches_open_tree_oracle():
     )
     for g in (G_AB, G_AMB, G_EPS, dead):
         assert set(useful_set(g)) == _useful_by_open_trees(g)
+
+
+@st.composite
+def random_grammars_with_dead_colors(draw):
+    """A random grammar with some of its constants dropped, so that colors
+    can be unproductive as well as unreachable."""
+    grammar = draw(random_grammars())
+    dropped = {f"k{c}" for c in grammar.species.colors if draw(st.booleans())}
+    nodes = tuple(n for n in grammar.species.nodes if n.name not in dropped)
+    return Grammar(
+        grammar.category,
+        Species(grammar.species.colors, nodes),
+        grammar.start,
+        grammar.color_gap,
+        {n.name: grammar.node_splice[n.name] for n in nodes},
+    )
+
+
+@given(random_grammars_with_dead_colors())
+def test_nullable_and_useful_sets_agree_with_oracles(grammar):
+    nullable = nullable_set(grammar)
+    for color in grammar.species.colors:
+        identity = identity_path(grammar.gap_of(color).left)
+        empty = enumerate_language(_at_start(grammar, color), 0)
+        assert (color in nullable) == (identity in empty), color
+    assert set(useful_set(grammar)) == _useful_by_open_trees(grammar)
 
 
 def test_union_of_same_language():

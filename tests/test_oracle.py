@@ -1,3 +1,5 @@
+import ast
+
 import pytest
 
 from catgram import (
@@ -12,6 +14,7 @@ from catgram import (
     interval_automaton,
     word,
 )
+from catgram import oracle
 from catgram.fixtures import G_AB, G_AMB, G_EPS, G_UNIT, GRAPH_AB, M_EVENA
 from conftest import words
 
@@ -88,3 +91,31 @@ def test_regular_language_of_empty_automaton():
 def test_regular_language_of_interval():
     auto = interval_automaton(GRAPH_AB, word(GRAPH_AB, "aabb"))
     assert words(enumerate_regular_language(auto, 6)) == {"aabb"}
+
+
+# The oracle may share data types with the code it checks, but no algorithm:
+# anything beyond these names (a shared fixed point, the parser, the
+# pullback) would make its agreement with them no evidence at all.
+ORACLE_IMPORTS = {
+    ("__future__", "annotations"),
+    ("typing", "Iterator"),
+    (".automaton", "Automaton"),
+    (".errors", "CatgramError"),
+    (".freecat", "Path"),
+    (".freecat", "enumerate_paths"),
+    (".grammar", "Grammar"),
+    (".spliced", "SplicedArrow"),
+}
+
+
+def test_oracle_imports_only_data_types():
+    with open(oracle.__file__, encoding="utf-8") as handle:
+        tree = ast.parse(handle.read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {(alias.name, None) for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            imported |= {(module, alias.name) for alias in node.names}
+    assert imported <= ORACLE_IMPORTS, imported - ORACLE_IMPORTS

@@ -24,7 +24,7 @@ from catgram.fixtures import G_AB, G_AMB, G_END, G_EPS, G_UNIT, GRAPH_A, GRAPH_A
 from catgram.freecat import FiniteGraph, Generator
 from catgram.grammar import Grammar, grammar_from_rules
 from catgram.oracle import enumerate_language
-from catgram.species import tree_key
+from catgram.species import Apply, node_count, tree_key
 
 # per-fixture tree bounds covering every word up to length 8:
 # G_AB derives a^k b^k from k+1 nodes, G_AMB derives a^n from 2n-1 nodes,
@@ -140,6 +140,18 @@ def test_unit_cycle_flags_infinite_ambiguity():
     assert len(three) == 3
     for t in three:
         assert eval_tree(G_UNIT, t).as_path() == word(GRAPH_A, "a")
+
+
+def test_unit_cycle_enumerates_every_unit_tower():
+    # the cyclic forest bounds sizes by 1..inf; a finite upper bound would
+    # cut the towers off
+    unit, const = G_UNIT.species.node_by_name["u"], G_UNIT.species.node_by_name["c"]
+    trees = enumerate_parses(parse_forest(G_UNIT, word(GRAPH_A, "a")), 40)
+    assert len(trees) == 40
+    tower = Apply(const)
+    for k, t in enumerate(trees, start=1):
+        assert t == tower and node_count(t) == k
+        tower = Apply(unit, (tower,))
 
 
 def test_epsilon_grammar_parses_empty_word():
@@ -297,3 +309,4 @@ def test_parser_agrees_with_oracles_on_random_grammars(grammar):
         trees = enumerate_parses(forest, count + 1)
         assert len(trees) == count == len(set(trees))
         assert all(eval_tree(grammar, t).as_path() == w for t in trees)
+
