@@ -141,7 +141,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         words = enumerate_regular_language(automaton, args.max_len)
         graph = automaton.base
     rendered = [_render_word(graph, w) for w in words]
-    text = "\n".join(w if isinstance(w, str) and w else (w or "ε") if isinstance(w, str) else json.dumps(w) for w in rendered)
+    text = "\n".join((w or "ε") if isinstance(w, str) else json.dumps(w) for w in rendered)
     _emit(args, {"words": rendered}, text)
     return 0
 

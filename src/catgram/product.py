@@ -1,16 +1,30 @@
-"""Pulling back a grammar along an automaton: regular intersection.
+"""Lifting a grammar along a functor: parsing and regular intersection.
+
+A grammar lifts along anything that says where each splice segment can sit:
+the positions of a word, or the runs of an automaton.  ``lift`` is the
+one construction behind both, the Bar-Hillel–Perles–Shamir product run
+bottom-up as semi-naive deduction (Shieber, Schabes & Pereira 1995).  An
+item ``(color, p, q)`` holds when some node's segment placements chain
+through derived gap items from ``p`` to ``q``.  Each popped item is joined
+only with itself and the items popped before it, through a ``(color, start)
+-> ends`` and a ``(color, end) -> starts`` index, so every alternative is
+found exactly once and the fixed point needs no span order.
 
 The pullback grammar lives over the automaton's state graph.  Its colors are
 triples of a source state, a nonterminal and a target state whose gap type
 matches the states' underlying objects; its nodes pair a grammar node with a
-tuple of runs, one per splice segment.  Mapping runs back down to the base
-category yields a grammar for the intersection of the two languages.
+tuple of runs, one per splice segment.  Trimmed, it is read off the items
+reachable from the start item; raw, it is the full product of the same run
+lists.  Mapping runs back down to the base category yields a grammar for the
+intersection of the two languages.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
+from typing import Hashable, Sequence
 
 from .errors import CompositionError
 from .automaton import Automaton, runs_by_source
@@ -18,6 +32,110 @@ from .freecat import Path
 from .grammar import Grammar, functorial_image, useful_set
 from .species import Node, Species
 from .spliced import GapType, SplicedArrow
+
+Item = tuple[str, Hashable, Hashable]  # (color, start, end)
+# (node index, placement index per segment, gap items)
+Alt = tuple[int, tuple[int, ...], tuple[Item, ...]]
+
+
+def lift(
+    nodes: Sequence[Node],
+    placements: Sequence[Sequence[Sequence[tuple]]],
+    reverse_agenda: bool = False,
+) -> dict[Item, list[Alt]]:
+    """The least set of items closed under the nodes, each with every way it
+    is derived.
+
+    ``placements[n][s]`` lists where segment ``s`` of node ``n`` can sit, as
+    ``(p, q, tag)``.  Node ``n`` derives ``(output, P0.p, Pk.q)`` from
+    placements ``P0..Pk`` whenever each gap item ``(inputs[m], Pm.q,
+    P(m+1).p)`` is derived.  Every item maps to its alternatives ``(n,
+    placement indexes, gap items)`` in the order they were found.
+    """
+    by_start = [[_group(seg, 0) for seg in segs] for segs in placements]
+    by_end = [[_group(seg, 1) for seg in segs] for segs in placements]
+    uses: dict[str, list[tuple[int, int]]] = {}
+    for n, node in enumerate(nodes):
+        for m, color in enumerate(node.inputs):
+            uses.setdefault(color, []).append((n, m))
+    derived: dict[Item, list[Alt]] = {}
+    agenda: deque[Item] = deque()
+    pop = agenda.pop if reverse_agenda else agenda.popleft
+    # popped items by (color, start) and (color, end); an item enters
+    # ``ends`` before it is joined and ``starts`` after, so a placement
+    # using it in two gaps is found once
+    ends: dict[tuple[str, Hashable], list[Item]] = {}
+    starts: dict[tuple[str, Hashable], list[Item]] = {}
+    found = [
+        ((node.output, p, q), (n, (a,), ()))
+        for n, node in enumerate(nodes)
+        if not node.inputs
+        for a, (p, q, _) in enumerate(placements[n][0])
+    ]
+    while True:
+        for item, alt in found:
+            alts = derived.get(item)
+            if alts is None:
+                alts = derived[item] = []
+                agenda.append(item)
+            alts.append(alt)
+        if not agenda:
+            break
+        found = []
+        popped = pop()
+        color, p, q = popped
+        ends.setdefault((color, p), []).append(popped)
+        for n, m in uses.get(color, ()):
+            segs, inputs = placements[n], nodes[n].inputs
+            # partial placements right of the gap: (end, indexes, gap items)
+            rights = [(segs[m + 1][b][1], (b,), ()) for b in by_start[n][m + 1].get(q, ())]
+            for g in range(m + 1, len(inputs)):
+                c, seg, at = inputs[g], segs[g + 1], by_start[n][g + 1]
+                rights = [
+                    (seg[b][1], idx + (b,), kids + (kid,))
+                    for y, idx, kids in rights
+                    for kid in ends.get((c, y), ())
+                    for b in at.get(kid[2], ())
+                ]
+            if not rights:
+                continue
+            lefts = [(segs[m][a][0], (a,), (popped,)) for a in by_end[n][m].get(p, ())]
+            for g in range(m - 1, -1, -1):
+                c, seg, at = inputs[g], segs[g], by_end[n][g]
+                lefts = [
+                    (seg[a][0], (a,) + idx, (kid,) + kids)
+                    for x, idx, kids in lefts
+                    for kid in starts.get((c, x), ())
+                    for a in at.get(kid[1], ())
+                ]
+            found += [
+                ((nodes[n].output, left, right), (n, lidx + ridx, lkids + rkids))
+                for left, lidx, lkids in lefts
+                for right, ridx, rkids in rights
+            ]
+        starts.setdefault((color, q), []).append(popped)
+    return derived
+
+
+def reachable(derived: dict[Item, list[Alt]], root: Item) -> dict[Item, list[Alt]]:
+    """The items below a derived ``root``, each with its alternatives sorted
+    by node index, then placement indexes."""
+    out: dict[Item, list[Alt]] = {}
+    stack = [root]
+    while stack:
+        item = stack.pop()
+        if item not in out:
+            out[item] = alts = sorted(derived[item])
+            stack.extend(c for alt in alts for c in alt[2] if c not in out)
+    return out
+
+
+def _group(placements: Sequence[tuple], end: int) -> dict[Hashable, list[int]]:
+    """Placement indexes keyed by their start (``end=0``) or end (``end=1``)."""
+    table: dict[Hashable, list[int]] = {}
+    for a, placement in enumerate(placements):
+        table.setdefault(placement[end], []).append(a)
+    return table
 
 
 @dataclass(frozen=True)
@@ -55,56 +173,57 @@ def pullback_grammar(grammar: Grammar, automaton: Automaton, trim_useless: bool 
         )
 
     state_names = [s.name for s in automaton.states]
-    colors: list[PullbackColor] = []
-    for q in state_names:
-        for color in grammar.species.colors:
-            gap = grammar.gap_of(color)
-            if over[q] != gap.left:
-                continue
-            for q2 in state_names:
-                if over[q2] == gap.right:
-                    colors.append(PullbackColor(q, color, q2))
 
-    run_table: dict[tuple[str, ...], dict[str, tuple[Path, ...]]] = {}
-
-    def runs_from(seg: Path, q: str) -> tuple[Path, ...]:
-        key = (seg.src, *seg.gens)
-        if key not in run_table:
-            run_table[key] = dict(runs_by_source(automaton, seg))
-        return run_table[key][q]
-
-    nodes: list[Node] = []
-    node_splice: dict[str, SplicedArrow] = {}
-
-    for node in grammar.species.nodes:
+    def placements(seg: Path) -> list[tuple[str, str, Path]]:
         # the source state of each run is a free endpoint choice; only its
         # underlying object is constrained
-        per_segment = [
-            [run for q in state_names if over[q] == seg.src for run in runs_from(seg, q)]
-            for seg in grammar.splice_of(node.name).segments
-        ]
-        for runs in itertools.product(*per_segment):
-            q, q2 = runs[0].src, runs[-1].dst
-            inputs = tuple(
-                PullbackColor(runs[i].dst, c, runs[i + 1].src).name
-                for i, c in enumerate(node.inputs)
-            )
-            name = f"({node.name}|{'|'.join(_run_label(r) for r in runs)})"
-            nodes.append(Node(name, inputs, PullbackColor(q, node.output, q2).name))
-            node_splice[name] = SplicedArrow(
-                outer=GapType(q, q2),
-                gaps=tuple(GapType(runs[i].dst, runs[i + 1].src) for i in range(len(runs) - 1)),
-                segments=runs,
-            )
+        runs = runs_by_source(automaton, seg)
+        return [(r.src, r.dst, r) for q in state_names for r in runs[q]]
 
-    species = Species(
-        colors=tuple(c.name for c in colors),
-        nodes=tuple(nodes),
-    )
+    nodes = grammar.species.nodes
+    table = [[placements(seg) for seg in grammar.splice_of(node.name).segments] for node in nodes]
+    items = [
+        (color, q, q2)
+        for q in state_names
+        for color in grammar.species.colors
+        for q2 in state_names
+        if GapType(over[q], over[q2]) == grammar.gap_of(color)
+    ]
+    if trim_useless:
+        derived = lift(nodes, table)
+        root = (grammar.start, automaton.initial, automaton.final)
+        useful = reachable(derived, root) if root in derived else {root: []}
+        items = [item for item in items if item in useful]
+        chosen = [
+            (nodes[n], tuple(table[n][s][a][2] for s, a in enumerate(idx)))
+            for n, idx, _ in sorted(alt for alts in useful.values() for alt in alts)
+        ]
+    else:
+        chosen = (
+            (node, runs)
+            for node, segs in zip(nodes, table)
+            for runs in itertools.product(*([r for _, _, r in seg] for seg in segs))
+        )
+
+    pulled_nodes: list[Node] = []
+    node_splice: dict[str, SplicedArrow] = {}
+    for node, runs in chosen:
+        name = f"({node.name}|{'|'.join(_run_label(r) for r in runs)})"
+        inputs = tuple(
+            PullbackColor(runs[i].dst, c, runs[i + 1].src).name for i, c in enumerate(node.inputs)
+        )
+        output = PullbackColor(runs[0].src, node.output, runs[-1].dst).name
+        pulled_nodes.append(Node(name, inputs, output))
+        node_splice[name] = SplicedArrow(
+            outer=GapType(runs[0].src, runs[-1].dst),
+            gaps=tuple(GapType(runs[i].dst, runs[i + 1].src) for i in range(len(runs) - 1)),
+            segments=runs,
+        )
+    colors = [PullbackColor(q, color, q2) for color, q, q2 in items]
+    species = Species(colors=tuple(c.name for c in colors), nodes=tuple(pulled_nodes))
     color_gap = {c.name: GapType(c.src, c.dst) for c in colors}
     start = PullbackColor(automaton.initial, grammar.start, automaton.final).name
-    result = Grammar(automaton.state_graph, species, start, color_gap, node_splice)
-    return trim(result) if trim_useless else result
+    return Grammar(automaton.state_graph, species, start, color_gap, node_splice)
 
 
 def trim(grammar: Grammar) -> Grammar:

@@ -20,7 +20,6 @@ from catgram import (
     grammar_from_rules,
     identity_path,
     import_classical,
-    leaf_colors,
     monoid_graph,
     nullable_set,
     parse_classical_text,
@@ -46,7 +45,6 @@ from catgram.grammar import Grammar
 from catgram.species import Species
 from conftest import words
 from test_parser import _at_start, random_grammars
-from test_species import _open_trees
 
 TOP = "⊤"
 
@@ -204,22 +202,38 @@ def test_nullable_matches_tree_oracle():
 
 
 def _useful_by_open_trees(g, max_nodes=6):
-    """Brute force: a color is useful when some closed tree exists below it
-    and some one-holed tree of the start color has it as the hole."""
-    productive = set()
-    contexts = set()
-    for color in g.species.colors:
-        if any(
-            not leaf_colors(t)
-            for t in _open_trees(g.species, color, max_nodes)
-            if not isinstance(t, Leaf)
-        ):
-            productive.add(color)
-    for t in _open_trees(g.species, g.start, max_nodes):
-        holes = leaf_colors(t)
-        if len(holes) == 1:
-            contexts.add(holes[0])
-    return {c for c in productive if c in contexts}
+    """Brute force: a color is useful when some closed tree with at most
+    max_nodes nodes exists below it and some one-holed tree of the start
+    color with at most max_nodes nodes has it as the hole.
+
+    The trees are counted by size, not listed: closed[c][k] says whether a
+    closed tree at c has exactly k nodes, and holes[c][k] holds the hole
+    colors of the one-holed trees at c with exactly k nodes (k = 0 is the
+    bare leaf).  A node's children are read left to right, keeping for each
+    total size whether all children so far are closed and which hole colors
+    the ones with exactly one hole among them have.
+    """
+    colors = g.species.colors
+    closed = {c: [False] * (max_nodes + 1) for c in colors}
+    holes = {c: [{c}] + [set() for _ in range(max_nodes)] for c in colors}
+    for k in range(1, max_nodes + 1):
+        for node in g.species.nodes:
+            all_closed, one_hole = [True] + [False] * (k - 1), [set() for _ in range(k)]
+            for child in node.inputs:
+                next_closed, next_hole = [False] * k, [set() for _ in range(k)]
+                for s in range(k):
+                    for t in range(k - s):
+                        if closed[child][t]:
+                            next_closed[s + t] |= all_closed[s]
+                            next_hole[s + t] |= one_hole[s]
+                        if all_closed[s]:
+                            next_hole[s + t] |= holes[child][t]
+                all_closed, one_hole = next_closed, next_hole
+            closed[node.output][k] |= all_closed[k - 1]
+            holes[node.output][k] |= one_hole[k - 1]
+    productive = {c for c in colors if any(closed[c])}
+    contexts = set().union(*holes[g.start])
+    return productive & contexts
 
 
 def test_useful_matches_open_tree_oracle():

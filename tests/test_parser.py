@@ -14,9 +14,11 @@ from catgram import (
     enumerate_parses,
     enumerate_paths,
     eval_tree,
+    interval_automaton,
     is_closed,
     parse_chart,
     parse_forest,
+    pullback_grammar,
     recognize,
     word,
 )
@@ -24,6 +26,7 @@ from catgram.fixtures import G_AB, G_AMB, G_END, G_EPS, G_UNIT, GRAPH_A, GRAPH_A
 from catgram.freecat import FiniteGraph, Generator
 from catgram.grammar import Grammar, grammar_from_rules
 from catgram.oracle import enumerate_language
+from catgram.parser import _lift
 from catgram.species import Apply, node_count, tree_key
 
 # per-fixture tree bounds covering every word up to length 8:
@@ -228,6 +231,32 @@ def test_forest_holds_one_object_per_item():
         for alt in alts:
             for child in alt.children:
                 assert canonical[child] is child
+
+
+@pytest.mark.parametrize("grammar,src,dst,max_len,max_nodes", FIXTURES)
+def test_forest_is_the_trimmed_interval_pullback(grammar, src, dst, max_len, max_nodes):
+    # items (i,N,j) are the pullback's colors, alternatives its nodes
+    for w in enumerate_paths(grammar.category, src, dst, 5):
+        forest = parse_forest(grammar, w)
+        pulled = pullback_grammar(grammar, interval_automaton(grammar.category, w))
+        if forest.is_empty:
+            assert pulled.species.nodes == ()
+            continue
+        items = {f"({i.start},{i.color},{i.end})" for i in forest.alternatives}
+        assert set(pulled.species.colors) == items
+        assert len(pulled.species.nodes) == sum(len(a) for a in forest.alternatives.values())
+
+
+def test_alternatives_are_agenda_order_independent_and_distinct():
+    # m: S S puts one item into both gaps when the spans are equal, so a
+    # pivot on either gap could find the same placement twice
+    for w in (word(GRAPH_A, "a" * 7), GRAPH_A.path(("a",) * 4, src="*")):
+        for grammar in (G_AMB, G_EPS):
+            forward, backward = _lift(grammar, w), _lift(grammar, w, reverse_agenda=True)
+            assert forward.keys() == backward.keys()
+            for item, alts in forward.items():
+                assert len(set(alts)) == len(alts)
+                assert sorted(alts) == sorted(backward[item])
 
 
 # Random grammars over a two-object graph: every pair of objects has a path

@@ -1,4 +1,8 @@
+import math
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from catgram import (
     Automaton,
@@ -13,12 +17,14 @@ from catgram import (
     intersect,
     interval_automaton,
     pullback_grammar,
+    run_membership,
     trim,
     word,
 )
 from catgram.automaton import runs_by_source
-from catgram.fixtures import G_AB, G_END, GRAPH_AB, M_EVENA
+from catgram.fixtures import G_AB, G_AMB, G_END, GRAPH_A, GRAPH_AB, M_EVENA
 from conftest import words
+from test_parser import GRAPH_PQ, RANDOM_WORD_BOUND, random_grammars
 
 
 def lang(g, n):
@@ -154,3 +160,51 @@ def test_pullback_node_count_audit():
             product *= sum(len(rs) for rs in table.values())
         expected += product
     assert len(pulled.species.nodes) == expected
+
+
+def test_trimmed_pullback_is_trim_of_raw_product():
+    # one item used in both gaps of m: S S must give one node, not two
+    for n in (1, 2, 5, 9):
+        auto = interval_automaton(GRAPH_A, word(GRAPH_A, "a" * n))
+        pulled = pullback_grammar(G_AMB, auto)
+        assert pulled == trim(pullback_grammar(G_AMB, auto, trim_useless=False))
+        assert len(pulled.species.nodes) == len(set(pulled.species.nodes)) == math.comb(n + 1, 3) + n
+    for automaton in (M_EVENA, ALL_LOOP):
+        raw = pullback_grammar(G_AB, automaton, trim_useless=False)
+        assert pullback_grammar(G_AB, automaton) == trim(raw)
+
+
+@st.composite
+def grammars_and_automata(draw):
+    """A random grammar over GRAPH_PQ and a random automaton over the same
+    graph: an initial and a final state over the start color's gap type
+    (one state when the draw allows it), up to two more states, and a
+    random subset of the transitions that lie over generators."""
+    grammar = draw(random_grammars())
+    gap = grammar.gap_of(grammar.start)
+    states = [State("i", gap.left)]
+    final = "i"
+    if gap.left != gap.right or draw(st.booleans()):
+        states.append(State("f", gap.right))
+        final = "f"
+    for k in range(draw(st.integers(0, 2))):
+        states.append(State(f"s{k}", draw(st.sampled_from(GRAPH_PQ.objects))))
+    transitions = []
+    for src in states:
+        for gen in GRAPH_PQ.generators:
+            for dst in states:
+                if (src.over, dst.over) == (gen.src, gen.dst) and draw(st.booleans()):
+                    transitions.append(Transition(f"t{len(transitions)}", src.name, dst.name, gen.name))
+    automaton = Automaton(GRAPH_PQ, tuple(states), tuple(transitions), "i", final)
+    return grammar, automaton
+
+
+@given(grammars_and_automata())
+def test_intersection_agrees_with_oracles_on_random_automata(pair):
+    grammar, automaton = pair
+    raw = pullback_grammar(grammar, automaton, trim_useless=False)
+    assert pullback_grammar(grammar, automaton) == trim(raw)
+    want = tuple(
+        w for w in enumerate_language(grammar, RANDOM_WORD_BOUND) if run_membership(automaton, w)
+    )
+    assert enumerate_language(intersect(grammar, automaton), RANDOM_WORD_BOUND) == want
