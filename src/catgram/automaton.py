@@ -33,7 +33,7 @@ from .freecat import (
     enumerate_paths,
     monoid_graph,
 )
-from .species import Apply, DerivationTree, Leaf, Species
+from .species import Apply, DerivationTree, Leaf, Species, fold
 from .spliced import GapType, SplicedArrow
 
 
@@ -331,18 +331,18 @@ def validate_tree_automaton(ta: TreeAutomaton) -> list[str]:
 
 def tree_accept(ta: TreeAutomaton, tree: DerivationTree) -> bool:
     """Standard bottom-up nondeterministic evaluation of a closed tree."""
-    if isinstance(tree, Leaf):
+
+    def open_leaf(leaf: Leaf) -> frozenset[str]:
         raise InputError("tree automata run on closed trees only")
 
-    def states_of(t: Apply) -> frozenset[str]:
-        child_states = [states_of(c) for c in t.children]  # type: ignore[arg-type]
-        out = set()
-        for tr in ta.by_node.get(t.node.name, ()):
-            if all(q in child_states[i] for i, q in enumerate(tr.inputs)):
-                out.add(tr.output)
-        return frozenset(out)
+    def states_of(t: Apply, below: tuple[frozenset[str], ...]) -> frozenset[str]:
+        return frozenset(
+            tr.output
+            for tr in ta.by_node.get(t.node.name, ())
+            if all(q in states for q, states in zip(tr.inputs, below))
+        )
 
-    return ta.accept in states_of(tree)
+    return ta.accept in fold(tree, open_leaf, states_of)
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,8 @@ equivalence.  All commands read JSON files against the schemas in
 
 Exit codes: 0 on success and for properties that hold, 1 for properties
 that fail (a counterexample, a failed bounded check, a validation report),
-2 for malformed input and for input nested too deeply for the interpreter's
-recursion limit; every exit 2 prints one ``error:`` line on stderr.
+2 for malformed input and for JSON (a deep tree read or written) nested too
+deeply for the recursion limit; every exit 2 prints one ``error:`` line.
 """
 
 from __future__ import annotations

@@ -21,13 +21,13 @@ would need the quotient presentation and a word-problem solver.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .errors import CompositionError, InputError
 from .automaton import Automaton, State, Transition
 from .freecat import FiniteGraph, FreeFunctor, Generator, Path
 from .grammar import Grammar
-from .species import Apply, DerivationTree, Node, Species, SpeciesMap, is_closed
+from .species import DerivationTree, Leaf, Node, Species, SpeciesMap, walk
 from .spliced import GapType, SplicedArrow
 
 UP = "↑"
@@ -113,17 +113,11 @@ def universal_grammar(species: Species, start: str) -> Grammar:
 def contour_word(species: Species, tree: DerivationTree) -> Path:
     """The corner sequence traced by walking around a closed tree; equals the
     evaluation of the tree in the universal grammar."""
-    if not is_closed(tree):
-        raise InputError("contour words are defined for closed trees")
     gens: list[str] = []
-
-    def walk(t: Apply) -> None:
-        gens.append(corner_name(t.node.name, 0))
-        for i, child in enumerate(t.children):
-            walk(child)  # type: ignore[arg-type]
-            gens.append(corner_name(t.node.name, i + 1))
-
-    walk(tree)  # type: ignore[arg-type]
+    for t, i in walk(tree):
+        if isinstance(t, Leaf):
+            raise InputError("contour words are defined for closed trees")
+        gens.append(corner_name(t.node.name, i))
     root = tree.node.output  # type: ignore[union-attr]
     return Path(up(root), down(root), tuple(gens))
 
@@ -286,10 +280,6 @@ class DyckLetter:
             raise InputError(f"bracket must be '[' or ']', got {self.bracket!r}")
 
 
-def _corner_table(species: Species) -> Mapping[str, Corner]:
-    return {c.name: c for c in corners_of(species)}
-
-
 def dyck_translate(species: Species, cw: Path) -> tuple[DyckLetter, ...]:
     """Expand each corner into two annotated brackets.
 
@@ -297,7 +287,7 @@ def dyck_translate(species: Species, cw: Path) -> tuple[DyckLetter, ...]:
     it arrives from above) and then opens the edge it leaves on (closing at
     the last index, where it leaves downward), doubling the word length.
     """
-    table = _corner_table(species)
+    table = {c.name: c for c in corners_of(species)}
     letters: list[DyckLetter] = []
     for name in cw.gens:
         corner = table.get(name)
@@ -318,7 +308,6 @@ def dyck_decode(species: Species, letters: Iterable[DyckLetter]) -> Path:
         raise InputError("empty letter sequence")
     if len(letters) % 2 != 0:
         raise InputError("odd number of letters")
-    table = {n.name: n for n in species.nodes}
     gens: list[str] = []
     for k in range(0, len(letters), 2):
         first, second = letters[k], letters[k + 1]
@@ -327,7 +316,7 @@ def dyck_decode(species: Species, letters: Iterable[DyckLetter]) -> Path:
                 f"letters {k} and {k + 1} do not annotate the same corner: "
                 f"({first.node},{first.index}) vs ({second.node},{second.index})"
             )
-        node = table.get(first.node)
+        node = species.node_by_name.get(first.node)
         if node is None:
             raise InputError(f"unknown node {first.node!r}")
         i = first.index

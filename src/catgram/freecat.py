@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from .errors import CompositionError, InputError
 
@@ -48,10 +48,6 @@ class Path:
     @property
     def is_identity(self) -> bool:
         return not self.gens
-
-    def label(self) -> str:
-        """Compact display form; identities render as the empty-word symbol."""
-        return "".join(self.gens) if self.gens else "ε"
 
 
 def identity_path(obj: str) -> Path:
@@ -188,16 +184,6 @@ class FreeFunctor:
                     f"expected {self.object_map[g.src]}->{self.object_map[g.dst]}"
                 )
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FreeFunctor):
-            return NotImplemented
-        return (
-            self.domain == other.domain
-            and self.codomain == other.codomain
-            and self.object_map == other.object_map
-            and self.generator_map == other.generator_map
-        )
-
     __hash__ = None  # type: ignore[assignment]
 
 
@@ -314,15 +300,9 @@ def enumerate_paths(graph: FiniteGraph, src: str, dst: str, max_len: int) -> tup
     if not graph.has_object(src) or not graph.has_object(dst):
         raise InputError("unknown endpoint object")
     found: list[Path] = []
-
-    def extend(at: str, gens: tuple[str, ...]) -> Iterator[Path]:
-        if at == dst:
-            yield Path(src, dst, gens)
-        if len(gens) == max_len:
-            return
-        for g in graph.out_of[at]:
-            yield from extend(g.dst, gens + (g.name,))
-
-    found.extend(extend(src, ()))
-    found.sort(key=lambda p: (len(p.gens), p.gens))
+    layer: list[tuple[str, tuple[str, ...]]] = [(src, ())]  # (end, gens), in out_of's name order
+    for length in range(max_len + 1):
+        if length:
+            layer = [(g.dst, gens + (g.name,)) for at, gens in layer for g in graph.out_of[at]]
+        found.extend(Path(src, dst, gens) for at, gens in layer if at == dst)
     return tuple(found)

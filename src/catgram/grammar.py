@@ -30,10 +30,10 @@ from .freecat import (
 )
 from .species import (
     DerivationTree,
-    Leaf,
     Node,
     Species,
     derivable,
+    fold,
 )
 from .spliced import (
     GapType,
@@ -60,17 +60,6 @@ class Grammar:
 
     def splice_of(self, node_name: str) -> SplicedArrow:
         return self.node_splice[node_name]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Grammar):
-            return NotImplemented
-        return (
-            self.category == other.category
-            and self.species == other.species
-            and self.start == other.start
-            and self.color_gap == other.color_gap
-            and self.node_splice == other.node_splice
-        )
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -169,10 +158,11 @@ def eval_tree(grammar: Grammar, tree: DerivationTree) -> SplicedArrow:
     Closed trees yield constants; a leaf evaluates to the identity operation
     on its gap type.
     """
-    if isinstance(tree, Leaf):
-        return spliced_identity(grammar.gap_of(tree.color))
-    operands = tuple(eval_tree(grammar, child) for child in tree.children)
-    return spliced_compose_parallel(grammar.splice_of(tree.node.name), operands)
+    return fold(
+        tree,
+        lambda leaf: spliced_identity(grammar.gap_of(leaf.color)),
+        lambda t, operands: spliced_compose_parallel(grammar.splice_of(t.node.name), operands),
+    )
 
 
 # ---------------------------------------------------------------------------

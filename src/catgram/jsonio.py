@@ -15,7 +15,7 @@ from .contour import DyckLetter
 from .errors import CompositionError, InputError
 from .freecat import FiniteGraph, FreeFunctor, Generator, Path
 from .grammar import Grammar, grammar_from_rules
-from .species import Apply, DerivationTree, Leaf, Node, Species
+from .species import Apply, DerivationTree, Leaf, Node, Species, fold
 from .spliced import GapType, SplicedArrow
 
 
@@ -127,9 +127,11 @@ def species_from_json(data: Any, where: str = "species") -> Species:
 
 
 def tree_to_json(tree: DerivationTree) -> dict:
-    if isinstance(tree, Leaf):
-        return {"leaf": tree.color}
-    return {"rule": tree.node.name, "children": [tree_to_json(c) for c in tree.children]}
+    return fold(
+        tree,
+        lambda leaf: {"leaf": leaf.color},
+        lambda t, children: {"rule": t.node.name, "children": list(children)},
+    )
 
 
 def tree_from_json(species: Species, data: Any, where: str = "tree") -> DerivationTree:

@@ -53,6 +53,8 @@ def enumerate_language(grammar: Grammar, max_len: int, max_sweeps: int | None = 
     ``max_sweeps`` optionally caps the number of full sweeps, turning an
     unexpectedly slow saturation into an error instead of a long wait.
     """
+    if max_len < 0:
+        raise CatgramError("max_len must be nonnegative")
     words: dict[str, set[Path]] = {c: set() for c in grammar.species.colors}
     sweeps = 0
     changed = True

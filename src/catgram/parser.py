@@ -186,8 +186,6 @@ def enumerate_parses(forest: PackedForest, limit: int) -> tuple[DerivationTree, 
         raise InputError("limit must be nonnegative")
     if forest.root is None or limit == 0:
         return ()
-    total = count_parses(forest)
-    goal = limit if total is math.inf else min(limit, int(total))
     bounds = _size_bounds(forest)
     trees = trees_by_size(
         lambda item: ((alt.node, alt.children) for alt in forest.alternatives[item]),
@@ -195,7 +193,7 @@ def enumerate_parses(forest: PackedForest, limit: int) -> tuple[DerivationTree, 
     )
     collected: list[DerivationTree] = []
     k, most = bounds[forest.root]
-    while len(collected) < goal and k <= most:
+    while len(collected) < limit and k <= most:
         collected.extend(trees(forest.root, k))
         k += 1
-    return tuple(collected[:goal])
+    return tuple(collected[:limit])

@@ -4,6 +4,9 @@ A species is bare generating data: nodes with a list of input colors and one
 output color.  The free operad on a species has derivation trees as its
 operations; composition is grafting a tree into a free leaf.  Trees keep
 explicit ``Leaf`` colors so that open (partially applied) operations exist.
+Tree functions read one iterative contour walk (``walk``: a node on entry
+and after each child, as in the paper's contour word) or bottom-up ``fold``
+over it, so none depends on the interpreter's recursion limit.
 
 A species is also a hypergraph: colors are vertices and each node is an
 edge from its inputs to its output.  A packed forest is the same kind of
@@ -101,36 +104,57 @@ def root_color(tree: DerivationTree) -> str:
     return tree.color if isinstance(tree, Leaf) else tree.node.output
 
 
+def walk(tree: DerivationTree) -> Iterator[tuple[DerivationTree, int]]:
+    """The contour of a tree, iteratively: ``(t, 0)`` on entering a node,
+    ``(t, i)`` after its ``i``-th child, and ``(leaf, 0)`` once per leaf."""
+    stack: list[tuple[DerivationTree, int]] = [(tree, 0)]
+    while stack:
+        t, i = entry = stack.pop()
+        yield entry
+        if isinstance(t, Apply) and i < len(t.children):
+            stack.append((t, i + 1))
+            stack.append((t.children[i], 0))
+
+
+R = TypeVar("R")
+
+
+def fold(
+    tree: DerivationTree, leaf: Callable[[Leaf], R], apply: Callable[[Apply, tuple[R, ...]], R]
+) -> R:
+    """The bottom-up value of a tree: ``leaf(l)`` at each leaf, and
+    ``apply(t, child values)`` at each node, in one walk."""
+    stack: list[list[R]] = [[]]
+    for t, i in walk(tree):
+        if isinstance(t, Leaf):
+            stack[-1].append(leaf(t))
+            continue
+        if i == 0:
+            stack.append([])
+        if i == len(t.children):
+            values = tuple(stack.pop())
+            stack[-1].append(apply(t, values))
+    return stack[0][0]
+
+
 def leaf_colors(tree: DerivationTree) -> tuple[str, ...]:
     """Colors of the free leaves, left to right."""
-    if isinstance(tree, Leaf):
-        return (tree.color,)
-    out: tuple[str, ...] = ()
-    for child in tree.children:
-        out += leaf_colors(child)
-    return out
+    return tuple(t.color for t, _ in walk(tree) if isinstance(t, Leaf))
 
 
 def is_closed(tree: DerivationTree) -> bool:
-    if isinstance(tree, Leaf):
-        return False
-    return all(is_closed(c) for c in tree.children)
+    return all(isinstance(t, Apply) for t, _ in walk(tree))
 
 
 def node_count(tree: DerivationTree) -> int:
-    if isinstance(tree, Leaf):
-        return 0
-    return 1 + sum(node_count(c) for c in tree.children)
+    return sum(1 for t, i in walk(tree) if i == 0 and isinstance(t, Apply))
 
 
 def preorder_names(tree: DerivationTree) -> tuple[str, ...]:
     """Node names in preorder; leaves contribute their color tagged apart."""
-    if isinstance(tree, Leaf):
-        return ("?" + tree.color,)
-    out = (tree.node.name,)
-    for child in tree.children:
-        out += preorder_names(child)
-    return out
+    return tuple(
+        "?" + t.color if isinstance(t, Leaf) else t.node.name for t, i in walk(tree) if i == 0
+    )
 
 
 def tree_key(tree: DerivationTree) -> tuple[int, tuple[str, ...]]:
@@ -140,30 +164,22 @@ def tree_key(tree: DerivationTree) -> tuple[int, tuple[str, ...]]:
 
 def tree_substitute(tree: DerivationTree, index: int, sub: DerivationTree) -> DerivationTree:
     """Graft ``sub`` onto the ``index``-th free leaf (left to right, 0-based)."""
-    leaves = leaf_colors(tree)
-    if index < 0 or index >= len(leaves):
-        raise CompositionError(f"leaf index {index} out of range (tree has {len(leaves)} leaves)")
-    if leaves[index] != root_color(sub):
-        raise CompositionError(
-            f"leaf {index} has color {leaves[index]!r}, cannot graft a tree of color "
-            f"{root_color(sub)!r}"
-        )
+    seen = itertools.count()
 
-    def go(t: DerivationTree, skip: int) -> tuple[DerivationTree, int]:
-        if isinstance(t, Leaf):
-            if skip == 0:
-                return sub, -1
-            return t, skip - 1
-        new_children = []
-        for child in t.children:
-            if skip < 0:
-                new_children.append(child)
-            else:
-                child, skip = go(child, skip)
-                new_children.append(child)
-        return Apply(t.node, tuple(new_children)), skip
+    def graft(leaf: Leaf) -> DerivationTree:
+        if next(seen) != index:
+            return leaf
+        if leaf.color != root_color(sub):
+            raise CompositionError(
+                f"leaf {index} has color {leaf.color!r}, cannot graft a tree of color "
+                f"{root_color(sub)!r}"
+            )
+        return sub
 
-    grafted, _ = go(tree, index)
+    grafted = fold(tree, graft, lambda t, children: Apply(t.node, children))
+    leaves = next(seen)
+    if index < 0 or index >= leaves:
+        raise CompositionError(f"leaf index {index} out of range (tree has {leaves} leaves)")
     return grafted
 
 
@@ -188,10 +204,11 @@ class SpeciesMap:
         return self.node_map[node]
 
     def apply_tree(self, tree: DerivationTree) -> DerivationTree:
-        if isinstance(tree, Leaf):
-            return Leaf(self.apply_color(tree.color))
-        image = self.target.node_by_name[self.apply_node(tree.node.name)]
-        return Apply(image, tuple(self.apply_tree(c) for c in tree.children))
+        return fold(
+            tree,
+            lambda leaf: Leaf(self.apply_color(leaf.color)),
+            lambda t, children: Apply(self.target.node_by_name[self.apply_node(t.node.name)], children),
+        )
 
 
 def validate_species_map(phi: SpeciesMap) -> list[str]:
@@ -301,22 +318,44 @@ def trees_by_size(
     ``alternatives(v)`` yields ``(node, child vertices)`` pairs, and
     ``bounds(v)`` the least and greatest node count of any tree at ``v``
     (``inf`` when unbounded); sizes are split among children only within
-    their bounds.
+    their bounds.  Nodes with one name have one arity, as in a species.  A
+    request collects the ``(vertex, size)`` pairs it needs and fills them by
+    ascending size: a tree's children are smaller.
     """
     memo: dict[tuple[V, int], tuple[Apply, ...]] = {}
+    names: dict[int, tuple[str, ...]] = {}  # preorder names by id: hashing a tree walks it
+
+    def preorder(tree: Apply) -> tuple[str, ...]:
+        if id(tree) not in names:
+            below = [names.get(id(c)) for c in tree.children]
+            names[id(tree)] = preorder_names(tree) if None in below else sum(below, (tree.node.name,))
+        return names[id(tree)]
 
     def trees(v: V, k: int) -> tuple[Apply, ...]:
-        if (v, k) not in memo:
+        edges: dict[tuple[V, int], list[tuple[Node, tuple[tuple[V, int], ...]]]] = {}
+        todo = [(v, k)]
+        while todo:
+            vertex, size = pair = todo.pop()
+            if pair not in memo and pair not in edges:
+                edges[pair] = [
+                    (node, tuple(zip(children, split)))
+                    for node, children in alternatives(vertex)
+                    for split in _splits(size - 1, [bounds(c) for c in children])
+                ]
+                todo.extend(p for _, parts in edges[pair] for p in parts)
+        for pair in sorted(edges, key=lambda pair: pair[1]):
             out = [
                 Apply(node, picked)
-                for node, children in alternatives(v)
-                for split in _splits(k - 1, [bounds(c) for c in children])
-                for picked in itertools.product(*map(trees, children, split))
+                for node, parts in edges[pair]
+                for picked in itertools.product(*(memo[p] for p in parts))
             ]
             if len(out) > 1:
-                # every tree here has k nodes, so preorder alone is canonical order
-                out.sort(key=preorder_names)
-            memo[v, k] = tuple(out)
+                # every tree here has k nodes, so preorder alone is canonical
+                # order; names fix arities, so no preorder is a prefix of
+                # another, and comparing the name, then each child's
+                # preorder, compares whole preorders
+                out.sort(key=lambda t: (t.node.name, *map(preorder, t.children)))
+            memo[pair] = tuple(out)
         return memo[v, k]
 
     return trees

@@ -64,9 +64,6 @@ class SplicedArrow:
             raise CompositionError("only constants can be read back as arrows")
         return self.segments[0]
 
-    def label(self) -> str:
-        return "-".join(seg.label() for seg in self.segments)
-
 
 def constant(path: Path) -> SplicedArrow:
     """An arrow seen as a 0-ary operation."""

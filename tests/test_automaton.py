@@ -29,7 +29,7 @@ from catgram import (
     words_lift,
 )
 from catgram.fixtures import GRAPH_AB, GRAPH_AB_END, M_EVENA, SPC_FIG3, fig3_tree
-from catgram.species import Apply
+from catgram.species import Apply, Leaf
 
 TOP = "⊤"
 
@@ -211,6 +211,15 @@ def test_tree_automaton_missing_transition_rejects():
     ta = _alternating_ta()
     # no transition over node a, so the fig 3 tree cannot be evaluated
     assert not tree_accept(ta, fig3_tree())
+
+
+def test_tree_accept_rejects_open_trees_with_input_error():
+    ta = _alternating_ta()
+    f = SPC_FIG3.node_by_name["f"]
+    with pytest.raises(InputError, match="closed trees only"):
+        tree_accept(ta, Leaf("1"))
+    with pytest.raises(InputError, match="closed trees only"):
+        tree_accept(ta, Apply(f, (Leaf("1"),)))
 
 
 def test_tree_automaton_validation_reports():

@@ -5,10 +5,10 @@ import sys
 
 import pytest
 
-from catgram import bilinearize
+from catgram import Automaton, State, Transition, bilinearize
 from catgram import jsonio
 from catgram.contour import contour_word
-from catgram.fixtures import G_AB, G_AMB, GRAPH_AB, M_EVENA, SPC_FIG3, fig3_tree
+from catgram.fixtures import G_AB, G_AMB, G_EPS, GRAPH_A, GRAPH_AB, M_EVENA, SPC_FIG3, fig3_tree
 
 
 def run_cli(*args, seed="0"):
@@ -221,3 +221,38 @@ def test_recursion_error_exits_2_with_one_line(files, monkeypatch, capsys):
     assert captured.err.count("\n") == 1
     assert captured.err.startswith("error: parse: ")
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("enumerate", "-g", "g_ab.json", "--max-len", "-1"),
+        ("enumerate", "-m", "m_evena.json", "--max-len", "-1"),
+        ("check-equiv", "-g1", "g_ab.json", "-g2", "g_bin.json", "--max-len", "-1"),
+        ("cs-decompose", "-g", "g_ab.json", "--check-bound", "-1"),
+    ],
+)
+def test_negative_length_bounds_exit_2(files, args):
+    res = run_cli(*(files.get(a, a) for a in args))
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr == "error: max_len must be nonnegative\n"
+
+
+def test_enumerate_long_loop_automaton(files):
+    loop = Automaton(GRAPH_A, (State("q", "*"),), (Transition("t", "q", "q", "a"),), "q", "q")
+    path = files["write"]("loop.json", jsonio.automaton_to_json(loop))
+    res = run_cli("enumerate", "-m", path, "--max-len", "2000")
+    assert res.returncode == 0
+    assert json.loads(res.stdout)["words"] == ["a" * n for n in range(2001)]
+
+
+def test_deep_parse_prints_text_but_not_json(files):
+    path = files["write"]("g_eps.json", jsonio.grammar_to_json(G_EPS))
+    res = run_cli("--format", "text", "parse", "-g", path, "-w", "a" * 600)
+    assert res.returncode == 0
+    assert res.stdout == "member: True\nnonterminals: S\ncount: 1\n"
+    # the 601-node tree nests deeper than the JSON encoder allows
+    res = run_cli("parse", "-g", path, "-w", "a" * 600)
+    assert res.returncode == 2 and res.stdout == ""
+    assert res.stderr.count("\n") == 1 and res.stderr.startswith("error: parse: ")

@@ -2,6 +2,7 @@ import pytest
 
 from catgram import (
     Apply,
+    CompositionError,
     DyckLetter,
     InputError,
     Node,
@@ -10,6 +11,7 @@ from catgram import (
     brackets,
     chromatic_factorization,
     colors_automaton,
+    compose_functors,
     contour_category,
     contour_functor,
     contour_interpretation,
@@ -20,10 +22,13 @@ from catgram import (
     dyck_translate,
     enumerate_closed_trees,
     enumerate_language,
+    enumerate_paths,
     enumerate_regular_language,
     enumerate_runs,
     eval_tree,
+    functorial_image,
     grammar_from_rules,
+    pullback_grammar,
     ulf_check_bounded,
     union,
     universal_grammar,
@@ -396,3 +401,26 @@ def test_dyck_single_nullary_corner():
     b = Apply(SPC_FIG3.node_by_name["b"], ())
     letters = dyck_translate(SPC_FIG3, contour_word(SPC_FIG3, b))
     assert letters == (DyckLetter("[", "b", 0), DyckLetter("]", "b", 0))
+
+
+# -- the two maps cs_check applies, composed -------------------------------------
+
+
+def test_compose_functors_recolors_then_interprets():
+    for g in (G_AB, G_AMB, G_END):
+        parts = cs_decompose(g)
+        recolor, interpret = parts.automaton.functor, parts.interpretation
+        composite = compose_functors(recolor, interpret)
+        assert composite.domain == recolor.domain
+        assert composite.codomain == interpret.codomain
+        states = parts.automaton.state_graph
+        for run in enumerate_paths(states, parts.automaton.initial, parts.automaton.final, 6):
+            assert apply_functor(composite, run) == apply_functor(
+                interpret, apply_functor(recolor, run)
+            )
+        pulled = pullback_grammar(parts.universal, parts.automaton)
+        assert functorial_image(pulled, composite) == functorial_image(
+            functorial_image(pulled, recolor), interpret
+        )
+        with pytest.raises(CompositionError):
+            compose_functors(interpret, recolor)

@@ -185,6 +185,16 @@ def test_enumerate_paths_count_formula(max_len):
     )
 
 
+def test_enumerate_paths_sorts_by_name_not_declaration():
+    got = enumerate_paths(monoid_graph(("b", "a")), "*", "*", 2)
+    assert ["".join(p.gens) for p in got] == ["", "a", "b", "aa", "ab", "ba", "bb"]
+
+
+def test_enumerate_paths_is_iterative():
+    got = enumerate_paths(monoid_graph(("a",)), "*", "*", 2000)
+    assert [p.gens for p in got] == [("a",) * n for n in range(2001)]
+
+
 def test_enumerate_paths_order_is_length_then_lex():
     got = enumerate_paths(AB, "*", "*", 2)
     assert [p.gens for p in got] == [
