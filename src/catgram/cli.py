@@ -287,9 +287,6 @@ def run(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
     except CatgramError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 from .errors import CompositionError, InputError
 
@@ -90,8 +90,12 @@ class FiniteGraph:
             table[g.src].append(g)
         return {o: tuple(sorted(gs, key=lambda g: g.name)) for o, gs in table.items()}
 
+    @cached_property
+    def _object_set(self) -> frozenset[str]:
+        return frozenset(self.objects)
+
     def has_object(self, obj: str) -> bool:
-        return obj in set(self.objects)
+        return obj in self._object_set
 
     def path(self, gens: Iterable[str], src: str | None = None) -> Path:
         """Build a validated path from generator names.
@@ -200,10 +204,9 @@ def apply_functor(functor: FreeFunctor, p: Path) -> Path:
     """Apply a functor to a path: map each generator and concatenate."""
     if not functor.domain.contains_path(p):
         raise InputError(f"path {p} does not lie in the functor's domain")
-    out = identity_path(functor.object_map[p.src])
-    for name in p.gens:
-        out = path_compose(out, functor.generator_map[name])
-    return out
+    images = functor.generator_map
+    gens = tuple(g for name in p.gens for g in images[name].gens)
+    return Path(functor.object_map[p.src], functor.object_map[p.dst], gens)
 
 
 def compose_functors(f: FreeFunctor, g: FreeFunctor) -> FreeFunctor:
@@ -306,3 +309,16 @@ def enumerate_paths(graph: FiniteGraph, src: str, dst: str, max_len: int) -> tup
             layer = [(g.dst, gens + (g.name,)) for at, gens in layer for g in graph.out_of[at]]
         found.extend(Path(src, dst, gens) for at, gens in layer if at == dst)
     return tuple(found)
+
+
+class _Memo(dict):
+    """A dict that fills a missing key ``k`` with ``make(*k)``: a memo local
+    to one construction, so each distinct value is built once."""
+
+    def __init__(self, make: Callable[..., Any]) -> None:
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key: tuple) -> Any:
+        value = self[key] = self.make(*key)
+        return value

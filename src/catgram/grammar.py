@@ -23,6 +23,7 @@ from .freecat import (
     FiniteGraph,
     FreeFunctor,
     Path,
+    _Memo,
     apply_functor,
     enumerate_paths,
     identity_path,
@@ -460,22 +461,24 @@ def functorial_image(grammar: Grammar, functor: FreeFunctor) -> Grammar:
     if functor.domain != grammar.category:
         raise CompositionError("functor domain does not match the grammar's category")
 
-    def map_gap(gap: GapType) -> GapType:
-        return GapType(functor.object_map[gap.left], functor.object_map[gap.right])
-
+    # each distinct gap type and segment is mapped once, keyed by its fields;
+    # ``apply_functor`` still checks every distinct segment against the domain
+    obj = functor.object_map
+    gaps = _Memo(lambda left, right: GapType(obj[left], obj[right]))
+    images = _Memo(lambda src, dst, gens: apply_functor(functor, Path(src, dst, gens)))
     node_splice = {}
     for node in grammar.species.nodes:
         splice = grammar.splice_of(node.name)
         node_splice[node.name] = SplicedArrow(
-            outer=map_gap(splice.outer),
-            gaps=tuple(map_gap(g) for g in splice.gaps),
-            segments=tuple(apply_functor(functor, seg) for seg in splice.segments),
+            outer=gaps[splice.outer.left, splice.outer.right],
+            gaps=tuple(gaps[g.left, g.right] for g in splice.gaps),
+            segments=tuple(images[seg.src, seg.dst, seg.gens] for seg in splice.segments),
         )
     return Grammar(
         category=functor.codomain,
         species=grammar.species,
         start=grammar.start,
-        color_gap={c: map_gap(g) for c, g in grammar.color_gap.items()},
+        color_gap={c: gaps[g.left, g.right] for c, g in grammar.color_gap.items()},
         node_splice=node_splice,
     )
 

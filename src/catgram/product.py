@@ -24,11 +24,12 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
+from operator import getitem
 from typing import Hashable, Sequence
 
 from .errors import CompositionError
 from .automaton import Automaton, runs_by_source
-from .freecat import Path
+from .freecat import Path, _Memo
 from .grammar import Grammar, functorial_image, useful_set
 from .species import Node, Species
 from .spliced import GapType, SplicedArrow
@@ -47,7 +48,7 @@ def lift(
     is derived.
 
     ``placements[n][s]`` lists where segment ``s`` of node ``n`` can sit, as
-    ``(p, q, tag)``.  Node ``n`` derives ``(output, P0.p, Pk.q)`` from
+    ``(p, q, *tags)``.  Node ``n`` derives ``(output, P0.p, Pk.q)`` from
     placements ``P0..Pk`` whenever each gap item ``(inputs[m], Pm.q,
     P(m+1).p)`` is derived.  Every item maps to its alternatives ``(n,
     placement indexes, gap items)`` in the order they were found.
@@ -70,7 +71,7 @@ def lift(
         ((node.output, p, q), (n, (a,), ()))
         for n, node in enumerate(nodes)
         if not node.inputs
-        for a, (p, q, _) in enumerate(placements[n][0])
+        for a, (p, q, *_) in enumerate(placements[n][0])
     ]
     while True:
         for item, alt in found:
@@ -174,55 +175,58 @@ def pullback_grammar(grammar: Grammar, automaton: Automaton, trim_useless: bool 
 
     state_names = [s.name for s in automaton.states]
 
-    def placements(seg: Path) -> list[tuple[str, str, Path]]:
+    def placements(seg: Path) -> list[tuple[str, str, Path, str]]:
         # the source state of each run is a free endpoint choice; only its
-        # underlying object is constrained
+        # underlying object is constrained.  Each run's label is made here,
+        # once, however many nodes use the run.
         runs = runs_by_source(automaton, seg)
-        return [(r.src, r.dst, r) for q in state_names for r in runs[q]]
+        return [(r.src, r.dst, r, _run_label(r)) for q in state_names for r in runs[q]]
 
     nodes = grammar.species.nodes
     table = [[placements(seg) for seg in grammar.splice_of(node.name).segments] for node in nodes]
+    color_gaps = [(color, grammar.gap_of(color)) for color in grammar.species.colors]
     items = [
         (color, q, q2)
         for q in state_names
-        for color in grammar.species.colors
+        for color, gap in color_gaps
+        if over[q] == gap.left
         for q2 in state_names
-        if GapType(over[q], over[q2]) == grammar.gap_of(color)
+        if over[q2] == gap.right
     ]
     if trim_useless:
         derived = lift(nodes, table)
         root = (grammar.start, automaton.initial, automaton.final)
         useful = reachable(derived, root) if root in derived else {root: []}
         items = [item for item in items if item in useful]
-        chosen = [
-            (nodes[n], tuple(table[n][s][a][2] for s, a in enumerate(idx)))
+        chosen = (
+            (nodes[n], tuple(map(getitem, table[n], idx)))
             for n, idx, _ in sorted(alt for alts in useful.values() for alt in alts)
-        ]
+        )
     else:
         chosen = (
-            (node, runs)
-            for node, segs in zip(nodes, table)
-            for runs in itertools.product(*([r for _, _, r in seg] for seg in segs))
+            (node, picks) for node, segs in zip(nodes, table) for picks in itertools.product(*segs)
         )
 
+    # pullback color names by (src, color, dst) and gap types by (src, dst),
+    # each made once and shared by every node that meets it
+    names = _Memo(lambda src, color, dst: PullbackColor(src, color, dst).name)
+    gap_types = _Memo(GapType)
+    name_of, gap_of = names.__getitem__, gap_types.__getitem__
     pulled_nodes: list[Node] = []
     node_splice: dict[str, SplicedArrow] = {}
-    for node, runs in chosen:
-        name = f"({node.name}|{'|'.join(_run_label(r) for r in runs)})"
-        inputs = tuple(
-            PullbackColor(runs[i].dst, c, runs[i + 1].src).name for i, c in enumerate(node.inputs)
-        )
-        output = PullbackColor(runs[0].src, node.output, runs[-1].dst).name
-        pulled_nodes.append(Node(name, inputs, output))
+    for node, picks in chosen:
+        srcs, dsts, runs, labels = zip(*picks)
+        nexts = srcs[1:]  # the state after each gap
+        name = f"({node.name}|{'|'.join(labels)})"
+        inputs = tuple(map(name_of, zip(dsts, node.inputs, nexts)))
+        pulled_nodes.append(Node(name, inputs, names[srcs[0], node.output, dsts[-1]]))
         node_splice[name] = SplicedArrow(
-            outer=GapType(runs[0].src, runs[-1].dst),
-            gaps=tuple(GapType(runs[i].dst, runs[i + 1].src) for i in range(len(runs) - 1)),
-            segments=runs,
+            gap_types[srcs[0], dsts[-1]], tuple(map(gap_of, zip(dsts, nexts))), runs
         )
-    colors = [PullbackColor(q, color, q2) for color, q, q2 in items]
-    species = Species(colors=tuple(c.name for c in colors), nodes=tuple(pulled_nodes))
-    color_gap = {c.name: GapType(c.src, c.dst) for c in colors}
-    start = PullbackColor(automaton.initial, grammar.start, automaton.final).name
+    colors = tuple(names[q, c, q2] for c, q, q2 in items)
+    species = Species(colors=colors, nodes=tuple(pulled_nodes))
+    color_gap = {names[q, c, q2]: gap_types[q, q2] for c, q, q2 in items}
+    start = names[automaton.initial, grammar.start, automaton.final]
     return Grammar(automaton.state_graph, species, start, color_gap, node_splice)
 
 

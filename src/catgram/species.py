@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence, TypeVar, Union
@@ -78,8 +79,15 @@ class Leaf:
     color: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Apply:
+    """A node applied to one subtree per input.
+
+    Equality and hashing read the preorder of nodes and leaves in one walk,
+    so deep trees compare without recursion; two trees are equal exactly
+    when their nodes and leaves agree position by position.
+    """
+
     node: Node
     children: tuple["DerivationTree", ...] = ()
 
@@ -96,12 +104,28 @@ class Apply:
                     f"child of {self.node.name!r} has root color {got!r}, expected {expected!r}"
                 )
 
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        # preorders with arities are prefix-free, so two trees of different
+        # shape differ before the shorter preorder ends
+        return self is other or all(map(operator.eq, _shape(self), _shape(other)))
+
+    def __hash__(self) -> int:
+        return hash(tuple(_shape(self)))
+
 
 DerivationTree = Union[Leaf, Apply]
 
 
 def root_color(tree: DerivationTree) -> str:
     return tree.color if isinstance(tree, Leaf) else tree.node.output
+
+
+def _shape(tree: DerivationTree) -> Iterator[Node | Leaf]:
+    """The nodes and leaves of a tree in preorder; node arities make this
+    a faithful encoding."""
+    return (t.node if isinstance(t, Apply) else t for t, i in walk(tree) if i == 0)
 
 
 def walk(tree: DerivationTree) -> Iterator[tuple[DerivationTree, int]]:

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from catgram import Automaton, State, Transition, bilinearize
+from catgram import Automaton, State, Transition, bilinearize, interval_automaton, word
 from catgram import jsonio
 from catgram.contour import contour_word
 from catgram.fixtures import G_AB, G_AMB, G_EPS, GRAPH_A, GRAPH_AB, M_EVENA, SPC_FIG3, fig3_tree
@@ -206,6 +206,18 @@ def test_outputs_are_byte_reproducible(files):
         second = run_cli(*cmd, seed="1")
         assert first.stdout == second.stdout, cmd
         assert first.returncode == second.returncode
+
+
+def test_raw_pullback_output_ignores_hash_seed(files):
+    interval = interval_automaton(GRAPH_A, word(GRAPH_A, "aaaa"))
+    path = files["write"]("interval.json", jsonio.automaton_to_json(interval))
+    for grammar, automaton in (("g_ab.json", "m_evena.json"), ("g_amb.json", path)):
+        cmd = ("intersect", "-g", files[grammar], "-m", files.get(automaton, automaton))
+        for emit in ("pullback", "image"):
+            first = run_cli(*cmd, "--emit", emit, "--no-trim", seed="0")
+            second = run_cli(*cmd, "--emit", emit, "--no-trim", seed="4242")
+            assert first.returncode == second.returncode == 0
+            assert first.stdout == second.stdout and first.stdout
 
 
 def test_recursion_error_exits_2_with_one_line(files, monkeypatch, capsys):

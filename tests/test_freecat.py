@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from catgram import (
@@ -99,6 +101,57 @@ def test_apply_functor_is_homomorphic():
 def test_apply_functor_rejects_foreign_path():
     with pytest.raises(InputError):
         apply_functor(F_EXPAND, word(CD, "c"))
+
+
+F_FOLD = FreeFunctor(
+    domain=TWO,
+    codomain=AB,
+    object_map={"X": "*", "Y": "*"},
+    generator_map={"u": word(AB, "ab"), "v": identity_path("*")},
+)
+F_TWIST = FreeFunctor(
+    domain=TWO,
+    codomain=TWO,
+    object_map={"X": "X", "Y": "Y"},
+    generator_map={"u": TWO.path(("u", "v", "u")), "v": TWO.path(("v",))},
+)
+
+
+def _composed(functor, p):
+    """The image of ``p`` composed one generator at a time."""
+    out = identity_path(functor.object_map[p.src])
+    for name in p.gens:
+        out = path_compose(out, functor.generator_map[name])
+    return out
+
+
+def _random_path(rng, graph, length):
+    at = rng.choice(graph.objects)
+    gens = []
+    for _ in range(length):
+        g = rng.choice(graph.out_of[at])
+        gens.append(g.name)
+        at = g.dst
+    return graph.path(gens, src=at if not gens else None)
+
+
+def test_apply_functor_equals_composition_generator_by_generator():
+    rng = random.Random(7)
+    for functor in (F_EXPAND, F_FOLD, F_TWIST, identity_functor(TWO)):
+        for _ in range(200):
+            p = _random_path(rng, functor.domain, rng.randrange(12))
+            assert apply_functor(functor, p) == _composed(functor, p)
+    # the reference is quadratic in the path's length; apply_functor is not
+    long = _random_path(rng, TWO, 20_000)
+    assert apply_functor(F_FOLD, long) == _composed(F_FOLD, long)
+    assert len(apply_functor(F_FOLD, long)) == 20_000  # u and v alternate
+
+
+def test_has_object_answers_for_unknown_objects():
+    assert TWO.has_object("X") and TWO.has_object("Y")
+    assert not TWO.has_object("Z")
+    assert not TWO.has_object("*")
+    assert not AB.has_object("X")
 
 
 def test_end_marked_adds_top_and_marker():

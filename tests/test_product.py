@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -7,15 +8,26 @@ from hypothesis import strategies as st
 from catgram import (
     Automaton,
     CompositionError,
+    GapType,
+    Grammar,
+    InputError,
+    Path,
+    SplicedArrow,
     State,
     Transition,
     apply_functor,
     enumerate_language,
     enumerate_paths,
     enumerate_regular_language,
+    functorial_image,
     grammar_from_rules,
+    identity_functor,
+    import_classical,
+    import_classical_automaton,
     intersect,
     interval_automaton,
+    jsonio,
+    parse_classical_text,
     pullback_grammar,
     run_membership,
     trim,
@@ -100,8 +112,18 @@ def test_intersect_with_empty_language_automaton():
 
 
 def test_pullback_requires_matching_types():
-    with pytest.raises(CompositionError):
-        pullback_grammar(G_END, M_EVENA)  # different base categories
+    with pytest.raises(CompositionError, match="share the base category"):
+        pullback_grammar(G_END, M_EVENA)
+    # G_END's start is typed (*, top); this automaton starts and ends over *
+    loop = Automaton(
+        base=G_END.category,
+        states=(State("q", "*"),),
+        transitions=(Transition("la", "q", "q", "a"),),
+        initial="q",
+        final="q",
+    )
+    with pytest.raises(CompositionError, match="start symbol's gap type"):
+        pullback_grammar(G_END, loop)
     swapped = Automaton(
         base=GRAPH_AB,
         states=M_EVENA.states,
@@ -208,3 +230,94 @@ def test_intersection_agrees_with_oracles_on_random_automata(pair):
         w for w in enumerate_language(grammar, RANDOM_WORD_BOUND) if run_membership(automaton, w)
     )
     assert enumerate_language(intersect(grammar, automaton), RANDOM_WORD_BOUND) == want
+
+
+# -- pinned output ------------------------------------------------------------
+#
+# Digests of ``jsonio.dumps(grammar_to_json(...))`` of raw and trimmed
+# pullbacks and their images: node names, node order, colors and splices
+# must not move.
+
+EXPR = import_classical(*parse_classical_text("E -> E + T | T\nT -> T * F | F\nF -> ( E ) | x\n"))
+X_MOD2 = Automaton(
+    base=EXPR.category,
+    states=(State("0", "*"), State("1", "*")),
+    transitions=tuple(
+        Transition(f"{g.name}{i}", str(i), str((i + 1) % 2 if g.name == "x" else i), g.name)
+        for g in EXPR.category.generators
+        for i in range(2)
+    ),
+    initial="0",
+    final="0",
+)
+PINNED_CASES = {
+    **{
+        f"g_amb_interval_a{n}": (G_AMB, interval_automaton(GRAPH_A, word(GRAPH_A, "a" * n)))
+        for n in range(1, 9)
+    },
+    "g_ab_evena": (G_AB, M_EVENA),
+    "g_end_classical": (
+        G_END,
+        import_classical_automaton(
+            "ab", ["p", "q"], [("p", "a", "p"), ("p", "b", "q"), ("q", "b", "q")], "p", ["p", "q"]
+        ),
+    ),
+    "expr_x_mod2": (EXPR, X_MOD2),
+}
+
+
+def _digest(grammar) -> str:
+    return hashlib.sha256(jsonio.dumps(jsonio.grammar_to_json(grammar)).encode()).hexdigest()[:16]
+
+
+def _pinned_digests(grammar, automaton) -> tuple[str, ...]:
+    """Raw pullback, its image, trimmed pullback, its image."""
+    out = []
+    for trim_useless in (False, True):
+        pulled = pullback_grammar(grammar, automaton, trim_useless=trim_useless)
+        out += [_digest(pulled), _digest(functorial_image(pulled, automaton.functor))]
+    return tuple(out)
+
+
+PINNED_DIGESTS = {
+    "expr_x_mod2": ("c50ae34051113e4a", "900f4dbac582b153", "c50ae34051113e4a", "900f4dbac582b153"),
+    "g_ab_evena": ("b27989aa08eca956", "c9d0dca7f3d0e185", "fbf08c84f2d99877", "e7335431b42dfda7"),
+    "g_amb_interval_a1": ("c863467f7db5d1b5", "ef2271307325a4fb", "39b8a09dc772790e", "0cae76a396a63cf3"),
+    "g_amb_interval_a2": ("164b18aa8759b939", "866ad765c19c6e08", "796e45509ebc2c27", "05dce61c0ef9927e"),
+    "g_amb_interval_a3": ("705f4540db1e61ee", "c9155e50ecd4b95e", "9f182a2735b47064", "9f35bda968a62b1d"),
+    "g_amb_interval_a4": ("101001a2bcf9a248", "99ae897405906ffa", "44aa71176b57e17c", "33451afee42e881f"),
+    "g_amb_interval_a5": ("502485902b369adc", "44948166b06cc038", "674db2adc2d1c90d", "23f81ef386a3e592"),
+    "g_amb_interval_a6": ("230271e478aeae7c", "35e0c6af5d21d607", "b07b334027451753", "c9757249f619784a"),
+    "g_amb_interval_a7": ("65e55fa0176f85d3", "76a8b5fd7d764f53", "9d9a8f984b4f4c41", "621942e2e559101f"),
+    "g_amb_interval_a8": ("6b6ec29f465fa101", "0e7bfa321d96cab7", "13a6451e0bcc322c", "4a91204082e146aa"),
+    "g_end_classical": ("795403606aaa80bf", "646b214c4e0bba06", "c94589a23037d2ad", "f7954ed6e334a4ad"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CASES))
+def test_intersection_output_is_pinned(name):
+    assert _pinned_digests(*PINNED_CASES[name]) == PINNED_DIGESTS[name]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12])
+def test_raw_interval_pullback_node_count(n):
+    auto = interval_automaton(GRAPH_A, word(GRAPH_A, "a" * n))
+    pulled = pullback_grammar(G_AMB, auto, trim_useless=False)
+    assert len(pulled.species.nodes) == (n + 1) ** 3 + n
+
+
+def test_functorial_image_rejects_segment_outside_domain():
+    # a grammar over the right graph whose splice holds a path the graph
+    # does not have: the image must still refuse it
+    bad = Grammar(
+        category=GRAPH_AB,
+        species=G_AB.species,
+        start=G_AB.start,
+        color_gap=G_AB.color_gap,
+        node_splice={
+            **G_AB.node_splice,
+            "r0": SplicedArrow(GapType("*", "*"), (), (Path("*", "*", ("a", "c")),)),
+        },
+    )
+    with pytest.raises(InputError, match="does not lie in the functor's domain"):
+        functorial_image(bad, identity_functor(GRAPH_AB))

@@ -1,11 +1,10 @@
-"""Tree code does not depend on the interpreter's recursion limit.
-
-Deep trees are compared by preorder, not ``==``: dataclass equality and
-hashing of nested ``Apply`` values still recurse once per level.
-"""
+"""Tree code does not depend on the interpreter's recursion limit."""
 
 import ast
+import dataclasses
+import itertools
 import pathlib
+import random
 
 import catgram
 from catgram import (
@@ -20,9 +19,10 @@ from catgram import (
     parse_forest,
     word,
 )
-from catgram.fixtures import G_AB, G_EPS
+from catgram.fixtures import G_AB, G_AMB, G_END, G_EPS, G_TERN, G_UNIT
 from catgram.jsonio import tree_to_json
-from catgram.species import preorder_names
+from catgram.species import Apply, Leaf, Node, fold, preorder_names
+from test_species import _open_trees
 
 N = 5000
 
@@ -45,6 +45,58 @@ def test_deep_chain_parses_enumerates_and_walks():
         assert data["rule"] == "r1"
         (data,) = data["children"]
     assert data == {"rule": "r0", "children": []}
+
+
+def test_deep_trees_compare_and_hash_equal():
+    w = word(G_AB.category, "a" * N + "b" * N)
+    (t1,) = enumerate_parses(parse_forest(G_AB, w), 10)
+    (t2,) = enumerate_parses(parse_forest(G_AB, w), 10)
+    assert t1 is not t2
+    assert t1 == t2 and hash(t1) == hash(t2)
+    shorter = word(G_AB.category, "a" * (N - 1) + "b" * (N - 1))
+    (shorter,) = enumerate_parses(parse_forest(G_AB, shorter), 10)
+    assert t1 != shorter and shorter != t1
+
+
+def _copy(tree, fresh_nodes=False):
+    """An equal tree built from scratch, optionally from equal but
+    distinct ``Node`` objects."""
+
+    def node(n):
+        return Node(n.name, n.inputs, n.output) if fresh_nodes else n
+
+    return fold(tree, lambda leaf: Leaf(leaf.color), lambda t, kids: Apply(node(t.node), kids))
+
+
+def _fields(tree):
+    """What the dataclass-generated equality compared: the class and the
+    fields, down to the leaves."""
+    return type(tree), dataclasses.astuple(tree)
+
+
+def test_tree_equality_agrees_with_field_equality():
+    # every open and closed tree with up to 6 nodes over the fixture grammars;
+    # all pairs up to 5 nodes, a seeded sample of pairs with 6
+    rng = random.Random(5)
+    for grammar in (G_AB, G_AMB, G_END, G_EPS, G_TERN, G_UNIT):
+        trees = [t for c in grammar.species.colors for t in _open_trees(grammar.species, c, 6)]
+        for t in trees:
+            for copy in (_copy(t), _copy(t, fresh_nodes=True)):
+                assert t == copy and copy == t and hash(t) == hash(copy)
+        fields = [_fields(t) for t in trees]
+        small = [i for i, t in enumerate(trees) if node_count(t) <= 5]
+        pairs = list(itertools.product(small, small))
+        pairs += [(rng.randrange(len(trees)), rng.randrange(len(trees))) for _ in range(5000)]
+        for i, j in pairs:
+            assert (trees[i] == trees[j]) == (fields[i] == fields[j]) != (trees[i] != trees[j])
+
+
+def test_tree_equality_compares_whole_nodes():
+    # same node name, different typing: not equal, as before
+    assert Apply(Node("x", (), "S")) != Apply(Node("x", (), "T"))
+    unary_s = Apply(Node("u", ("S",), "S"), (Leaf("S"),))
+    assert unary_s != Apply(Node("u", ("T",), "S"), (Leaf("T"),))
+    assert Leaf("S") != Apply(Node("x", (), "S"))
 
 
 def test_nullable_chain_enumerates():

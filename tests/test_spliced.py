@@ -226,3 +226,9 @@ def test_spliced_arrow_validates_typing():
             (),
             (word(AB, "ab"),),
         )
+    top = GapType("*", "⊤")
+    with pytest.raises(CompositionError, match="segment 1 has type"):
+        SplicedArrow(top, (top,), (identity_path("*"), identity_path("*")))
+    with pytest.raises(CompositionError, match="needs 2 segments"):
+        SplicedArrow(STAR_GAP, (STAR_GAP,), (identity_path("*"),))
+
