@@ -21,14 +21,15 @@ order then gap spans ascending, and one ``ParseItem`` object per item.  A
 forest is a hypergraph like a species, with items as vertices and
 alternatives as edges: it keeps its ``species.postorder``, parse counts and
 size bounds fold over that order, and enumeration is
-``species.trees_by_size`` within those bounds.
+``species.trees_by_size`` within those bounds, cut at the caller's limit:
+its cost is bounded by the limit, not by the number of trees of a size.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .errors import InputError
 from .grammar import Grammar
@@ -37,9 +38,11 @@ from .species import DerivationTree, Node, postorder, trees_by_size
 from .freecat import Path
 
 
-@dataclass(frozen=True, slots=True)
-class ParseItem:
-    """A nonterminal spanning positions ``start..end`` of the target path."""
+class ParseItem(NamedTuple):
+    """A nonterminal spanning positions ``start..end`` of the target path.
+
+    A named tuple, so forest dicts hash and compare items in C; an item
+    equals, unpacks and hashes like its ``(color, start, end)`` tuple."""
 
     color: str
     start: int
@@ -133,7 +136,7 @@ def _recognize_and_parse(grammar: Grammar, w: Path) -> tuple[frozenset[str], Pac
     if grammar.start not in whole:
         return whole, PackedForest(word=w, root=None, alternatives={})
     reach = reachable(derived, (grammar.start, 0, len(w.gens)))
-    items = {key: ParseItem(*key) for key in reach}
+    items = {key: ParseItem._make(key) for key in reach}
     nodes = grammar.species.nodes
     alternatives = {
         items[key]: tuple(Alternative(nodes[n], tuple(map(items.get, kids))) for n, _, kids in alts)
@@ -181,7 +184,9 @@ def _size_bounds(forest: PackedForest) -> dict[ParseItem, tuple[int | float, int
 
 def enumerate_parses(forest: PackedForest, limit: int) -> tuple[DerivationTree, ...]:
     """The first ``limit`` derivation trees in canonical order (node count,
-    then preorder on node names); exact when the forest holds fewer."""
+    then preorder on node names); exact when the forest holds fewer.  Each
+    item keeps at most ``limit`` trees per size, so the cost grows with the
+    limit and the word, not with the number of parses."""
     if limit < 0:
         raise InputError("limit must be nonnegative")
     if forest.root is None or limit == 0:
@@ -190,6 +195,7 @@ def enumerate_parses(forest: PackedForest, limit: int) -> tuple[DerivationTree, 
     trees = trees_by_size(
         lambda item: ((alt.node, alt.children) for alt in forest.alternatives[item]),
         bounds.__getitem__,
+        limit,
     )
     collected: list[DerivationTree] = []
     k, most = bounds[forest.root]

@@ -13,8 +13,9 @@ edge from its inputs to its output.  A packed forest is the same kind of
 object, with items as vertices and alternatives as edges.  The last section
 holds the fixed points both share: ``derivable`` (the vertices with a
 closed tree below them, read off any edge list), ``postorder`` (children
-first, or ``None`` on a cycle) and ``trees_by_size`` (the closed trees at a
-vertex with exactly k nodes, in canonical order).
+first, or ``None`` on a cycle) and ``trees_by_size`` (the first trees at a
+vertex with exactly k nodes, in canonical order, at a cost bounded by how
+many are asked for).
 """
 
 from __future__ import annotations
@@ -113,6 +114,22 @@ class Apply:
 
     def __hash__(self) -> int:
         return hash(tuple(_shape(self)))
+
+    def __repr__(self) -> str:
+        # the dataclass repr, written out along the contour
+        parts: list[str] = []
+        for t, i in walk(self):
+            if isinstance(t, Leaf):
+                parts.append(repr(t))
+                continue
+            arity = len(t.children)
+            if i == 0:
+                parts.append(f"{t.__class__.__qualname__}(node={t.node!r}, children=(")
+            elif i < arity:
+                parts.append(", ")
+            if i == arity:
+                parts.append(",))" if arity == 1 else "))")
+        return "".join(parts)
 
 
 DerivationTree = Union[Leaf, Apply]
@@ -335,9 +352,10 @@ def postorder(root: V, children: Callable[[V], Iterable[V]]) -> list[V] | None:
 def trees_by_size(
     alternatives: Callable[[V], Iterable[tuple[Node, Sequence[V]]]],
     bounds: Callable[[V], tuple[float, float]],
+    limit: float = math.inf,
 ) -> Callable[[V, int], tuple[Apply, ...]]:
-    """A memoised ``trees(v, k)``: the closed trees at ``v`` with exactly
-    ``k`` nodes, sorted by preorder names.
+    """A memoised ``trees(v, k)``: the first ``limit`` closed trees at ``v``
+    with exactly ``k`` nodes, sorted by preorder names.
 
     ``alternatives(v)`` yields ``(node, child vertices)`` pairs, and
     ``bounds(v)`` the least and greatest node count of any tree at ``v``
@@ -345,11 +363,18 @@ def trees_by_size(
     their bounds.  Nodes with one name have one arity, as in a species.  A
     request collects the ``(vertex, size)`` pairs it needs and fills them by
     ascending size: a tree's children are smaller.
+
+    The first ``limit`` trees of a level have their children among the
+    first ``limit`` of each child level, so each level is built from cut
+    child levels and cut in turn: the cost of a request is bounded by the
+    limit, not by the size of a level.
     """
+    stop = None if limit == math.inf else int(limit)
     memo: dict[tuple[V, int], tuple[Apply, ...]] = {}
     names: dict[int, tuple[str, ...]] = {}  # preorder names by id: hashing a tree walks it
 
     def preorder(tree: Apply) -> tuple[str, ...]:
+        # called on trees kept in memo only, so no id is reused
         if id(tree) not in names:
             below = [names.get(id(c)) for c in tree.children]
             names[id(tree)] = preorder_names(tree) if None in below else sum(below, (tree.node.name,))
@@ -368,18 +393,20 @@ def trees_by_size(
                 ]
                 todo.extend(p for _, parts in edges[pair] for p in parts)
         for pair in sorted(edges, key=lambda pair: pair[1]):
-            out = [
-                Apply(node, picked)
+            # the product over sorted child levels is in preorder for each
+            # (node, split), so its first ``limit`` entries are that group's
+            level = [
+                (node, picked)
                 for node, parts in edges[pair]
-                for picked in itertools.product(*(memo[p] for p in parts))
+                for picked in itertools.islice(itertools.product(*(memo[p] for p in parts)), stop)
             ]
-            if len(out) > 1:
+            if len(level) > 1:
                 # every tree here has k nodes, so preorder alone is canonical
                 # order; names fix arities, so no preorder is a prefix of
                 # another, and comparing the name, then each child's
                 # preorder, compares whole preorders
-                out.sort(key=lambda t: (t.node.name, *map(preorder, t.children)))
-            memo[pair] = tuple(out)
+                level.sort(key=lambda entry: (entry[0].name, *map(preorder, entry[1])))
+            memo[pair] = tuple(itertools.starmap(Apply, level[:stop]))
         return memo[v, k]
 
     return trees

@@ -84,6 +84,18 @@ def test_parse_limit(files):
     assert payload["count"] == 5 and len(payload["parses"]) == 2
 
 
+def test_parse_long_ambiguous_word_enumerates_only_the_limit(files):
+    # 9,694,845 parses; the ten printed come from cut levels
+    first, second = (
+        run_cli("parse", "-g", files["g_amb.json"], "-w", "a" * 16, seed=seed)
+        for seed in ("0", "4242")
+    )
+    assert first.returncode == second.returncode == 0
+    assert first.stdout == second.stdout
+    payload = json.loads(first.stdout)
+    assert payload["count"] == 9694845 and len(payload["parses"]) == 10
+
+
 def test_enumerate_grammar(files):
     res = run_cli("enumerate", "-g", files["g_ab.json"], "--max-len", "8")
     assert res.returncode == 0

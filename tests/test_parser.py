@@ -22,12 +22,12 @@ from catgram import (
     recognize,
     word,
 )
-from catgram.fixtures import G_AB, G_AMB, G_END, G_EPS, G_UNIT, GRAPH_A, GRAPH_AB
+from catgram.fixtures import G_AB, G_AMB, G_END, G_EPS, G_TERN, G_UNIT, GRAPH_A, GRAPH_AB
 from catgram.freecat import FiniteGraph, Generator
-from catgram.grammar import Grammar, grammar_from_rules
+from catgram.grammar import Grammar, grammar_from_rules, import_classical, parse_classical_text
 from catgram.oracle import enumerate_language
-from catgram.parser import _lift
-from catgram.species import Apply, node_count, tree_key
+from catgram.parser import ParseItem, _lift
+from catgram.species import Apply, node_count, tree_key, trees_by_size
 
 # per-fixture tree bounds covering every word up to length 8:
 # G_AB derives a^k b^k from k+1 nodes, G_AMB derives a^n from 2n-1 nodes,
@@ -339,3 +339,87 @@ def test_parser_agrees_with_oracles_on_random_grammars(grammar):
         assert len(trees) == count == len(set(trees))
         assert all(eval_tree(grammar, t).as_path() == w for t in trees)
 
+
+
+EXPR = import_classical(*parse_classical_text("E -> E + T | T\nT -> T * F | F\nF -> ( E ) | x\n"))
+
+
+def _unlimited(forest, at_least):
+    """The canonical enumeration with no limit on any level, up to every
+    tree of the forest or at least ``at_least`` trees of a cyclic one."""
+    trees = trees_by_size(
+        lambda item: ((alt.node, alt.children) for alt in forest.alternatives[item]),
+        lambda item: (1, math.inf),
+    )
+    total = count_parses(forest)
+    want = at_least if total is math.inf else total
+    out, k = [], 1
+    while len(out) < want:
+        out.extend(trees(forest.root, k))
+        k += 1
+    return out
+
+
+@pytest.mark.parametrize("grammar", [G_AMB, G_UNIT, G_EPS, G_AB, G_TERN, EXPR])
+def test_limited_enumeration_is_a_prefix_of_the_full_one(grammar):
+    gap = grammar.gap_of(grammar.start)
+    if grammar is EXPR:
+        words = enumerate_language(grammar, 8)
+    else:
+        words = enumerate_paths(grammar.category, gap.left, gap.right, 8)
+    members = 0
+    for w in words:
+        forest = parse_forest(grammar, w)
+        if forest.is_empty:
+            assert enumerate_parses(forest, 10) == ()
+            continue
+        members += 1
+        full = _unlimited(forest, 100)
+        for limit in (1, 10, 100):
+            assert list(enumerate_parses(forest, limit)) == full[:limit], (w, limit)
+    assert members > 0
+
+
+@given(random_grammars())
+def test_every_limit_gives_a_prefix_on_random_grammars(grammar):
+    gap = grammar.gap_of(grammar.start)
+    small = {}
+    for t in enumerate_closed_trees(grammar.species, grammar.start, RANDOM_TREE_BOUND):
+        small.setdefault(eval_tree(grammar, t).as_path(), []).append(t)
+    for w in enumerate_paths(grammar.category, gap.left, gap.right, RANDOM_WORD_BOUND):
+        forest = parse_forest(grammar, w)
+        expected = sorted(small.get(w, []), key=tree_key)
+        # every k up to 64, then halvings of the whole list: checking every
+        # k is quadratic, and some words have over a thousand small trees
+        ks = {*range(min(len(expected), 64) + 1)}
+        ks.update(len(expected) >> s for s in range(len(expected).bit_length()))
+        for k in sorted(ks):
+            assert list(enumerate_parses(forest, k)) == expected[:k], (w, k)
+
+
+def test_limited_enumeration_of_a_long_ambiguous_word():
+    # 1,767,263,190 trees; the first ten come from the first ten of each level
+    w = word(GRAPH_A, "a" * 20)
+    forest = parse_forest(G_AMB, w)
+    trees = enumerate_parses(forest, 10)
+    assert len(trees) == len(set(trees)) == 10
+    assert all(node_count(t) == 39 for t in trees)
+    assert all(eval_tree(G_AMB, t).as_path() == w for t in trees)
+    assert trees == tuple(sorted(trees, key=tree_key))
+
+
+def test_limited_enumeration_of_a_unit_cycle():
+    forest = parse_forest(G_UNIT, word(GRAPH_A, "a"))
+    trees = enumerate_parses(forest, 200)
+    assert [node_count(t) for t in trees] == list(range(1, 201))
+
+
+def test_parse_item_is_its_tuple():
+    item = ParseItem("S", 0, 3)
+    assert item == ("S", 0, 3) and hash(item) == hash(("S", 0, 3))
+    color, start, end = item
+    assert (color, start, end) == (item.color, item.start, item.end) == ("S", 0, 3)
+    assert repr(item) == "ParseItem(color='S', start=0, end=3)"
+    forest = parse_forest(G_AMB, word(GRAPH_A, "aaa"))
+    assert forest.root == ("S", 0, 3)
+    assert forest.alternatives[("S", 1, 3)] == forest.alternatives[ParseItem("S", 1, 3)]

@@ -99,6 +99,52 @@ def test_tree_equality_compares_whole_nodes():
     assert Leaf("S") != Apply(Node("x", (), "S"))
 
 
+class _Verbatim(str):
+    """A string whose repr is itself, so a tuple of them reprs like the
+    tuple of the objects they render."""
+
+    def __repr__(self):
+        return str(self)
+
+
+def _reference_repr(tree):
+    """The dataclass repr, recursively: the class name, then each field as
+    ``name=repr(value)``, children through the builtin tuple repr."""
+    if isinstance(tree, Leaf):
+        return repr(tree)
+    fields = {
+        "node": repr(tree.node),
+        "children": repr(tuple(_Verbatim(_reference_repr(c)) for c in tree.children)),
+    }
+    assert list(fields) == [f.name for f in dataclasses.fields(tree)]
+    return f"Apply({', '.join(f'{k}={v}' for k, v in fields.items())})"
+
+
+def test_tree_repr_is_the_dataclass_repr():
+    # every open and closed tree with up to 6 nodes over the fixture grammars
+    arities = set()
+    for grammar in (G_AB, G_AMB, G_END, G_EPS, G_TERN, G_UNIT):
+        arities.update(n.arity for n in grammar.species.nodes)
+        for c in grammar.species.colors:
+            for t in _open_trees(grammar.species, c, 6):
+                assert repr(t) == _reference_repr(t)
+    assert arities == {0, 1, 2, 3}
+    assert repr(Apply(Node("u", ("S",), "S"), (Leaf("S"),))) == (
+        "Apply(node=Node(name='u', inputs=('S',), output='S'), children=(Leaf(color='S'),))"
+    )
+
+
+def test_deep_tree_repr():
+    n = 2000
+    (tree,) = enumerate_parses(parse_forest(G_AB, word(G_AB.category, "a" * n + "b" * n)), 10)
+    r1, r0 = (repr(G_AB.species.node_by_name[name]) for name in ("r1", "r0"))
+    assert repr(tree) == (
+        f"Apply(node={r1}, children=(" * (n - 1)
+        + f"Apply(node={r0}, children=())"
+        + ",))" * (n - 1)
+    )
+
+
 def test_nullable_chain_enumerates():
     forest = parse_forest(G_EPS, word(G_EPS.category, "a" * 600))
     (tree,) = enumerate_parses(forest, 10)
