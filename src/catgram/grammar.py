@@ -9,7 +9,8 @@ The module also provides the classical import/export over a one-object
 category, the property predicates (linearity, normal forms, nullable and
 useful nonterminals), the closure constructions (union, spliced
 concatenation, functorial image), bilinearization, and a bounded language
-equivalence check.
+equivalence check, which diffs the two grammars' bounded languages as
+``catgram.oracle`` computes them (least fixed points on word sets).
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .freecat import (
     Path,
     _Memo,
     apply_functor,
-    enumerate_paths,
     identity_path,
     monoid_graph,
 )
@@ -538,18 +538,17 @@ def bilinearize(grammar: Grammar) -> Grammar:
 
 
 def check_equiv_bounded(g1: Grammar, g2: Grammar, max_len: int) -> Path | None:
-    """Compare the two languages on all words up to ``max_len``; returns the
-    first word (in length-then-lexicographic order) on which they differ, or
-    None when they agree.  This is a bounded check, not a decision procedure.
+    """Compare the two languages on all words up to ``max_len``: the least
+    word (length first, then generator names) in exactly one of the two
+    bounded languages, or None when they agree.  This is a bounded check,
+    not a decision procedure.
     """
-    from .parser import recognize
+    # imported at call time: the oracle imports this module
+    from .oracle import _path_key, enumerate_language
 
     if g1.category != g2.category:
         raise CompositionError("bounded equivalence needs grammars over one category")
-    gap = g1.gap_of(g1.start)
-    if gap != g2.gap_of(g2.start):
+    if g1.gap_of(g1.start) != g2.gap_of(g2.start):
         raise CompositionError("start symbols have different gap types")
-    for w in enumerate_paths(g1.category, gap.left, gap.right, max_len):
-        if (g1.start in recognize(g1, w)) != (g2.start in recognize(g2, w)):
-            return w
-    return None
+    differ = set(enumerate_language(g1, max_len)) ^ set(enumerate_language(g2, max_len))
+    return min(differ, key=_path_key, default=None)

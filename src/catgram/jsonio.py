@@ -147,7 +147,7 @@ def tree_from_json(species: Species, data: Any, where: str = "tree") -> Derivati
         raise InputError(f"{where}: unknown rule {name!r}")
     children = tuple(
         tree_from_json(species, c, f"{where}.children[{i}]")
-        for i, c in enumerate(obj.get("children", []))
+        for i, c in enumerate(_expect(obj.get("children", []), list, f"{where}.children"))
     )
     try:
         return Apply(node, children)

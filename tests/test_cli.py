@@ -167,6 +167,16 @@ def test_contour_command(files):
     assert contour[:3] == ["(a,0)", "(b,0)", "(a,1)"] and len(contour) == 13
 
 
+@pytest.mark.parametrize("children", [5, None])
+def test_contour_of_malformed_tree_exits_2(files, children):
+    bad = files["write"]("bad_tree.json", {"rule": "f", "children": children})
+    res = run_cli("contour", "-s", files["fig3_species.json"], "-t", bad)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith("error: tree.children: expected list")
+    assert res.stderr.count("\n") == 1 and "Traceback" not in res.stderr
+
+
 def test_dyck_roundtrip_via_files(files, tmp_path):
     cw = contour_word(SPC_FIG3, fig3_tree())
     contour_file = files["write"]("contour.json", jsonio.path_to_json(cw))

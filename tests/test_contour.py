@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given
 
 from catgram import (
     Apply,
@@ -45,6 +46,7 @@ from catgram.fixtures import (
     SPC_FIG3,
     fig3_tree,
 )
+from test_parser import RANDOM_WORD_BOUND, random_grammars
 
 UP = "↑"
 DOWN = "↓"
@@ -273,6 +275,12 @@ G_TWO_SINGLETONS = union(
 def test_cs_decomposition_bounded_equality(grammar, bound):
     equal, lhs, rhs = cs_check(grammar, bound)
     assert equal, (sorted(p.gens for p in lhs), sorted(p.gens for p in rhs))
+
+
+@given(random_grammars())
+def test_cs_decomposition_bounded_equality_on_random_grammars(grammar):
+    equal, lhs, rhs = cs_check(grammar, RANDOM_WORD_BOUND)
+    assert equal and lhs == rhs
 
 
 def test_cs_decomposition_empty_language():

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,8 +14,10 @@ from catgram import (
     SplicedArrow,
     bilinearize,
     check_equiv_bounded,
+    count_parses,
     enumerate_closed_trees,
     enumerate_language,
+    enumerate_paths,
     eval_tree,
     export_classical,
     functorial_image,
@@ -23,7 +27,9 @@ from catgram import (
     monoid_graph,
     nullable_set,
     parse_classical_text,
+    parse_forest,
     properties,
+    recognize,
     spliced_concat,
     spliced_identity,
     union,
@@ -42,9 +48,9 @@ from catgram.fixtures import (
     GRAPH_AB_END,
 )
 from catgram.grammar import Grammar
-from catgram.species import Species
+from catgram.species import Node, Species
 from conftest import words
-from test_parser import _at_start, random_grammars
+from test_parser import EXPR, RANDOM_WORD_BOUND, _at_start, random_grammars
 
 TOP = "⊤"
 
@@ -420,16 +426,112 @@ def test_check_equiv_bounded_equal():
     assert check_equiv_bounded(G_TERN, bilinearize(G_TERN), 8) is None
 
 
+AMB_OVER_AB = grammar_from_rules(
+    GRAPH_AB,
+    "S",
+    {"S": ("*", "*")},
+    [("c", "S", (), (("a",),)), ("m", "S", ("S", "S"), ((), (), ()))],
+)
+
+
 def test_check_equiv_bounded_counterexample():
-    amb_over_ab = grammar_from_rules(
-        GRAPH_AB,
-        "S",
-        {"S": ("*", "*")},
-        [("c", "S", (), (("a",),)), ("m", "S", ("S", "S"), ((), (), ()))],
-    )
-    ce = check_equiv_bounded(G_AB, amb_over_ab, 2)
+    ce = check_equiv_bounded(G_AB, AMB_OVER_AB, 2)
     assert ce is not None and "".join(ce.gens) == "a"
 
 
 def test_check_equiv_reflexive():
     assert check_equiv_bounded(G_AMB, G_AMB, 6) is None
+
+
+# -- bounded equivalence against its reference ------------------------------
+
+
+def check_equiv_by_recognizing(g1, g2, max_len):
+    """Reference for ``check_equiv_bounded``: run the parser on every path
+    up to the bound, sharing no algorithm with the oracle's word sets."""
+    if g1.category != g2.category:
+        raise CompositionError("bounded equivalence needs grammars over one category")
+    gap = g1.gap_of(g1.start)
+    if gap != g2.gap_of(g2.start):
+        raise CompositionError("start symbols have different gap types")
+    for w in enumerate_paths(g1.category, gap.left, gap.right, max_len):
+        if (g1.start in recognize(g1, w)) != (g2.start in recognize(g2, w)):
+            return w
+    return None
+
+
+def _same_as_reference(g1, g2, max_len):
+    try:
+        expected = check_equiv_by_recognizing(g1, g2, max_len)
+    except CompositionError as exc:
+        with pytest.raises(CompositionError, match=f"^{re.escape(str(exc))}$"):
+            check_equiv_bounded(g1, g2, max_len)
+        return
+    assert check_equiv_bounded(g1, g2, max_len) == expected
+
+
+def _with_nodes(grammar, nodes, node_splice):
+    species = Species(grammar.species.colors, tuple(nodes))
+    return Grammar(grammar.category, species, grammar.start, grammar.color_gap, node_splice)
+
+
+A_N_B_N_FROM_2 = grammar_from_rules(
+    GRAPH_AB,
+    "S",
+    {"S": ("*", "*")},
+    [("r1", "S", ("S",), (("a",), ("b",))), ("r0", "S", (), (("a", "a", "b", "b"),))],
+)
+
+
+@pytest.mark.parametrize(
+    "g1,g2,max_len,expected",
+    [
+        (G_AB, bilinearize(G_AB), 8, None),
+        (G_TERN, bilinearize(G_TERN), 8, None),
+        (EXPR, bilinearize(EXPR), 4, None),
+        (G_AB, AMB_OVER_AB, 4, "a"),
+        (G_AB, A_N_B_N_FROM_2, 8, "ab"),
+    ],
+    ids=["G_AB-bilinear", "G_TERN-bilinear", "expr-bilinear", "G_AB-ambiguous", "G_AB-from-aabb"],
+)
+def test_check_equiv_bounded_agrees_with_recognizing_on_fixtures(g1, g2, max_len, expected):
+    for left, right in ((g1, g2), (g2, g1)):
+        found = check_equiv_bounded(left, right, max_len)
+        assert found == check_equiv_by_recognizing(left, right, max_len)
+        assert (found if found is None else "".join(found.gens)) == expected
+
+
+@given(random_grammars(max_inputs=3), random_grammars(), st.data())
+def test_check_equiv_bounded_agrees_with_recognizing_on_random_grammars(g1, g2, data):
+    gap = g1.gap_of(g1.start)
+    extra = data.draw(st.sampled_from(enumerate_paths(g1.category, gap.left, gap.right, 3)))
+    added = _with_nodes(
+        g1,
+        g1.species.nodes + (Node("extra", (), g1.start),),
+        {**g1.node_splice, "extra": SplicedArrow(gap, (), (extra,))},
+    )
+    gone = data.draw(st.sampled_from(g1.species.nodes))
+    dropped = _with_nodes(
+        g1,
+        [n for n in g1.species.nodes if n != gone],
+        {k: v for k, v in g1.node_splice.items() if k != gone.name},
+    )
+    # equal pairs, a pair that differs unless ``extra`` is already derived,
+    # one that may lose words, and unrelated grammars at each of their colors
+    others = [g1, bilinearize(g1), added, dropped]
+    others += [_at_start(g2, color) for color in g2.species.colors]
+    for other in others:
+        _same_as_reference(g1, other, RANDOM_WORD_BOUND)
+
+
+@given(random_grammars(max_inputs=4))
+def test_bilinearize_keeps_languages_and_parse_counts_on_random_grammars(grammar):
+    binned = bilinearize(grammar)
+    assert all(node.arity <= 2 for node in binned.species.nodes)
+    bound = RANDOM_WORD_BOUND
+    assert enumerate_language(binned, bound) == enumerate_language(grammar, bound)
+    gap = grammar.gap_of(grammar.start)
+    for w in enumerate_paths(grammar.category, gap.left, gap.right, bound):
+        # derivations correspond one to one, so cyclic forests give inf on both sides
+        assert count_parses(parse_forest(binned, w)) == count_parses(parse_forest(grammar, w)), w
+    assert check_equiv_bounded(grammar, binned, bound) is None

@@ -53,6 +53,11 @@ def test_tree_errors():
         jsonio.tree_from_json(SPC_FIG3, {"rule": "zz", "children": []})
     with pytest.raises(InputError, match="children"):
         jsonio.tree_from_json(SPC_FIG3, {"rule": "f", "children": [{"rule": "nope"}]})
+    for children in (5, None):
+        with pytest.raises(InputError, match=r"^tree\.children: expected list"):
+            jsonio.tree_from_json(SPC_FIG3, {"rule": "f", "children": children})
+        with pytest.raises(InputError, match=r"^tree\.children\[0\]\.children: expected list"):
+            jsonio.tree_from_json(SPC_FIG3, {"rule": "f", "children": [{"rule": "b", "children": children}]})
 
 
 def test_grammar_roundtrip():

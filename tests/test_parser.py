@@ -282,9 +282,9 @@ def _segment(draw, src, dst):
 
 
 @st.composite
-def random_grammars(draw):
+def random_grammars(draw, max_inputs=2):
     """One constant per color, so most colors are productive, then up to
-    four nodes of arity 0-2, some of them unit nodes."""
+    four nodes of arity 0 to ``max_inputs``, some of them unit nodes."""
     colors = RANDOM_COLORS[: draw(st.integers(1, len(RANDOM_COLORS)))]
     objects = st.sampled_from(GRAPH_PQ.objects)
     gaps = {c: (draw(objects), draw(objects)) for c in colors}
@@ -296,7 +296,7 @@ def random_grammars(draw):
             same = [c for c in colors if gaps[c] == gaps[output]]
             rules.append((f"n{index}", output, (draw(st.sampled_from(same)),), ((), ())))
             continue
-        inputs = tuple(draw(st.lists(st.sampled_from(colors), max_size=2)))
+        inputs = tuple(draw(st.lists(st.sampled_from(colors), max_size=max_inputs)))
         ends = [gaps[output][0]]
         for c in inputs:
             ends += gaps[c]

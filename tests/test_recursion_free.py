@@ -188,3 +188,27 @@ def test_only_shallow_recursion_remains():
         "oracle._combos",  # depth is a node's arity
         "species._splits",  # depth is a node's arity
     ]
+
+
+def _imported_modules(source: pathlib.Path) -> set[str]:
+    """Absolute names of everything a package module imports, function-local
+    imports included: ``from .parser import x`` gives ``catgram.parser`` and
+    ``catgram.parser.x``, ``from . import parser`` gives ``catgram.parser``."""
+    found = set()
+    for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            found |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ("catgram" if node.level else "", node.module)))
+            found |= {module} | {f"{module}.{alias.name}" for alias in node.names}
+    return found
+
+
+def test_only_the_cli_and_the_package_import_the_parser():
+    package = pathlib.Path(catgram.__file__).parent
+    importers = [
+        path.name
+        for path in sorted(package.glob("*.py"))
+        if "catgram.parser" in _imported_modules(path)
+    ]
+    assert importers == ["__init__.py", "cli.py"]
