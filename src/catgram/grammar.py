@@ -29,19 +29,8 @@ from .freecat import (
     identity_path,
     monoid_graph,
 )
-from .species import (
-    DerivationTree,
-    Node,
-    Species,
-    derivable,
-    fold,
-)
-from .spliced import (
-    GapType,
-    SplicedArrow,
-    spliced_compose_parallel,
-    spliced_identity,
-)
+from .species import DerivationTree, Leaf, Node, Species, derivable, walk
+from .spliced import GapType, SplicedArrow, check_operands, spliced_identity
 
 
 @dataclass(frozen=True)
@@ -157,12 +146,39 @@ def eval_tree(grammar: Grammar, tree: DerivationTree) -> SplicedArrow:
     """Evaluate a derivation tree to a spliced arrow, homomorphically.
 
     Closed trees yield constants; a leaf evaluates to the identity operation
-    on its gap type.
+    on its gap type.  One walk along the contour builds the result: each
+    corner ``(t, i)`` appends segment ``i`` of ``t``'s splice to the current
+    segment, and each leaf closes the segment at its gap.  A node's operand
+    types are checked after its last child, as parallel composition checks
+    them, so an ill-typed grammar fails with the same error at the same node.
     """
-    return fold(
-        tree,
-        lambda leaf: spliced_identity(grammar.gap_of(leaf.color)),
-        lambda t, operands: spliced_compose_parallel(grammar.splice_of(t.node.name), operands),
+    segments: list[list[str]] = [[]]
+    gaps: list[GapType] = []
+    # per open node: its splice (looked up without failing, so that errors
+    # below it come first) and the outer types of its finished children
+    frames: list[tuple[SplicedArrow | None, list[GapType]]] = [(None, [])]
+    for t, i in walk(tree):
+        if isinstance(t, Leaf):
+            gaps.append(grammar.gap_of(t.color))
+            frames[-1][1].append(gaps[-1])
+            segments.append([])
+            continue
+        if i == 0:
+            frames.append((grammar.node_splice.get(t.node.name), []))
+        splice, outers = frames[-1]
+        if splice is not None and i < len(splice.segments):
+            segments[-1] += splice.segments[i].gens
+        if i == len(t.children):
+            splice = grammar.splice_of(t.node.name)
+            check_operands(splice, outers)
+            frames.pop()
+            frames[-1][1].append(splice.outer)
+    (outer,) = frames[0][1]
+    ends = [outer.left, *(end for gap in gaps for end in (gap.left, gap.right)), outer.right]
+    return SplicedArrow(
+        outer,
+        tuple(gaps),
+        tuple(Path(ends[2 * k], ends[2 * k + 1], tuple(gens)) for k, gens in enumerate(segments)),
     )
 
 

@@ -1,14 +1,17 @@
-"""JSON schemas for graphs, species, trees, grammars and automata.
+"""JSON schemas for graphs, paths, species, trees, grammars, automata,
+functors and Dyck letters.
 
-Readers raise :class:`~catgram.errors.InputError` with a short location
-string on malformed data.  Writers emit plain dict/list structures; use
-:func:`dumps` for byte-stable text output.
-"""
+Readers take JSON objects field by field through :func:`_record` and arrays
+element by element through :func:`_array`, which build each value's
+location, such as ``grammar.rules[1].inputs[0]``.  Malformed data raises
+:class:`~catgram.errors.InputError` naming the location of the first
+malformed value in reading order.  Writers emit plain dict/list structures;
+use :func:`dumps` for byte-stable text output."""
 
 from __future__ import annotations
 
 import json
-from typing import Any, Mapping
+from typing import Any
 
 from .automaton import Automaton, State, Transition
 from .contour import DyckLetter
@@ -16,7 +19,6 @@ from .errors import CompositionError, InputError
 from .freecat import FiniteGraph, FreeFunctor, Generator, Path
 from .grammar import Grammar, grammar_from_rules
 from .species import Apply, DerivationTree, Leaf, Node, Species, fold
-from .spliced import GapType, SplicedArrow
 
 
 def dumps(data: Any) -> str:
@@ -29,15 +31,36 @@ def _expect(data: Any, kind: type, where: str) -> Any:
     return data
 
 
-def _field(obj: Mapping[str, Any], key: str, kind: type, where: str) -> Any:
-    if key not in obj:
-        raise InputError(f"{where}: missing field {key!r}")
-    return _expect(obj[key], kind, f"{where}.{key}")
+def _read(data: Any, kind: Any, where: str) -> Any:
+    return _expect(data, kind, where) if isinstance(kind, type) else kind(data, where)
+
+
+def _array(data: Any, kind: Any, where: str) -> tuple:
+    """The JSON array ``data``, each element read as ``kind``."""
+    items = enumerate(_expect(data, list, where))
+    return tuple([_read(x, kind, f"{where}[{i}]") for i, x in items])
 
 
 def _str_list(data: Any, where: str) -> tuple[str, ...]:
-    _expect(data, list, where)
-    return tuple(_expect(x, str, f"{where}[{i}]") for i, x in enumerate(data))
+    return _array(data, str, where)
+
+
+def _record(data: Any, where: str, **kinds: Any) -> list:
+    """The values of the fields ``kinds`` names, read in order from the JSON
+    object ``data`` at location ``where``.  A kind is the type a value must
+    have, a reader called as ``kind(value, location)``, or ``[kind]`` for an
+    array of such values, read as a tuple."""
+    obj = _expect(data, dict, where)
+    values = []
+    for key, kind in kinds.items():
+        if key not in obj:
+            raise InputError(f"{where}: missing field {key!r}")
+        value, here = obj[key], f"{where}.{key}"
+        if isinstance(kind, list):
+            values.append(_array(value, kind[0], here))
+        else:
+            values.append(_read(value, kind, here))
+    return values
 
 
 # -- graphs and paths -------------------------------------------------------
@@ -52,21 +75,14 @@ def graph_to_json(graph: FiniteGraph) -> dict:
     }
 
 
+def _generator(data: Any, where: str) -> Generator:
+    return Generator(*_record(data, where, name=str, src=str, dst=str))
+
+
 def graph_from_json(data: Any, where: str = "graph") -> FiniteGraph:
-    obj = _expect(data, dict, where)
-    objects = _str_list(_field(obj, "objects", list, where), f"{where}.objects")
-    gens = []
-    for i, g in enumerate(_field(obj, "generators", list, where)):
-        gobj = _expect(g, dict, f"{where}.generators[{i}]")
-        gens.append(
-            Generator(
-                _field(gobj, "name", str, f"{where}.generators[{i}]"),
-                _field(gobj, "src", str, f"{where}.generators[{i}]"),
-                _field(gobj, "dst", str, f"{where}.generators[{i}]"),
-            )
-        )
+    objects, gens = _record(data, where, objects=[str], generators=[_generator])
     try:
-        return FiniteGraph(objects, tuple(gens))
+        return FiniteGraph(objects, gens)
     except InputError as exc:
         raise InputError(f"{where}: {exc}") from exc
 
@@ -107,21 +123,14 @@ def species_to_json(species: Species) -> dict:
     }
 
 
+def _node(data: Any, where: str) -> Node:
+    return Node(*_record(data, where, name=str, inputs=[str], output=str))
+
+
 def species_from_json(data: Any, where: str = "species") -> Species:
-    obj = _expect(data, dict, where)
-    colors = _str_list(_field(obj, "colors", list, where), f"{where}.colors")
-    nodes = []
-    for i, n in enumerate(_field(obj, "nodes", list, where)):
-        nobj = _expect(n, dict, f"{where}.nodes[{i}]")
-        nodes.append(
-            Node(
-                _field(nobj, "name", str, f"{where}.nodes[{i}]"),
-                _str_list(_field(nobj, "inputs", list, f"{where}.nodes[{i}]"), f"{where}.nodes[{i}].inputs"),
-                _field(nobj, "output", str, f"{where}.nodes[{i}]"),
-            )
-        )
+    colors, nodes = _record(data, where, colors=[str], nodes=[_node])
     try:
-        return Species(colors, tuple(nodes))
+        return Species(colors, nodes)
     except InputError as exc:
         raise InputError(f"{where}: {exc}") from exc
 
@@ -135,64 +144,22 @@ def tree_to_json(tree: DerivationTree) -> dict:
 
 
 def tree_from_json(species: Species, data: Any, where: str = "tree") -> DerivationTree:
-    obj = _expect(data, dict, where)
-    if "leaf" in obj:
-        color = _expect(obj["leaf"], str, f"{where}.leaf")
+    if "leaf" in _expect(data, dict, where):
+        (color,) = _record(data, where, leaf=str)
         if color not in set(species.colors):
             raise InputError(f"{where}: unknown leaf color {color!r}")
         return Leaf(color)
-    name = _field(obj, "rule", str, where)
+    (name,) = _record(data, where, rule=str)
     node = species.node_by_name.get(name)
     if node is None:
         raise InputError(f"{where}: unknown rule {name!r}")
-    children = tuple(
-        tree_from_json(species, c, f"{where}.children[{i}]")
-        for i, c in enumerate(_expect(obj.get("children", []), list, f"{where}.children"))
+    children = _array(
+        data.get("children", []),
+        lambda child, here: tree_from_json(species, child, here),
+        f"{where}.children",
     )
     try:
         return Apply(node, children)
-    except CompositionError as exc:
-        raise InputError(f"{where}: {exc}") from exc
-
-
-# -- spliced arrows ----------------------------------------------------------
-
-
-def spliced_to_json(arrow: SplicedArrow) -> dict:
-    return {
-        "outer": {"left": arrow.outer.left, "right": arrow.outer.right},
-        "gaps": [{"left": g.left, "right": g.right} for g in arrow.gaps],
-        "segments": [list(seg.gens) for seg in arrow.segments],
-    }
-
-
-def _gap_from_json(data: Any, where: str) -> GapType:
-    obj = _expect(data, dict, where)
-    return GapType(_field(obj, "left", str, where), _field(obj, "right", str, where))
-
-
-def spliced_from_json(graph: FiniteGraph, data: Any, where: str = "spliced") -> SplicedArrow:
-    """Segment endpoints are forced by the outer and gap types, so empty
-    segments need no explicit source."""
-    obj = _expect(data, dict, where)
-    outer = _gap_from_json(_field(obj, "outer", dict, where), f"{where}.outer")
-    gaps = tuple(
-        _gap_from_json(g, f"{where}.gaps[{i}]")
-        for i, g in enumerate(_field(obj, "gaps", list, where))
-    )
-    raw_segments = _field(obj, "segments", list, where)
-    if len(raw_segments) != len(gaps) + 1:
-        raise InputError(f"{where}: expected {len(gaps) + 1} segments, got {len(raw_segments)}")
-    segments = []
-    for i, gens in enumerate(raw_segments):
-        src = outer.left if i == 0 else gaps[i - 1].right
-        names = _str_list(gens, f"{where}.segments[{i}]")
-        try:
-            segments.append(graph.path(names, src=src if not names else None))
-        except (InputError, CompositionError) as exc:
-            raise InputError(f"{where}.segments[{i}]: {exc}") from exc
-    try:
-        return SplicedArrow(outer=outer, gaps=gaps, segments=tuple(segments))
     except CompositionError as exc:
         raise InputError(f"{where}: {exc}") from exc
 
@@ -224,35 +191,24 @@ def grammar_to_json(grammar: Grammar) -> dict:
     }
 
 
+def _nonterminal(data: Any, where: str) -> tuple[str, tuple[str, str]]:
+    name, left, right = _record(data, where, name=str, left=str, right=str)
+    return name, (left, right)
+
+
+def _rule(data: Any, where: str) -> tuple[str, str, tuple[str, ...], tuple[tuple[str, ...], ...]]:
+    splice, name, output, inputs = _record(
+        data, where, splice=[_str_list], name=str, output=str, inputs=[str]
+    )
+    return name, output, inputs, splice
+
+
 def grammar_from_json(data: Any, where: str = "grammar") -> Grammar:
-    obj = _expect(data, dict, where)
-    category = graph_from_json(_field(obj, "category", dict, where), f"{where}.category")
-    nonterminals: dict[str, tuple[str, str]] = {}
-    for i, nt in enumerate(_field(obj, "nonterminals", list, where)):
-        ntobj = _expect(nt, dict, f"{where}.nonterminals[{i}]")
-        name = _field(ntobj, "name", str, f"{where}.nonterminals[{i}]")
-        nonterminals[name] = (
-            _field(ntobj, "left", str, f"{where}.nonterminals[{i}]"),
-            _field(ntobj, "right", str, f"{where}.nonterminals[{i}]"),
-        )
-    rules = []
-    for i, r in enumerate(_field(obj, "rules", list, where)):
-        robj = _expect(r, dict, f"{where}.rules[{i}]")
-        splice = _field(robj, "splice", list, f"{where}.rules[{i}]")
-        segments = tuple(
-            _str_list(seg, f"{where}.rules[{i}].splice[{k}]") for k, seg in enumerate(splice)
-        )
-        rules.append(
-            (
-                _field(robj, "name", str, f"{where}.rules[{i}]"),
-                _field(robj, "output", str, f"{where}.rules[{i}]"),
-                _str_list(_field(robj, "inputs", list, f"{where}.rules[{i}]"), f"{where}.rules[{i}].inputs"),
-                segments,
-            )
-        )
-    start = _field(obj, "start", str, where)
+    category, nonterminals, rules, start = _record(
+        data, where, category=graph_from_json, nonterminals=[_nonterminal], rules=[_rule], start=str
+    )
     try:
-        return grammar_from_rules(category, start, nonterminals, rules)
+        return grammar_from_rules(category, start, dict(nonterminals), rules)
     except (InputError, CompositionError) as exc:
         raise InputError(f"{where}: {exc}") from exc
 
@@ -273,37 +229,26 @@ def automaton_to_json(automaton: Automaton) -> dict:
     }
 
 
+def _state(data: Any, where: str) -> State:
+    return State(*_record(data, where, name=str, over=str))
+
+
+def _transition(data: Any, where: str) -> Transition:
+    return Transition(*_record(data, where, name=str, src=str, dst=str, over=str))
+
+
 def automaton_from_json(data: Any, where: str = "automaton") -> Automaton:
-    obj = _expect(data, dict, where)
-    base = graph_from_json(_field(obj, "base", dict, where), f"{where}.base")
-    states = []
-    for i, s in enumerate(_field(obj, "states", list, where)):
-        sobj = _expect(s, dict, f"{where}.states[{i}]")
-        states.append(
-            State(
-                _field(sobj, "name", str, f"{where}.states[{i}]"),
-                _field(sobj, "over", str, f"{where}.states[{i}]"),
-            )
-        )
-    transitions = []
-    for i, t in enumerate(_field(obj, "transitions", list, where)):
-        tobj = _expect(t, dict, f"{where}.transitions[{i}]")
-        transitions.append(
-            Transition(
-                _field(tobj, "name", str, f"{where}.transitions[{i}]"),
-                _field(tobj, "src", str, f"{where}.transitions[{i}]"),
-                _field(tobj, "dst", str, f"{where}.transitions[{i}]"),
-                _field(tobj, "over", str, f"{where}.transitions[{i}]"),
-            )
-        )
+    fields = _record(
+        data,
+        where,
+        base=graph_from_json,
+        states=[_state],
+        transitions=[_transition],
+        initial=str,
+        final=str,
+    )
     try:
-        return Automaton(
-            base,
-            tuple(states),
-            tuple(transitions),
-            _field(obj, "initial", str, where),
-            _field(obj, "final", str, where),
-        )
+        return Automaton(*fields)
     except InputError as exc:
         raise InputError(f"{where}: {exc}") from exc
 
@@ -324,14 +269,13 @@ def dyck_letters_to_json(letters: tuple[DyckLetter, ...]) -> list:
     return [{"bracket": l.bracket, "node": l.node, "index": l.index} for l in letters]
 
 
+def _letter(data: Any, where: str) -> DyckLetter:
+    (bracket,) = _record(data, where, bracket=str)
+    if bracket not in ("[", "]"):
+        raise InputError(f"{where}: bracket must be '[' or ']'")
+    index, node = _record(data, where, index=int, node=str)
+    return DyckLetter(bracket, node, index)
+
+
 def dyck_letters_from_json(data: Any, where: str = "letters") -> tuple[DyckLetter, ...]:
-    items = _expect(data, list, where)
-    out = []
-    for i, l in enumerate(items):
-        lobj = _expect(l, dict, f"{where}[{i}]")
-        bracket = _field(lobj, "bracket", str, f"{where}[{i}]")
-        if bracket not in ("[", "]"):
-            raise InputError(f"{where}[{i}]: bracket must be '[' or ']'")
-        index = _field(lobj, "index", int, f"{where}[{i}]")
-        out.append(DyckLetter(bracket, _field(lobj, "node", str, f"{where}[{i}]"), index))
-    return tuple(out)
+    return _array(data, _letter, where)

@@ -9,6 +9,7 @@ underlying category.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import CompositionError
 from .freecat import FiniteGraph, Path, enumerate_paths, identity_path, path_compose
@@ -83,41 +84,27 @@ def spliced_compose_partial(f: SplicedArrow, i: int, g: SplicedArrow) -> Spliced
     """Substitute ``g`` into gap ``i`` of ``f`` (0-indexed from the left)."""
     if i < 0 or i >= f.arity:
         raise CompositionError(f"gap index {i} out of range for arity {f.arity}")
-    if f.gaps[i] != g.outer:
-        raise CompositionError(
-            f"gap {i} has type ({f.gaps[i].left},{f.gaps[i].right}), operand has outer "
-            f"type ({g.outer.left},{g.outer.right})"
-        )
-    if g.is_constant:
-        merged = path_compose(path_compose(f.segments[i], g.segments[0]), f.segments[i + 1])
-        segments = f.segments[:i] + (merged,) + f.segments[i + 2 :]
-    else:
-        segments = (
-            f.segments[:i]
-            + (path_compose(f.segments[i], g.segments[0]),)
-            + g.segments[1:-1]
-            + (path_compose(g.segments[-1], f.segments[i + 1]),)
-            + f.segments[i + 2 :]
-        )
-    return SplicedArrow(
-        outer=f.outer,
-        gaps=f.gaps[:i] + g.gaps + f.gaps[i + 1 :],
-        segments=segments,
-    )
+    # every other gap gets the identity, which composition leaves unchanged
+    operands = tuple(g if k == i else spliced_identity(gap) for k, gap in enumerate(f.gaps))
+    return spliced_compose_parallel(f, operands)
+
+
+def check_operands(f: SplicedArrow, outers: Sequence[GapType]) -> None:
+    """Raise :class:`CompositionError` unless operands of outer types
+    ``outers`` fill the gaps of ``f``, one per gap."""
+    if len(outers) != f.arity:
+        raise CompositionError(f"parallel composition needs {f.arity} operands, got {len(outers)}")
+    for i, outer in enumerate(outers):
+        if f.gaps[i] != outer:
+            raise CompositionError(
+                f"gap {i} has type ({f.gaps[i].left},{f.gaps[i].right}), operand has "
+                f"outer type ({outer.left},{outer.right})"
+            )
 
 
 def spliced_compose_parallel(f: SplicedArrow, operands: tuple[SplicedArrow, ...]) -> SplicedArrow:
     """Substitute one operand into every gap of ``f`` simultaneously."""
-    if len(operands) != f.arity:
-        raise CompositionError(
-            f"parallel composition needs {f.arity} operands, got {len(operands)}"
-        )
-    for i, g in enumerate(operands):
-        if f.gaps[i] != g.outer:
-            raise CompositionError(
-                f"gap {i} has type ({f.gaps[i].left},{f.gaps[i].right}), operand has "
-                f"outer type ({g.outer.left},{g.outer.right})"
-            )
+    check_operands(f, [g.outer for g in operands])
     segments = [f.segments[0]]
     gaps: list[GapType] = []
     for i, g in enumerate(operands):

@@ -1,4 +1,6 @@
+import itertools
 import re
+import time
 
 import pytest
 from hypothesis import given
@@ -30,6 +32,7 @@ from catgram import (
     parse_forest,
     properties,
     recognize,
+    spliced_compose_parallel,
     spliced_concat,
     spliced_identity,
     union,
@@ -46,11 +49,13 @@ from catgram.fixtures import (
     GRAPH_A,
     GRAPH_AB,
     GRAPH_AB_END,
+    G_UNIT,
 )
 from catgram.grammar import Grammar
-from catgram.species import Node, Species
+from catgram.species import Node, Species, fold
 from conftest import words
-from test_parser import EXPR, RANDOM_WORD_BOUND, _at_start, random_grammars
+from test_species import _open_trees
+from test_parser import EXPR, GRAPH_PQ, RANDOM_WORD_BOUND, _at_start, random_grammars
 
 TOP = "⊤"
 
@@ -144,6 +149,89 @@ def test_eval_of_closed_trees_matches_gap_types():
                 value = eval_tree(g, t)
                 assert value.is_constant
                 assert value.outer == g.gap_of(color)
+
+
+def eval_tree_by_composing(grammar, tree):
+    """The homomorphic value of a tree, node by node: the identity at each
+    leaf and the parallel composition of the node's splice with its
+    children's values at each node.  The reference for ``eval_tree``."""
+    return fold(
+        tree,
+        lambda leaf: spliced_identity(grammar.gap_of(leaf.color)),
+        lambda t, operands: spliced_compose_parallel(grammar.splice_of(t.node.name), operands),
+    )
+
+
+def _outcome(evaluate, grammar, tree):
+    """The value, or the class and message of the exception raised."""
+    try:
+        return evaluate(grammar, tree)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_eval_tree_agrees_with_composing_on_fixtures():
+    for g in (G_AB, G_AMB, G_EPS, G_END, G_TERN, G_UNIT):
+        for color in g.species.colors:
+            trees = _open_trees(g.species, color, 6)
+            trees += enumerate_closed_trees(g.species, color, 8)
+            for t in trees:
+                assert eval_tree(g, t) == eval_tree_by_composing(g, t), t
+
+
+def _variants(grammar, gap):
+    """The grammar with its color gap types as they are, with its first
+    color typed ``gap``, or with its last color's gap type missing, each
+    with its splices as they are, handed on to the next node, or with the
+    last node's splice missing: all but the first are ill-typed."""
+    names = [n.name for n in grammar.species.nodes]
+    colors = grammar.species.colors
+    color_gaps = (
+        grammar.color_gap,
+        {**grammar.color_gap, colors[0]: gap},
+        {c: grammar.gap_of(c) for c in colors[:-1]},
+    )
+    node_splices = (
+        grammar.node_splice,
+        {n: grammar.splice_of(m) for n, m in zip(names, names[1:] + names[:1])},
+        {n: grammar.splice_of(n) for n in names[:-1]},
+    )
+    for color_gap, node_splice in itertools.product(color_gaps, node_splices):
+        yield Grammar(grammar.category, grammar.species, grammar.start, color_gap, node_splice)
+
+
+@given(
+    random_grammars(max_inputs=3),
+    st.sampled_from(GRAPH_PQ.objects),
+    st.sampled_from(GRAPH_PQ.objects),
+)
+def test_eval_tree_agrees_with_composing_on_random_grammars(grammar, left, right):
+    # ill-typed grammars must fail with the exception composing raises first
+    trees = [t for c in grammar.species.colors for t in _open_trees(grammar.species, c, 3)]
+    for g in _variants(grammar, GapType(left, right)):
+        for t in trees:
+            assert _outcome(eval_tree, g, t) == _outcome(eval_tree_by_composing, g, t), t
+
+
+def _time_eval_chain(n):
+    r0, r1 = G_AB.species.node_by_name["r0"], G_AB.species.node_by_name["r1"]
+    tree = Apply(r0, ())
+    for _ in range(n - 1):
+        tree = Apply(r1, (tree,))
+    start = time.perf_counter()
+    value = eval_tree(G_AB, tree)
+    elapsed = time.perf_counter() - start
+    assert value.as_path() == word(GRAPH_AB, "a" * n + "b" * n)
+    return elapsed
+
+
+def test_eval_tree_takes_linear_time():
+    # 8x the depth takes 8x the time when evaluation is linear, 64x when it
+    # is quadratic; generous constants, this is a shape check
+    t_short = _time_eval_chain(2_500)
+    t_long = _time_eval_chain(20_000)
+    assert t_long <= 24 * max(t_short, 0.005)
+    assert t_long < 2.0
 
 
 def test_properties_g_ab():

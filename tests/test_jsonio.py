@@ -1,9 +1,14 @@
-import pytest
+import copy
+import hashlib
 
-from catgram import Apply, InputError, Leaf, enumerate_language, word
+import pytest
+from hypothesis import given
+
+from catgram import Apply, InputError, Leaf, enumerate_closed_trees, enumerate_language, word
 from catgram.fixtures import G_AB, G_END, GRAPH_AB, M_EVENA, SPC_FIG3, fig3_tree
 from catgram import jsonio
 from catgram.contour import contour_word, dyck_translate
+from test_parser import random_grammars
 
 
 def test_graph_roundtrip():
@@ -103,22 +108,132 @@ def test_loaded_grammar_behaves_like_original():
     assert enumerate_language(back, 6) == enumerate_language(G_AB, 6)
 
 
-def test_spliced_arrow_roundtrip():
-    for name in ("r1", "r0"):
-        arrow = G_AB.splice_of(name)
-        data = jsonio.spliced_to_json(arrow)
-        assert jsonio.spliced_from_json(GRAPH_AB, data) == arrow
-    fin = G_END.splice_of("fin")
-    back = jsonio.spliced_from_json(G_END.category, jsonio.spliced_to_json(fin))
-    assert back == fin
+@given(random_grammars(max_inputs=3))
+def test_grammar_and_tree_roundtrip_on_random_grammars(grammar):
+    assert jsonio.grammar_from_json(jsonio.grammar_to_json(grammar)) == grammar
+    species = grammar.species
+    for color in species.colors:
+        for t in enumerate_closed_trees(species, color, 5):
+            assert jsonio.tree_from_json(species, jsonio.tree_to_json(t)) == t
 
 
-def test_spliced_arrow_from_json_errors():
-    data = jsonio.spliced_to_json(G_AB.splice_of("r1"))
-    data["segments"] = [["a"]]
-    with pytest.raises(InputError, match="segments"):
-        jsonio.spliced_from_json(GRAPH_AB, data)
-    data = jsonio.spliced_to_json(G_AB.splice_of("r1"))
-    data["outer"] = {"left": "*", "right": "nope"}
-    with pytest.raises(InputError):
-        jsonio.spliced_from_json(GRAPH_AB, data)
+def _fig3_letters():
+    return jsonio.dyck_letters_to_json(dyck_translate(SPC_FIG3, contour_word(SPC_FIG3, fig3_tree())))
+
+
+def _set(data, path, value):
+    data = copy.deepcopy(data)
+    at = data
+    for key in path[:-1]:
+        at = at[key]
+    at[path[-1]] = value
+    return data
+
+
+@pytest.mark.parametrize(
+    "read, data, path, value, message",
+    [
+        (jsonio.graph_from_json, jsonio.graph_to_json(GRAPH_AB), ("generators", 1, "dst"), 3,
+         "graph.generators[1].dst: expected str, got int"),
+        (jsonio.species_from_json, jsonio.species_to_json(SPC_FIG3), ("nodes", 2, "inputs", 0), None,
+         "species.nodes[2].inputs[0]: expected str, got NoneType"),
+        (jsonio.grammar_from_json, jsonio.grammar_to_json(G_END), ("nonterminals", 1, "left"), [],
+         "grammar.nonterminals[1].left: expected str, got list"),
+        (jsonio.grammar_from_json, jsonio.grammar_to_json(G_END), ("rules", 1, "inputs", 0), 0,
+         "grammar.rules[1].inputs[0]: expected str, got int"),
+        (jsonio.grammar_from_json, jsonio.grammar_to_json(G_AB), ("rules", 0, "splice", 1, 0), {},
+         "grammar.rules[0].splice[1][0]: expected str, got dict"),
+        (jsonio.grammar_from_json, jsonio.grammar_to_json(G_AB), ("category", "objects", 0), 1,
+         "grammar.category.objects[0]: expected str, got int"),
+        (jsonio.automaton_from_json, jsonio.automaton_to_json(M_EVENA), ("states", 1, "over"), 5,
+         "automaton.states[1].over: expected str, got int"),
+        (jsonio.automaton_from_json, jsonio.automaton_to_json(M_EVENA), ("transitions", 0), "t",
+         "automaton.transitions[0]: expected dict, got str"),
+        (jsonio.automaton_from_json, jsonio.automaton_to_json(M_EVENA), ("base", "generators"), {},
+         "automaton.base.generators: expected list, got dict"),
+        (jsonio.dyck_letters_from_json, _fig3_letters(), (3, "index"), "0",
+         "letters[3].index: expected int, got str"),
+        (jsonio.dyck_letters_from_json, _fig3_letters(), (2, "bracket"), "(",
+         "letters[2]: bracket must be '[' or ']'"),
+    ],
+)
+def test_errors_name_the_location(read, data, path, value, message):
+    with pytest.raises(InputError) as info:
+        read(_set(data, path, value))
+    assert str(info.value) == message
+
+
+def test_missing_fields_name_the_record():
+    letters = _fig3_letters()
+    del letters[0]["index"]
+    with pytest.raises(InputError) as info:
+        jsonio.dyck_letters_from_json(letters)
+    assert str(info.value) == "letters[0]: missing field 'index'"
+    for field in ("initial", "final"):
+        data = jsonio.automaton_to_json(M_EVENA)
+        del data[field]
+        with pytest.raises(InputError) as info:
+            jsonio.automaton_from_json(data)
+        assert str(info.value) == f"automaton: missing field {field!r}"
+    data = jsonio.grammar_to_json(G_AB)
+    del data["rules"][1]["splice"]
+    with pytest.raises(InputError) as info:
+        jsonio.grammar_from_json(data)
+    assert str(info.value) == "grammar.rules[1]: missing field 'splice'"
+
+
+# -- every single-site mutation of the fixture files ------------------------
+
+MUTATION_INPUTS = (
+    ("G_AB", jsonio.grammar_from_json, jsonio.grammar_to_json(G_AB)),
+    ("G_END", jsonio.grammar_from_json, jsonio.grammar_to_json(G_END)),
+    ("M_EVENA", jsonio.automaton_from_json, jsonio.automaton_to_json(M_EVENA)),
+    ("SPC_FIG3", jsonio.species_from_json, jsonio.species_to_json(SPC_FIG3)),
+    ("fig3 tree", lambda data: jsonio.tree_from_json(SPC_FIG3, data),
+     jsonio.tree_to_json(fig3_tree())),
+    ("fig3 letters", jsonio.dyck_letters_from_json, _fig3_letters()),
+)
+
+
+def _mutations(data):
+    """Each key dropped, and each value (the whole included) replaced by
+    5, null, "x", [] and {}, labelled by the site, in preorder."""
+    stack = [((), data)]
+    while stack:
+        path, value = stack.pop()
+        if path and isinstance(_get(data, path[:-1]), dict):
+            dropped = copy.deepcopy(data)
+            del _get(dropped, path[:-1])[path[-1]]
+            yield f"{path} dropped", dropped
+        for other in (5, None, "x", [], {}):
+            yield f"{path} = {other!r}", _set(data, path, other) if path else other
+        if isinstance(value, dict):
+            keys = sorted(value)
+        else:
+            keys = range(len(value)) if isinstance(value, list) else ()
+        stack.extend((path + (k,), value[k]) for k in reversed(list(keys)))
+
+
+def _get(data, path):
+    for key in path:
+        data = data[key]
+    return data
+
+
+def test_mutation_messages_are_pinned():
+    lines = []
+    for name, read, data in MUTATION_INPUTS:
+        for label, mutant in _mutations(data):
+            try:
+                read(mutant)
+                outcome = "ok"
+            except Exception as exc:
+                outcome = f"{type(exc).__name__}: {exc}"
+            lines.append(f"{name} {label}\t{outcome}")
+    # Pinned from the readers as they were before they shared one record
+    # reader, with one deliberate change: `initial` and `final` errors of an
+    # automaton used to carry the prefix twice (`automaton: automaton: ...`).
+    assert len(lines) == 1709
+    assert "M_EVENA ('initial',) dropped\tInputError: automaton: missing field 'initial'" in lines
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "596fc3895953d763795a930dd4154a6e1ba4d079fcacd5ea46f512ac82eb029d"

@@ -83,6 +83,21 @@ def test_partial_composition_index_and_type_errors():
         spliced_compose_partial(f, 0, g)
 
 
+def test_partial_composition_across_objects():
+    # the gap left alone keeps its own type: (*,*) before the end marker,
+    # (⊤,⊤) after it
+    marked = end_marked(AB)
+    top = GapType("⊤", "⊤")
+    f = SplicedArrow(
+        GapType("*", "⊤"),
+        (STAR_GAP, top),
+        (marked.path(("a",)), marked.path(("$",)), identity_path("⊤")),
+    )
+    got = spliced_compose_partial(f, 0, constant(marked.path(("b",))))
+    assert segs(got) == ["ab$", ""] and got.gaps == (top,)
+    assert spliced_compose_partial(f, 1, spliced_identity(top)) == f
+
+
 def test_parallel_worked_example():
     f = op("a", "b", "c")
     got = spliced_compose_parallel(f, (op("d", "e", "f"), op("", "a")))
