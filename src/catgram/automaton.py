@@ -225,10 +225,6 @@ class WordsLift:
 
     automaton: Automaton
 
-    @property
-    def accept_pair(self) -> tuple[str, str]:
-        return (self.automaton.initial, self.automaton.final)
-
     def lifts(
         self,
         f: SplicedArrow,

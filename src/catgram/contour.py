@@ -254,12 +254,11 @@ def cs_check(grammar: Grammar, max_len: int) -> tuple[bool, tuple[Path, ...], tu
     the image of the intersection, on all arrows up to ``max_len``."""
     from .grammar import functorial_image
     from .oracle import enumerate_language
-    from .product import pullback_grammar
+    from .product import intersect
 
     parts = cs_decompose(grammar)
     lhs = enumerate_language(grammar, max_len)
-    pulled = pullback_grammar(parts.universal, parts.automaton)
-    recolored = functorial_image(pulled, parts.automaton.functor)
+    recolored = intersect(parts.universal, parts.automaton)
     image = functorial_image(recolored, parts.interpretation)
     rhs = enumerate_language(image, max_len)
     return (set(lhs) == set(rhs), lhs, rhs)

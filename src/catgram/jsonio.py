@@ -26,7 +26,8 @@ def dumps(data: Any) -> str:
 
 
 def _expect(data: Any, kind: type, where: str) -> Any:
-    if not isinstance(data, kind):
+    # JSON true/false decode as bool, a subclass of int
+    if not isinstance(data, kind) or (isinstance(data, bool) and kind is not bool):
         raise InputError(f"{where}: expected {kind.__name__}, got {type(data).__name__}")
     return data
 
@@ -96,18 +97,19 @@ def path_to_json(path: Path) -> Any:
 
 
 def path_from_json(graph: FiniteGraph, data: Any, where: str = "path") -> Path:
+    if isinstance(data, list):
+        gens, src = _str_list(data, where), None
+    elif isinstance(data, dict):
+        gens = _str_list(data.get("gens", []), f"{where}.gens")
+        src = data.get("src")
+        if src is not None:
+            _expect(src, str, f"{where}.src")
+    else:
+        raise InputError(f"{where}: expected a generator array or an object with 'src'")
     try:
-        if isinstance(data, list):
-            return graph.path(_str_list(data, where))
-        if isinstance(data, dict):
-            gens = _str_list(data.get("gens", []), f"{where}.gens")
-            src = data.get("src")
-            if src is not None:
-                _expect(src, str, f"{where}.src")
-            return graph.path(gens, src=src)
+        return graph.path(gens, src=src)
     except (InputError, CompositionError) as exc:
         raise InputError(f"{where}: {exc}") from exc
-    raise InputError(f"{where}: expected a generator array or an object with 'src'")
 
 
 # -- species and trees ------------------------------------------------------

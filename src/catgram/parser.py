@@ -16,13 +16,14 @@ pass, and its item set does not depend on the agenda order.
 A packed forest shares subderivations: each item carries its local
 alternatives (a node plus child items), and unfolding the forest from the
 root item reproduces exactly the closed derivation trees of the word.  It
-holds the items reachable from the root, alternatives in node declaration
-order then gap spans ascending, and one ``ParseItem`` object per item.  A
+is the kernel's own output: the items ``product.reachable`` finds below the
+root, children first, alternatives in node declaration order then gap spans
+ascending, each item the one ``ParseItem`` object the kernel derived.  A
 forest is a hypergraph like a species, with items as vertices and
-alternatives as edges: it keeps its ``species.postorder``, parse counts and
-size bounds fold over that order, and enumeration is
-``species.trees_by_size`` within those bounds, cut at the caller's limit:
-its cost is bounded by the limit, not by the number of trees of a size.
+alternatives as edges: parse counts and size bounds fold over its
+children-first order, and enumeration is ``species.trees_by_size`` within
+those bounds, cut at the caller's limit: its cost is bounded by the limit,
+not by the number of trees of a size.
 """
 
 from __future__ import annotations
@@ -33,24 +34,12 @@ from typing import Mapping, NamedTuple
 
 from .errors import InputError
 from .grammar import Grammar
-from .product import Alt, Item, lift, reachable
-from .species import DerivationTree, Node, postorder, trees_by_size
+from .product import Alt, ParseItem, lift, reachable
+from .species import DerivationTree, Node, trees_by_size
 from .freecat import Path
 
 
-class ParseItem(NamedTuple):
-    """A nonterminal spanning positions ``start..end`` of the target path.
-
-    A named tuple, so forest dicts hash and compare items in C; an item
-    equals, unpacks and hashes like its ``(color, start, end)`` tuple."""
-
-    color: str
-    start: int
-    end: int
-
-
-@dataclass(frozen=True, slots=True)
-class Alternative:
+class Alternative(NamedTuple):
     """One way to derive an item: a node applied to child items."""
 
     node: Node
@@ -66,15 +55,7 @@ class PackedForest:
     word: Path
     root: ParseItem | None
     alternatives: Mapping[ParseItem, tuple[Alternative, ...]]
-    order: tuple[ParseItem, ...] | None = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        alternatives = dict(self.alternatives)
-        object.__setattr__(self, "alternatives", alternatives)
-        order = () if self.root is None else postorder(
-            self.root, lambda item: [c for alt in alternatives[item] for c in alt.children]
-        )
-        object.__setattr__(self, "order", None if order is None else tuple(order))
+    order: tuple[ParseItem, ...] | None = field(repr=False, compare=False)
 
     @property
     def is_empty(self) -> bool:
@@ -85,7 +66,7 @@ class PackedForest:
         return self.order is None
 
 
-def _lift(grammar: Grammar, w: Path, reverse_agenda: bool = False) -> dict[Item, list[Alt]]:
+def _lift(grammar: Grammar, w: Path, reverse_agenda: bool = False) -> dict[ParseItem, list[Alt]]:
     """The kernel run along the positions of ``w``: a segment sits wherever
     its generators occur, an identity segment wherever its object does."""
     if not grammar.category.contains_path(w):
@@ -106,7 +87,7 @@ def _lift(grammar: Grammar, w: Path, reverse_agenda: bool = False) -> dict[Item,
 
 def parse_chart(
     grammar: Grammar, w: Path, reverse_agenda: bool = False
-) -> frozenset[tuple[str, int, int]]:
+) -> frozenset[ParseItem]:
     """The full item set ``(color, start, end)`` for a target path.
 
     ``reverse_agenda`` pops the agenda last-in first-out instead of
@@ -115,13 +96,14 @@ def parse_chart(
     return frozenset(_lift(grammar, w, reverse_agenda))
 
 
-def _whole(derived: dict[Item, list[Alt]], n: int) -> frozenset[str]:
-    return frozenset(c for (c, i, j) in derived if i == 0 and j == n)
+def _whole(derived: dict[ParseItem, list[Alt]], n: int) -> dict[str, ParseItem]:
+    """The items spanning the whole path, by color."""
+    return {item.color: item for item in derived if item.start == 0 and item.end == n}
 
 
 def recognize(grammar: Grammar, w: Path, reverse_agenda: bool = False) -> frozenset[str]:
     """Nonterminals deriving the whole path."""
-    return _whole(_lift(grammar, w, reverse_agenda), len(w.gens))
+    return frozenset(_whole(_lift(grammar, w, reverse_agenda), len(w.gens)))
 
 
 def parse_forest(grammar: Grammar, w: Path) -> PackedForest:
@@ -133,16 +115,17 @@ def _recognize_and_parse(grammar: Grammar, w: Path) -> tuple[frozenset[str], Pac
     """``recognize`` and ``parse_forest`` of one path from one lifting."""
     derived = _lift(grammar, w)
     whole = _whole(derived, len(w.gens))
-    if grammar.start not in whole:
-        return whole, PackedForest(word=w, root=None, alternatives={})
-    reach = reachable(derived, (grammar.start, 0, len(w.gens)))
-    items = {key: ParseItem._make(key) for key in reach}
+    root = whole.get(grammar.start)
+    if root is None:
+        return frozenset(whole), PackedForest(w, None, {}, ())
+    reach, cyclic = reachable(derived, root)
     nodes = grammar.species.nodes
     alternatives = {
-        items[key]: tuple(Alternative(nodes[n], tuple(map(items.get, kids))) for n, _, kids in alts)
-        for key, alts in reach.items()
+        item: tuple([Alternative(nodes[n], kids) for n, _, kids in alts])
+        for item, alts in reach.items()
     }
-    return whole, PackedForest(w, items[grammar.start, 0, len(w.gens)], alternatives)
+    order = None if cyclic else tuple(alternatives)
+    return frozenset(whole), PackedForest(w, root, alternatives, order)
 
 
 def count_parses(forest: PackedForest) -> int | float:
@@ -192,11 +175,7 @@ def enumerate_parses(forest: PackedForest, limit: int) -> tuple[DerivationTree, 
     if forest.root is None or limit == 0:
         return ()
     bounds = _size_bounds(forest)
-    trees = trees_by_size(
-        lambda item: ((alt.node, alt.children) for alt in forest.alternatives[item]),
-        bounds.__getitem__,
-        limit,
-    )
+    trees = trees_by_size(forest.alternatives.__getitem__, bounds.__getitem__, limit)
     collected: list[DerivationTree] = []
     k, most = bounds[forest.root]
     while len(collected) < limit and k <= most:

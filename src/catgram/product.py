@@ -10,6 +10,10 @@ only with itself and the items popped before it, through a ``(color, start)
 -> ends`` and a ``(color, end) -> starts`` index, so every alternative is
 found exactly once and the fixed point needs no span order.
 
+Each item is one ``ParseItem`` object from its first derivation on, and
+alternatives hold those objects as gap items, so the items ``reachable``
+from a root already are its packed forest (Billot & Lang 1989).
+
 The pullback grammar lives over the automaton's state graph.  Its colors are
 triples of a source state, a nonterminal and a target state whose gap type
 matches the states' underlying objects; its nodes pair a grammar node with a
@@ -25,7 +29,7 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 from operator import getitem
-from typing import Hashable, Sequence
+from typing import Hashable, NamedTuple, Sequence
 
 from .errors import CompositionError
 from .automaton import Automaton, runs_by_source
@@ -34,16 +38,25 @@ from .grammar import Grammar, functorial_image, useful_set
 from .species import Node, Species
 from .spliced import GapType, SplicedArrow
 
-Item = tuple[str, Hashable, Hashable]  # (color, start, end)
+
+class ParseItem(NamedTuple):
+    """A color derived from ``start`` to ``end`` (word positions or automaton
+    states); it equals, unpacks and hashes like its tuple, in C."""
+
+    color: str
+    start: Hashable
+    end: Hashable
+
+
 # (node index, placement index per segment, gap items)
-Alt = tuple[int, tuple[int, ...], tuple[Item, ...]]
+Alt = tuple[int, tuple[int, ...], tuple[ParseItem, ...]]
 
 
 def lift(
     nodes: Sequence[Node],
     placements: Sequence[Sequence[Sequence[tuple]]],
     reverse_agenda: bool = False,
-) -> dict[Item, list[Alt]]:
+) -> dict[ParseItem, list[Alt]]:
     """The least set of items closed under the nodes, each with every way it
     is derived.
 
@@ -51,7 +64,8 @@ def lift(
     ``(p, q, *tags)``.  Node ``n`` derives ``(output, P0.p, Pk.q)`` from
     placements ``P0..Pk`` whenever each gap item ``(inputs[m], Pm.q,
     P(m+1).p)`` is derived.  Every item maps to its alternatives ``(n,
-    placement indexes, gap items)`` in the order they were found.
+    placement indexes, gap items)`` in the order they were found; an item is
+    made a ``ParseItem`` when first derived, and gap items are those objects.
     """
     by_start = [[_group(seg, 0) for seg in segs] for segs in placements]
     by_end = [[_group(seg, 1) for seg in segs] for segs in placements]
@@ -59,14 +73,14 @@ def lift(
     for n, node in enumerate(nodes):
         for m, color in enumerate(node.inputs):
             uses.setdefault(color, []).append((n, m))
-    derived: dict[Item, list[Alt]] = {}
-    agenda: deque[Item] = deque()
+    derived: dict[ParseItem, list[Alt]] = {}
+    agenda: deque[ParseItem] = deque()
     pop = agenda.pop if reverse_agenda else agenda.popleft
     # popped items by (color, start) and (color, end); an item enters
     # ``ends`` before it is joined and ``starts`` after, so a placement
     # using it in two gaps is found once
-    ends: dict[tuple[str, Hashable], list[Item]] = {}
-    starts: dict[tuple[str, Hashable], list[Item]] = {}
+    ends: dict[tuple[str, Hashable], list[ParseItem]] = {}
+    starts: dict[tuple[str, Hashable], list[ParseItem]] = {}
     found = [
         ((node.output, p, q), (n, (a,), ()))
         for n, node in enumerate(nodes)
@@ -77,6 +91,7 @@ def lift(
         for item, alt in found:
             alts = derived.get(item)
             if alts is None:
+                item = ParseItem._make(item)
                 alts = derived[item] = []
                 agenda.append(item)
             alts.append(alt)
@@ -118,17 +133,36 @@ def lift(
     return derived
 
 
-def reachable(derived: dict[Item, list[Alt]], root: Item) -> dict[Item, list[Alt]]:
-    """The items below a derived ``root``, each with its alternatives sorted
-    by node index, then placement indexes."""
-    out: dict[Item, list[Alt]] = {}
-    stack = [root]
+def reachable(
+    derived: dict[ParseItem, list[Alt]], root: ParseItem
+) -> tuple[dict[ParseItem, list[Alt]], bool]:
+    """The items below a derived ``root`` in the order a depth-first search
+    leaves them (children first unless a cycle is reachable), each with its
+    alternatives sorted by node index, then placement indexes; and whether a
+    derivation cycle is reachable."""
+    out: dict[ParseItem, list[Alt]] = {}
+    path: set[ParseItem] = set()  # entered and not yet left
+    cyclic = False
+    # (item, None) enters an item and (item, alts) leaves it
+    stack: list[tuple[ParseItem, list[Alt] | None]] = [(root, None)]
     while stack:
-        item = stack.pop()
-        if item not in out:
-            out[item] = alts = sorted(derived[item])
-            stack.extend(c for alt in alts for c in alt[2] if c not in out)
-    return out
+        item, alts = stack.pop()
+        if alts is not None:
+            path.discard(item)
+            out[item] = alts
+            continue
+        if item in out:
+            continue
+        alts = sorted(derived[item])
+        path.add(item)
+        stack.append((item, alts))
+        for alt in alts:
+            for child in alt[2]:
+                if child in path:
+                    cyclic = True
+                elif child not in out:
+                    stack.append((child, None))
+    return out, cyclic
 
 
 def _group(placements: Sequence[tuple], end: int) -> dict[Hashable, list[int]]:
@@ -196,7 +230,7 @@ def pullback_grammar(grammar: Grammar, automaton: Automaton, trim_useless: bool 
     if trim_useless:
         derived = lift(nodes, table)
         root = (grammar.start, automaton.initial, automaton.final)
-        useful = reachable(derived, root) if root in derived else {root: []}
+        useful = reachable(derived, root)[0] if root in derived else {root: []}
         items = [item for item in items if item in useful]
         chosen = (
             (nodes[n], tuple(map(getitem, table[n], idx)))

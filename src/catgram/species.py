@@ -12,10 +12,9 @@ A species is also a hypergraph: colors are vertices and each node is an
 edge from its inputs to its output.  A packed forest is the same kind of
 object, with items as vertices and alternatives as edges.  The last section
 holds the fixed points both share: ``derivable`` (the vertices with a
-closed tree below them, read off any edge list), ``postorder`` (children
-first, or ``None`` on a cycle) and ``trees_by_size`` (the first trees at a
-vertex with exactly k nodes, in canonical order, at a cost bounded by how
-many are asked for).
+closed tree below them, read off any edge list) and ``trees_by_size`` (the
+first trees at a vertex with exactly k nodes, in canonical order, at a cost
+bounded by how many are asked for).
 """
 
 from __future__ import annotations
@@ -322,31 +321,6 @@ def derivable(edges: Iterable[tuple[Sequence[V], V]]) -> set[V]:
                 held.add(head)
                 changed = True
     return held
-
-
-def postorder(root: V, children: Callable[[V], Iterable[V]]) -> list[V] | None:
-    """The vertices reachable from ``root``, children first, or ``None`` when
-    a cycle is reachable; iterative depth-first search."""
-    done: dict[V, bool] = {}  # False while the vertex is on the search path
-    order: list[V] = []
-    stack = [(root, False)]
-    while stack:
-        vertex, leaving = stack.pop()
-        if leaving:
-            done[vertex] = True
-            order.append(vertex)
-            continue
-        if vertex in done:
-            continue
-        done[vertex] = False
-        stack.append((vertex, True))
-        for child in children(vertex):
-            mark = done.get(child)
-            if mark is None:
-                stack.append((child, False))
-            elif not mark:
-                return None
-    return order
 
 
 def trees_by_size(

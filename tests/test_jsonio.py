@@ -39,6 +39,24 @@ def test_path_errors():
         jsonio.path_from_json(GRAPH_AB, 17)
 
 
+@pytest.mark.parametrize(
+    "data, where, message",
+    [
+        (["a", 1], "word", "word[1]: expected str, got int"),
+        ({"gens": 3}, "contour", "contour.gens: expected list, got int"),
+        ({"gens": [], "src": 0}, "word", "word.src: expected str, got int"),
+        (["z"], "word", "word: unknown generator(s) ['z']"),
+        ({"gens": []}, "path", "path: empty path needs an explicit source object"),
+    ],
+)
+def test_path_errors_name_the_location_once(data, where, message):
+    # reading errors carry their own location; only those of building the
+    # path get the path's
+    with pytest.raises(InputError) as info:
+        jsonio.path_from_json(GRAPH_AB, data, where)
+    assert str(info.value) == message
+
+
 def test_species_roundtrip():
     data = jsonio.species_to_json(SPC_FIG3)
     assert jsonio.species_from_json(data) == SPC_FIG3
@@ -155,6 +173,8 @@ def _set(data, path, value):
          "letters[3].index: expected int, got str"),
         (jsonio.dyck_letters_from_json, _fig3_letters(), (2, "bracket"), "(",
          "letters[2]: bracket must be '[' or ']'"),
+        (jsonio.dyck_letters_from_json, _fig3_letters(), (0, "index"), True,
+         "letters[0].index: expected int, got bool"),
     ],
 )
 def test_errors_name_the_location(read, data, path, value, message):

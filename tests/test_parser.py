@@ -1,5 +1,6 @@
 import math
 import time
+from collections import deque
 
 import pytest
 from hypothesis import given
@@ -338,6 +339,66 @@ def test_parser_agrees_with_oracles_on_random_grammars(grammar):
         trees = enumerate_parses(forest, count + 1)
         assert len(trees) == count == len(set(trees))
         assert all(eval_tree(grammar, t).as_path() == w for t in trees)
+
+
+def _check_reachable_graph(grammar, w):
+    """The one search behind a forest, against naive closures: its items are
+    those a breadth-first search reaches from the root over the kernel's
+    alternatives, each child is the forest's own key object, the cycle flag
+    says whether some item reaches itself, and an acyclic forest lists every
+    item once, children first."""
+    forest = parse_forest(grammar, w)
+    if forest.is_empty:
+        assert forest.alternatives == {} and forest.order == ()
+        return
+    derived = _lift(grammar, w)
+    reached, queue = {forest.root}, deque([forest.root])
+    while queue:
+        for _, _, kids in derived[queue.popleft()]:
+            for child in kids:
+                if child not in reached:
+                    reached.add(child)
+                    queue.append(child)
+    assert set(forest.alternatives) == reached
+
+    keys = {id(item) for item in forest.alternatives}
+    edges = {
+        item: {child for alt in alts for child in alt.children}
+        for item, alts in forest.alternatives.items()
+    }
+    assert all(id(child) in keys for kids in edges.values() for child in kids)
+
+    below = {item: set(kids) for item, kids in edges.items()}
+    changed = True
+    while changed:
+        changed = False
+        for seen in below.values():
+            more = set().union(*(below[child] for child in seen))
+            if not more <= seen:
+                seen |= more
+                changed = True
+    assert forest.cyclic == any(item in seen for item, seen in below.items())
+
+    if not forest.cyclic:
+        position = {item: k for k, item in enumerate(forest.order)}
+        assert len(forest.order) == len(position) == len(forest.alternatives)
+        assert position.keys() == forest.alternatives.keys()
+        assert all(position[c] < position[item] for item, kids in edges.items() for c in kids)
+
+
+@given(random_grammars())
+def test_forest_is_the_reachable_derivation_graph(grammar):
+    gap = grammar.gap_of(grammar.start)
+    for w in enumerate_paths(grammar.category, gap.left, gap.right, RANDOM_WORD_BOUND):
+        _check_reachable_graph(grammar, w)
+
+
+@pytest.mark.parametrize("grammar", [G_AMB, G_UNIT, G_EPS, G_AB, G_TERN])
+def test_fixture_forests_are_reachable_derivation_graphs(grammar):
+    # G_AMB's forests share every item below the root among many parents
+    gap = grammar.gap_of(grammar.start)
+    for w in enumerate_paths(grammar.category, gap.left, gap.right, 6):
+        _check_reachable_graph(grammar, w)
 
 
 
