@@ -88,17 +88,15 @@ from .automaton import (
     TreeAutomaton,
     TreeTransition,
     UlfViolation,
-    WordsLift,
     enumerate_runs,
     interval_automaton,
     run_membership,
     tree_accept,
     ulf_check_bounded,
     validate_tree_automaton,
-    words_lift,
 )
 from .automaton import import_classical as import_classical_automaton
-from .product import PullbackColor, intersect, pullback_grammar, trim
+from .product import intersect, pullback_grammar, trim
 from .contour import (
     Corner,
     CSDecomposition,

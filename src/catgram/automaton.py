@@ -15,7 +15,6 @@ lifting, as ``ulf_check_bounded`` will demonstrate on such a functor.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
@@ -34,7 +33,6 @@ from .freecat import (
     monoid_graph,
 )
 from .species import Apply, DerivationTree, Leaf, Species, fold
-from .spliced import GapType, SplicedArrow
 
 
 @dataclass(frozen=True)
@@ -212,60 +210,6 @@ def interval_automaton(category: FiniteGraph, w: Path) -> Automaton:
         Transition(f"s{i}", str(i), str(i + 1), w.gens[i]) for i in range(len(w.gens))
     )
     return Automaton(category, states, transitions, "0", str(len(w.gens)))
-
-
-@dataclass(frozen=True)
-class WordsLift:
-    """The induced automaton on the spliced-arrow operad of the base.
-
-    States are pairs of word-automaton states; an n-ary transition over a
-    spliced arrow is a tuple of runs, one per segment.  The transition family
-    over long spliced arrows is materialized lazily, per query.
-    """
-
-    automaton: Automaton
-
-    def lifts(
-        self,
-        f: SplicedArrow,
-        outer: tuple[str, str],
-        gaps: tuple[tuple[str, str], ...] = (),
-    ) -> tuple[SplicedArrow, ...]:
-        """All lifts of ``f`` to a spliced arrow of runs with the given state
-        pairs as outer type and gap types."""
-        if len(gaps) != f.arity:
-            raise InputError(f"expected {f.arity} state pairs, got {len(gaps)}")
-        n = f.arity
-        per_segment: list[tuple[Path, ...]] = []
-        for i, seg in enumerate(f.segments):
-            src = outer[0] if i == 0 else gaps[i - 1][1]
-            dst = outer[1] if i == n else gaps[i][0]
-            per_segment.append(enumerate_runs(self.automaton, seg, src, dst))
-        return tuple(
-            SplicedArrow(
-                outer=GapType(*outer),
-                gaps=tuple(GapType(*g) for g in gaps),
-                segments=runs,
-            )
-            for runs in itertools.product(*per_segment)
-        )
-
-    def lift_count(
-        self,
-        f: SplicedArrow,
-        outer: tuple[str, str],
-        gaps: tuple[tuple[str, str], ...] = (),
-    ) -> int:
-        return len(self.lifts(f, outer, gaps))
-
-    def accepts_constant(self, w: Path) -> bool:
-        """Acceptance of a constant between the designated state pair; agrees
-        with word membership because constants are just arrows."""
-        return run_membership(self.automaton, w)
-
-
-def words_lift(automaton: Automaton) -> WordsLift:
-    return WordsLift(automaton)
 
 
 @dataclass(frozen=True)

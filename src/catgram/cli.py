@@ -115,13 +115,16 @@ def _cmd_parse(args: argparse.Namespace) -> int:
     w = _parse_word(grammar, args.word)
     colors, forest = _recognize_and_parse(grammar, w)
     count = count_parses(forest)
-    parses = enumerate_parses(forest, args.limit)
     payload = {
         "member": grammar.start in colors,
         "nonterminals": sorted(colors),
         "count": "inf" if count is math.inf else count,
-        "parses": [jsonio.tree_to_json(t) for t in parses],
     }
+    # text output prints no trees, so only JSON output enumerates them
+    if args.format == "json":
+        payload["parses"] = [jsonio.tree_to_json(t) for t in enumerate_parses(forest, args.limit)]
+    elif args.limit < 0:
+        raise InputError("limit must be nonnegative")
     lines = [
         f"member: {payload['member']}",
         f"nonterminals: {' '.join(payload['nonterminals']) or '-'}",

@@ -19,22 +19,23 @@ triples of a source state, a nonterminal and a target state whose gap type
 matches the states' underlying objects; its nodes pair a grammar node with a
 tuple of runs, one per splice segment.  Trimmed, it is read off the items
 reachable from the start item; raw, it is the full product of the same run
-lists.  Mapping runs back down to the base category yields a grammar for the
-intersection of the two languages.
+lists.  The pullback square maps each run down to the segment it lies over
+and each pulled color to its color's gap type, so the grammar for the
+intersection of the two languages is the same pulled species over the base
+category, each node carrying its base node's own splice.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass
 from operator import getitem
 from typing import Hashable, NamedTuple, Sequence
 
 from .errors import CompositionError
 from .automaton import Automaton, runs_by_source
 from .freecat import Path, _Memo
-from .grammar import Grammar, functorial_image, useful_set
+from .grammar import Grammar, useful_set
 from .species import Node, Species
 from .spliced import GapType, SplicedArrow
 
@@ -173,19 +174,6 @@ def _group(placements: Sequence[tuple], end: int) -> dict[Hashable, list[int]]:
     return table
 
 
-@dataclass(frozen=True)
-class PullbackColor:
-    """A nonterminal of the pullback grammar: state, color, state."""
-
-    src: str
-    color: str
-    dst: str
-
-    @property
-    def name(self) -> str:
-        return f"({self.src},{self.color},{self.dst})"
-
-
 def _run_label(run: Path) -> str:
     return f"{run.src}>{'.'.join(run.gens) if run.gens else 'e'}>{run.dst}"
 
@@ -198,11 +186,17 @@ def pullback_grammar(grammar: Grammar, automaton: Automaton, trim_useless: bool 
     one node whose splice is the spliced arrow of those runs.  Trimming of
     useless colors is on by default; disable it to audit the raw node count.
     """
+    return _pulled(grammar, automaton, trim_useless, over_runs=True)
+
+
+def _pulled(grammar: Grammar, automaton: Automaton, trim_useless: bool, over_runs: bool) -> Grammar:
+    """The pulled species, with run splices over the state graph when
+    ``over_runs`` and with each base node's own splice otherwise."""
     if grammar.category != automaton.base:
         raise CompositionError("grammar and automaton must share the base category")
     start_gap = grammar.gap_of(grammar.start)
     over = automaton.state_over
-    if start_gap != GapType(over[automaton.initial], over[automaton.final]):
+    if (start_gap.left, start_gap.right) != (over[automaton.initial], over[automaton.final]):
         raise CompositionError(
             "start symbol's gap type does not match the initial/final state objects"
         )
@@ -241,27 +235,41 @@ def pullback_grammar(grammar: Grammar, automaton: Automaton, trim_useless: bool 
             (node, picks) for node, segs in zip(nodes, table) for picks in itertools.product(*segs)
         )
 
-    # pullback color names by (src, color, dst) and gap types by (src, dst),
-    # each made once and shared by every node that meets it
-    names = _Memo(lambda src, color, dst: PullbackColor(src, color, dst).name)
-    gap_types = _Memo(GapType)
-    name_of, gap_of = names.__getitem__, gap_types.__getitem__
+    # pullback color names by (src, color, dst), made once and shared by
+    # every node that meets them
+    names = _Memo("({},{},{})".format)
+    name_of = names.__getitem__
+    if over_runs:
+        category = automaton.state_graph
+        gap_types = _Memo(GapType)
+        gap_of = gap_types.__getitem__
+        color_gap = {names[q, c, q2]: gap_types[q, q2] for c, q, q2 in items}
+
+        def splice(node: Node, srcs: tuple, dsts: tuple, runs: tuple) -> SplicedArrow:
+            gaps = tuple(map(gap_of, zip(dsts, srcs[1:])))
+            return SplicedArrow(gap_types[srcs[0], dsts[-1]], gaps, runs)
+
+    else:
+        # a run lies over its segment and a pulled color over its color's
+        # gap type, so each pulled node maps down to its base node's splice
+        category = grammar.category
+        color_gap = {names[q, c, q2]: grammar.gap_of(c) for c, q, q2 in items}
+
+        def splice(node: Node, *_: tuple) -> SplicedArrow:
+            return grammar.node_splice[node.name]
+
     pulled_nodes: list[Node] = []
     node_splice: dict[str, SplicedArrow] = {}
     for node, picks in chosen:
         srcs, dsts, runs, labels = zip(*picks)
-        nexts = srcs[1:]  # the state after each gap
         name = f"({node.name}|{'|'.join(labels)})"
-        inputs = tuple(map(name_of, zip(dsts, node.inputs, nexts)))
+        inputs = tuple(map(name_of, zip(dsts, node.inputs, srcs[1:])))
         pulled_nodes.append(Node(name, inputs, names[srcs[0], node.output, dsts[-1]]))
-        node_splice[name] = SplicedArrow(
-            gap_types[srcs[0], dsts[-1]], tuple(map(gap_of, zip(dsts, nexts))), runs
-        )
+        node_splice[name] = splice(node, srcs, dsts, runs)
     colors = tuple(names[q, c, q2] for c, q, q2 in items)
     species = Species(colors=colors, nodes=tuple(pulled_nodes))
-    color_gap = {names[q, c, q2]: gap_types[q, q2] for c, q, q2 in items}
     start = names[automaton.initial, grammar.start, automaton.final]
-    return Grammar(automaton.state_graph, species, start, color_gap, node_splice)
+    return Grammar(category, species, start, color_gap, node_splice)
 
 
 def trim(grammar: Grammar) -> Grammar:
@@ -297,7 +305,7 @@ def trim(grammar: Grammar) -> Grammar:
 
 def intersect(grammar: Grammar, automaton: Automaton, trim_useless: bool = True) -> Grammar:
     """A grammar for the intersection of the grammar's language with the
-    automaton's: the functorial image of the pullback along the functor that
-    re-reads runs as base arrows."""
-    pulled = pullback_grammar(grammar, automaton, trim_useless=trim_useless)
-    return functorial_image(pulled, automaton.functor)
+    automaton's, read off the pullback square: the pulled species over the
+    base category, each pulled node carrying its base node's splice and each
+    pulled color its color's gap type."""
+    return _pulled(grammar, automaton, trim_useless, over_runs=False)

@@ -5,9 +5,7 @@ import pytest
 from catgram import (
     Automaton,
     FreeFunctor,
-    GapType,
     InputError,
-    SplicedArrow,
     State,
     Transition,
     TreeAutomaton,
@@ -21,12 +19,10 @@ from catgram import (
     interval_automaton,
     monoid_graph,
     run_membership,
-    spliced_identity,
     tree_accept,
     ulf_check_bounded,
     validate_tree_automaton,
     word,
-    words_lift,
 )
 from catgram.fixtures import GRAPH_AB, GRAPH_AB_END, M_EVENA, SPC_FIG3, fig3_tree
 from catgram.species import Apply, Leaf
@@ -124,42 +120,6 @@ def test_membership_iff_some_run():
 def test_even_a_language():
     got = {"".join(w.gens) for w in enumerate_regular_language(M_EVENA, 3)}
     assert got == {"", "b", "aa", "bb", "aab", "aba", "baa", "bbb"}
-
-
-# -- words lift ---------------------------------------------------------------
-
-
-def test_words_lift_constants_agree_with_membership():
-    lifted = words_lift(M_EVENA)
-    for w in enumerate_paths(GRAPH_AB, "*", "*", 6):
-        assert lifted.accepts_constant(w) == run_membership(M_EVENA, w)
-
-
-def test_words_lift_counts_are_run_products():
-    lifted = words_lift(M_EVENA)
-    a = word(GRAPH_AB, "a")
-    f = SplicedArrow(GapType("*", "*"), (GapType("*", "*"),), (a, a))
-    states = ("e", "o")
-    for outer in itertools.product(states, repeat=2):
-        for gap in itertools.product(states, repeat=2):
-            expected = len(enumerate_runs(M_EVENA, a, outer[0], gap[0])) * len(
-                enumerate_runs(M_EVENA, a, gap[1], outer[1])
-            )
-            assert lifted.lift_count(f, outer, (gap,)) == expected
-
-
-def test_words_lift_identity_lifts_are_identity_run_pairs():
-    lifted = words_lift(M_EVENA)
-    ident = spliced_identity(GapType("*", "*"))
-    got = lifted.lifts(ident, ("e", "o"), (("e", "o"),))
-    assert got == (
-        SplicedArrow(
-            GapType("e", "o"),
-            (GapType("e", "o"),),
-            (identity_path("e"), identity_path("o")),
-        ),
-    )
-    assert lifted.lifts(ident, ("e", "o"), (("o", "e"),)) == ()
 
 
 # -- tree automata ------------------------------------------------------------

@@ -216,6 +216,24 @@ def test_text_format(files):
     assert "member: True" in res.stdout
 
 
+def test_text_parse_enumerates_no_trees(files, monkeypatch, capsys):
+    from catgram import cli
+
+    def no_trees(forest, limit):
+        raise AssertionError("text output enumerated parse trees")
+
+    monkeypatch.setattr(cli, "enumerate_parses", no_trees)
+    parse = ["parse", "-g", files["g_amb.json"], "-w", "aaaa"]
+    assert cli.run(["--format", "text", *parse, "--limit", "20000"]) == 0
+    assert capsys.readouterr().out == "member: True\nnonterminals: S\ncount: 5\n"
+    # a negative limit is still refused, with the same line in both formats
+    monkeypatch.undo()
+    for fmt in ("text", "json"):
+        assert cli.run(["--format", fmt, *parse, "--limit", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: limit must be nonnegative\n")
+
+
 def test_outputs_are_byte_reproducible(files):
     commands = [
         ("parse", "-g", files["g_ab.json"], "-w", "aabb"),

@@ -112,8 +112,6 @@ def test_intersect_with_empty_language_automaton():
 
 
 def test_pullback_requires_matching_types():
-    with pytest.raises(CompositionError, match="share the base category"):
-        pullback_grammar(G_END, M_EVENA)
     # G_END's start is typed (*, top); this automaton starts and ends over *
     loop = Automaton(
         base=G_END.category,
@@ -122,8 +120,6 @@ def test_pullback_requires_matching_types():
         initial="q",
         final="q",
     )
-    with pytest.raises(CompositionError, match="start symbol's gap type"):
-        pullback_grammar(G_END, loop)
     swapped = Automaton(
         base=GRAPH_AB,
         states=M_EVENA.states,
@@ -131,8 +127,13 @@ def test_pullback_requires_matching_types():
         initial="e",
         final="o",
     )
-    # (*, *) still matches (over(e), over(o)), so this is fine
-    pullback_grammar(G_AB, swapped)
+    for build in (pullback_grammar, intersect):
+        with pytest.raises(CompositionError, match="share the base category"):
+            build(G_END, M_EVENA)
+        with pytest.raises(CompositionError, match="start symbol's gap type"):
+            build(G_END, loop)
+        # (*, *) still matches (over(e), over(o)), so this is fine
+        build(G_AB, swapped)
 
 
 def test_trim_preserves_language():
@@ -171,17 +172,25 @@ def test_trim_useless_start_keeps_lone_start():
 
 def test_pullback_node_count_audit():
     # without trimming, each grammar node contributes the product over its
-    # segments of the total number of runs over that segment
-    pulled = pullback_grammar(G_AB, M_EVENA, trim_useless=False)
-    expected = 0
-    for node in G_AB.species.nodes:
-        splice = G_AB.splice_of(node.name)
-        product = 1
-        for seg in splice.segments:
-            table = runs_by_source(M_EVENA, seg)
-            product *= sum(len(rs) for rs in table.values())
-        expected += product
-    assert len(pulled.species.nodes) == expected
+    # segments of the total number of runs over that segment; the unit node
+    # S -> S lifts to one identity run per state on each of its segments
+    unit = grammar_from_rules(
+        GRAPH_AB,
+        "S",
+        {"S": ("*", "*")},
+        [("c", "S", (), (("a",),)), ("u", "S", ("S",), ((), ()))],
+    )
+    for grammar in (G_AB, unit):
+        pulled = pullback_grammar(grammar, M_EVENA, trim_useless=False)
+        expected = 0
+        for node in grammar.species.nodes:
+            splice = grammar.splice_of(node.name)
+            product = 1
+            for seg in splice.segments:
+                table = runs_by_source(M_EVENA, seg)
+                product *= sum(len(rs) for rs in table.values())
+            expected += product
+        assert len(pulled.species.nodes) == expected
 
 
 def test_trimmed_pullback_is_trim_of_raw_product():
@@ -226,6 +235,10 @@ def test_intersection_agrees_with_oracles_on_random_automata(pair):
     grammar, automaton = pair
     raw = pullback_grammar(grammar, automaton, trim_useless=False)
     assert pullback_grammar(grammar, automaton) == trim(raw)
+    for trim_useless in (False, True):
+        assert intersect(grammar, automaton, trim_useless) == functorial_image(
+            pullback_grammar(grammar, automaton, trim_useless), automaton.functor
+        )
     want = tuple(
         w for w in enumerate_language(grammar, RANDOM_WORD_BOUND) if run_membership(automaton, w)
     )
@@ -235,8 +248,8 @@ def test_intersection_agrees_with_oracles_on_random_automata(pair):
 # -- pinned output ------------------------------------------------------------
 #
 # Digests of ``jsonio.dumps(grammar_to_json(...))`` of raw and trimmed
-# pullbacks and their images: node names, node order, colors and splices
-# must not move.
+# pullbacks and their images, which ``intersect`` must also produce: node
+# names, node order, colors and splices must not move.
 
 EXPR = import_classical(*parse_classical_text("E -> E + T | T\nT -> T * F | F\nF -> ( E ) | x\n"))
 X_MOD2 = Automaton(
@@ -296,7 +309,11 @@ PINNED_DIGESTS = {
 
 @pytest.mark.parametrize("name", sorted(PINNED_CASES))
 def test_intersection_output_is_pinned(name):
-    assert _pinned_digests(*PINNED_CASES[name]) == PINNED_DIGESTS[name]
+    grammar, automaton = PINNED_CASES[name]
+    digests = PINNED_DIGESTS[name]
+    assert _pinned_digests(grammar, automaton) == digests
+    for trim_useless, image in ((False, digests[1]), (True, digests[3])):
+        assert _digest(intersect(grammar, automaton, trim_useless=trim_useless)) == image
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12])
