@@ -223,7 +223,7 @@ def useful_set(grammar: Grammar) -> tuple[str, ...]:
         + [
             ((node.output,), c)
             for node in nodes
-            if all(c in productive for c in node.inputs)
+            if productive.issuperset(node.inputs)
             for c in node.inputs
         ]
     )

@@ -13,6 +13,13 @@ also builds the trimmed pullback along an automaton.  It records every
 alternative as it derives it, so the chart and the forest come out of one
 pass, and its item set does not depend on the agenda order.
 
+``parse_chart`` is the unanchored least fixed point: every item of the
+word.  ``parse_forest`` anchors the kernel at the start color over the
+whole word, and ``recognize`` at every color over it: the kernel then
+drops each item that no root can use, because it starts where no first
+segment of a usable node ends, or ends where no last segment starts.  No
+item or alternative below a root is dropped.
+
 A packed forest shares subderivations: each item carries its local
 alternatives (a node plus child items), and unfolding the forest from the
 root item reproduces exactly the closed derivation trees of the word.  It
@@ -30,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import InputError
 from .grammar import Grammar
@@ -66,9 +73,12 @@ class PackedForest:
         return self.order is None
 
 
-def _lift(grammar: Grammar, w: Path, reverse_agenda: bool = False) -> dict[ParseItem, list[Alt]]:
+def _lift(
+    grammar: Grammar, w: Path, reverse_agenda: bool = False, roots: Iterable[str] | None = None
+) -> dict[ParseItem, list[Alt]]:
     """The kernel run along the positions of ``w``: a segment sits wherever
-    its generators occur, an identity segment wherever its object does."""
+    its generators occur, an identity segment wherever its object does.
+    With ``roots``, anchored at those colors over the whole path."""
     if not grammar.category.contains_path(w):
         raise InputError("target is not a path of the grammar's category")
     gens = w.gens
@@ -82,13 +92,15 @@ def _lift(grammar: Grammar, w: Path, reverse_agenda: bool = False) -> dict[Parse
 
     nodes = grammar.species.nodes
     table = [[placements(seg) for seg in grammar.splice_of(node.name).segments] for node in nodes]
-    return lift(nodes, table, reverse_agenda)
+    whole = None if roots is None else [(color, 0, len(gens)) for color in roots]
+    return lift(nodes, table, reverse_agenda, whole)
 
 
 def parse_chart(
     grammar: Grammar, w: Path, reverse_agenda: bool = False
 ) -> frozenset[ParseItem]:
-    """The full item set ``(color, start, end)`` for a target path.
+    """The full item set ``(color, start, end)`` for a target path: the
+    unanchored least fixed point, whether or not an item spans the path.
 
     ``reverse_agenda`` pops the agenda last-in first-out instead of
     first-in first-out; the result is the same least fixed point either way.
@@ -103,21 +115,26 @@ def _whole(derived: dict[ParseItem, list[Alt]], n: int) -> dict[str, ParseItem]:
 
 def recognize(grammar: Grammar, w: Path, reverse_agenda: bool = False) -> frozenset[str]:
     """Nonterminals deriving the whole path."""
-    return frozenset(_whole(_lift(grammar, w, reverse_agenda), len(w.gens)))
+    derived = _lift(grammar, w, reverse_agenda, grammar.species.colors)
+    return frozenset(_whole(derived, len(w.gens)))
 
 
 def parse_forest(grammar: Grammar, w: Path) -> PackedForest:
     """The packed forest of all derivations of the path at the start color."""
-    return _recognize_and_parse(grammar, w)[1]
+    return _forest(grammar, w, _lift(grammar, w, roots=(grammar.start,)))
 
 
 def _recognize_and_parse(grammar: Grammar, w: Path) -> tuple[frozenset[str], PackedForest]:
     """``recognize`` and ``parse_forest`` of one path from one lifting."""
-    derived = _lift(grammar, w)
-    whole = _whole(derived, len(w.gens))
-    root = whole.get(grammar.start)
+    derived = _lift(grammar, w, roots=grammar.species.colors)
+    return frozenset(_whole(derived, len(w.gens))), _forest(grammar, w, derived)
+
+
+def _forest(grammar: Grammar, w: Path, derived: dict[ParseItem, list[Alt]]) -> PackedForest:
+    """The items of ``derived`` below the start item over the whole path."""
+    root = _whole(derived, len(w.gens)).get(grammar.start)
     if root is None:
-        return frozenset(whole), PackedForest(w, None, {}, ())
+        return PackedForest(w, None, {}, ())
     reach, cyclic = reachable(derived, root)
     nodes = grammar.species.nodes
     alternatives = {
@@ -125,7 +142,7 @@ def _recognize_and_parse(grammar: Grammar, w: Path) -> tuple[frozenset[str], Pac
         for item, alts in reach.items()
     }
     order = None if cyclic else tuple(alternatives)
-    return frozenset(whole), PackedForest(w, root, alternatives, order)
+    return PackedForest(w, root, alternatives, order)
 
 
 def count_parses(forest: PackedForest) -> int | float:

@@ -10,6 +10,13 @@ only with itself and the items popped before it, through a ``(color, start)
 -> ends`` and a ``(color, end) -> starts`` index, so every alternative is
 found exactly once and the fixed point needs no span order.
 
+Given roots, the kernel first computes their anchors, the spliced-arrow
+form of top-down prediction (Earley deduction; Graham, Harrison & Ruzzo
+1980): where an item below a root can start and end.  It drops every item
+outside them, before making it an object, so it derives only what the
+roots can use; the items below each root, their alternatives and their
+cycles are those of the unanchored fixed point.
+
 Each item is one ``ParseItem`` object from its first derivation on, and
 alternatives hold those objects as gap items, so the items ``reachable``
 from a root already are its packed forest (Billot & Lang 1989).
@@ -22,7 +29,8 @@ reachable from the start item; raw, it is the full product of the same run
 lists.  The pullback square maps each run down to the segment it lies over
 and each pulled color to its color's gap type, so the grammar for the
 intersection of the two languages is the same pulled species over the base
-category, each node carrying its base node's own splice.
+category, each node carrying its base node's own splice.  The trimmed
+pullback anchors the kernel at the start item; the raw one lifts nothing.
 """
 
 from __future__ import annotations
@@ -30,13 +38,13 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from operator import getitem
-from typing import Hashable, NamedTuple, Sequence
+from typing import Hashable, Iterable, NamedTuple, Sequence
 
 from .errors import CompositionError
 from .automaton import Automaton, runs_by_source
 from .freecat import Path, _Memo
 from .grammar import Grammar, useful_set
-from .species import Node, Species
+from .species import Node, Species, derivable
 from .spliced import GapType, SplicedArrow
 
 
@@ -57,9 +65,11 @@ def lift(
     nodes: Sequence[Node],
     placements: Sequence[Sequence[Sequence[tuple]]],
     reverse_agenda: bool = False,
+    roots: Iterable[tuple] | None = None,
 ) -> dict[ParseItem, list[Alt]]:
     """The least set of items closed under the nodes, each with every way it
-    is derived.
+    is derived; with ``roots``, only those items that pass the roots'
+    anchors (see ``_anchors``).
 
     ``placements[n][s]`` lists where segment ``s`` of node ``n`` can sit, as
     ``(p, q, *tags)``.  Node ``n`` derives ``(output, P0.p, Pk.q)`` from
@@ -67,7 +77,12 @@ def lift(
     P(m+1).p)`` is derived.  Every item maps to its alternatives ``(n,
     placement indexes, gap items)`` in the order they were found; an item is
     made a ``ParseItem`` when first derived, and gap items are those objects.
+
+    Every item below a root, and every alternative of one, passes the
+    anchors, so ``reachable`` from a root gives the same forest either way.
     """
+    if roots is not None:
+        (start_anywhere, may_start), (end_anywhere, may_end) = _anchors(nodes, placements, roots)
     by_start = [[_group(seg, 0) for seg in segs] for segs in placements]
     by_end = [[_group(seg, 1) for seg in segs] for segs in placements]
     uses: dict[str, list[tuple[int, int]]] = {}
@@ -92,6 +107,11 @@ def lift(
         for item, alt in found:
             alts = derived.get(item)
             if alts is None:
+                if roots is not None and not (
+                    (item[0] in start_anywhere or item[:2] in may_start)
+                    and (item[0] in end_anywhere or (item[0], item[2]) in may_end)
+                ):
+                    continue
                 item = ParseItem._make(item)
                 alts = derived[item] = []
                 agenda.append(item)
@@ -132,6 +152,55 @@ def lift(
             ]
         starts.setdefault((color, q), []).append(popped)
     return derived
+
+
+def _anchors(
+    nodes: Sequence[Node],
+    placements: Sequence[Sequence[Sequence[tuple]]],
+    roots: Iterable[tuple],
+) -> tuple[tuple[set[str], set[tuple[str, Hashable]]], ...]:
+    """Where an item below one of the ``(color, p, q)`` roots can start and
+    where it can end: for each end, the colors that may sit anywhere and
+    the ``(color, position)`` pairs that may.
+
+    Ends are the least sets with each root's end at its color, and, for a
+    node whose last segment sits at ``(p, q)`` with ``q`` an end of its
+    output, ``p`` an end of its last input; every other input may end
+    anywhere.  Starts are the mirror image, through first segments and
+    first inputs.  This is top-down prediction (Earley deduction; Graham,
+    Harrison & Ruzzo 1980) read on spliced arrows, with one edge per
+    placement of an outer segment.
+    """
+    roots = list(roots)
+    inner = [(node, segs) for node, segs in zip(nodes, placements) if node.inputs]
+    starts = _anchored(
+        [(c, p) for c, p, _ in roots],
+        {c for node, _ in inner for c in node.inputs[1:]},
+        [(node.output, node.inputs[0], segs[0], 0, 1) for node, segs in inner],
+    )
+    ends = _anchored(
+        [(c, q) for c, _, q in roots],
+        {c for node, _ in inner for c in node.inputs[:-1]},
+        [(node.output, node.inputs[-1], segs[-1], 1, 0) for node, segs in inner],
+    )
+    return starts, ends
+
+
+def _anchored(
+    roots: list[tuple[str, Hashable]], anywhere: set[str], links: list[tuple]
+) -> tuple[set[str], set[tuple[str, Hashable]]]:
+    """One end of ``_anchors``.  A link ``(out, color, seg, x, y)`` says a
+    ``color`` item may sit at ``placement[y]`` for each placement of ``seg``
+    whose ``placement[x]`` is a place of ``out``."""
+    edges: list[tuple[tuple, tuple[str, Hashable]]] = [((), root) for root in roots]
+    for out, color, seg, x, y in links:
+        if color in anywhere:
+            continue
+        if out in anywhere:
+            edges += [((), (color, placement[y])) for placement in seg]
+        else:
+            edges += [(((out, placement[x]),), (color, placement[y])) for placement in seg]
+    return anywhere, derivable(edges)
 
 
 def reachable(
@@ -222,8 +291,8 @@ def _pulled(grammar: Grammar, automaton: Automaton, trim_useless: bool, over_run
         if over[q2] == gap.right
     ]
     if trim_useless:
-        derived = lift(nodes, table)
         root = (grammar.start, automaton.initial, automaton.final)
+        derived = lift(nodes, table, roots=[root])
         useful = reachable(derived, root)[0] if root in derived else {root: []}
         items = [item for item in items if item in useful]
         chosen = (

@@ -12,7 +12,8 @@ A species is also a hypergraph: colors are vertices and each node is an
 edge from its inputs to its output.  A packed forest is the same kind of
 object, with items as vertices and alternatives as edges.  The last section
 holds the fixed points both share: ``derivable`` (the vertices with a
-closed tree below them, read off any edge list) and ``trees_by_size`` (the
+closed tree below them, read off any edge list in linear time; it also
+gives the lifting kernel's anchors) and ``trees_by_size`` (the
 first trees at a vertex with exactly k nodes, in canonical order, at a cost
 bounded by how many are asked for).
 """
@@ -22,6 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence, TypeVar, Union
@@ -310,16 +312,31 @@ V = TypeVar("V", bound=Hashable)
 
 def derivable(edges: Iterable[tuple[Sequence[V], V]]) -> set[V]:
     """The least set of vertices closed under "a head holds once every tail
-    holds", for ``(tails, head)`` edges, by sweeping until nothing changes."""
+    holds", for ``(tails, head)`` edges.
+
+    A worklist: each edge counts its tails not yet held, once per
+    occurrence, and fires when the count reaches zero, so the work is linear
+    in the total size of the edges.
+    """
     edges = list(edges)
+    waiting: defaultdict[V, list[int]] = defaultdict(list)  # edges by tail
+    todo: list[V] = []
+    for e, (tails, head) in enumerate(edges):
+        for tail in tails:
+            waiting[tail].append(e)
+        if not tails:
+            todo.append(head)
+    missing = [len(tails) for tails, _ in edges]
     held: set[V] = set()
-    changed = True
-    while changed:
-        changed = False
-        for tails, head in edges:
-            if head not in held and all(map(held.__contains__, tails)):
-                held.add(head)
-                changed = True
+    while todo:
+        vertex = todo.pop()
+        if vertex in held:
+            continue
+        held.add(vertex)
+        for e in waiting.get(vertex, ()):
+            missing[e] -= 1
+            if not missing[e]:
+                todo.append(edges[e][1])
     return held
 
 

@@ -27,7 +27,8 @@ from catgram.fixtures import G_AB, G_AMB, G_END, G_EPS, G_TERN, G_UNIT, GRAPH_A,
 from catgram.freecat import FiniteGraph, Generator
 from catgram.grammar import Grammar, grammar_from_rules, import_classical, parse_classical_text
 from catgram.oracle import enumerate_language
-from catgram.parser import ParseItem, _lift
+from catgram.parser import ParseItem, _lift, _recognize_and_parse
+from catgram.product import reachable
 from catgram.species import Apply, node_count, tree_key, trees_by_size
 
 # per-fixture tree bounds covering every word up to length 8:
@@ -439,6 +440,70 @@ def test_limited_enumeration_is_a_prefix_of_the_full_one(grammar):
         for limit in (1, 10, 100):
             assert list(enumerate_parses(forest, limit)) == full[:limit], (w, limit)
     assert members > 0
+
+
+def _check_anchored_against_unanchored(grammar, w):
+    """Anchored parsing against the unanchored least fixed point, item by
+    item: the colors over the whole path, and the forest below the start
+    item (items in order, alternatives in order, cycle flag)."""
+    derived = _lift(grammar, w)
+    n = len(w.gens)
+    whole = frozenset(c for c, p, q in derived if (p, q) == (0, n))
+    assert recognize(grammar, w) == whole
+    colors, forest = _recognize_and_parse(grammar, w)
+    assert colors == whole
+    for forest in (forest, parse_forest(grammar, w)):
+        if grammar.start not in whole:
+            assert forest.is_empty
+            continue
+        reach, cyclic = reachable(derived, (grammar.start, 0, n))
+        nodes = grammar.species.nodes
+        want = [(item, [(nodes[k], kids) for k, _, kids in alts]) for item, alts in reach.items()]
+        got = [(item, [tuple(alt) for alt in alts]) for item, alts in forest.alternatives.items()]
+        assert got == want, w
+        assert forest.cyclic == cyclic, w
+
+
+def _every_path(category, max_len):
+    return [
+        w
+        for src in category.objects
+        for dst in category.objects
+        for w in enumerate_paths(category, src, dst, max_len)
+    ]
+
+
+@given(random_grammars(max_inputs=3))
+def test_anchored_parsing_equals_unanchored_on_random_grammars(grammar):
+    for w in _every_path(grammar.category, RANDOM_WORD_BOUND):
+        _check_anchored_against_unanchored(grammar, w)
+
+
+@pytest.mark.parametrize("grammar", [G_AB, G_AMB, G_EPS, G_END, G_TERN, G_UNIT])
+def test_anchored_parsing_equals_unanchored_on_fixtures(grammar):
+    for w in _every_path(grammar.category, 6):
+        _check_anchored_against_unanchored(grammar, w)
+
+
+# S -> S a | ε: the mirror image of G_EPS, anchored by its starts
+G_EPS_LEFT = grammar_from_rules(
+    GRAPH_A, "S", {"S": ("*", "*")}, [("z", "S", (), ((),)), ("w", "S", ("S",), ((), ("a",)))]
+)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 17, 60])
+def test_anchored_lift_counters(n):
+    w = GRAPH_A.path(("a",) * n, src="*")
+    chart = (n + 1) * (n + 2) // 2
+    for grammar in (G_EPS, G_EPS_LEFT):
+        assert len(_lift(grammar, w, roots=("S",))) == n + 1
+        assert len(parse_chart(grammar, w)) == chart
+        assert count_parses(parse_forest(grammar, w)) == 1
+    if n:
+        # every span of G_AMB is below the root, so nothing is dropped
+        for derived in (_lift(G_AMB, w), _lift(G_AMB, w, roots=("S",))):
+            assert len(derived) == n * (n + 1) // 2
+            assert sum(map(len, derived.values())) == math.comb(n + 1, 3) + n
 
 
 @given(random_grammars())

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -33,7 +34,9 @@ from catgram import (
     trim,
     word,
 )
+import catgram.product
 from catgram.automaton import runs_by_source
+from catgram.product import lift
 from catgram.fixtures import G_AB, G_AMB, G_END, GRAPH_A, GRAPH_AB, M_EVENA
 from conftest import words
 from test_parser import GRAPH_PQ, RANDOM_WORD_BOUND, random_grammars
@@ -206,12 +209,12 @@ def test_trimmed_pullback_is_trim_of_raw_product():
 
 
 @st.composite
-def grammars_and_automata(draw):
+def grammars_and_automata(draw, max_inputs=2):
     """A random grammar over GRAPH_PQ and a random automaton over the same
     graph: an initial and a final state over the start color's gap type
     (one state when the draw allows it), up to two more states, and a
     random subset of the transitions that lie over generators."""
-    grammar = draw(random_grammars())
+    grammar = draw(random_grammars(max_inputs))
     gap = grammar.gap_of(grammar.start)
     states = [State("i", gap.left)]
     final = "i"
@@ -243,6 +246,24 @@ def test_intersection_agrees_with_oracles_on_random_automata(pair):
         w for w in enumerate_language(grammar, RANDOM_WORD_BOUND) if run_membership(automaton, w)
     )
     assert enumerate_language(intersect(grammar, automaton), RANDOM_WORD_BOUND) == want
+
+
+def _unanchored_lift(nodes, placements, reverse_agenda=False, roots=None):
+    """The kernel with its roots ignored: the whole least fixed point."""
+    return lift(nodes, placements, reverse_agenda)
+
+
+def _check_anchored_pullback(grammar, automaton):
+    """The trimmed pullback and intersection read off the anchored kernel
+    equal those read off the unanchored one by ``reachable``."""
+    anchored = (pullback_grammar(grammar, automaton), intersect(grammar, automaton))
+    with mock.patch.object(catgram.product, "lift", _unanchored_lift):
+        assert (pullback_grammar(grammar, automaton), intersect(grammar, automaton)) == anchored
+
+
+@given(grammars_and_automata(max_inputs=3))
+def test_anchored_pullback_equals_unanchored_on_random_automata(pair):
+    _check_anchored_pullback(*pair)
 
 
 # -- pinned output ------------------------------------------------------------
@@ -314,6 +335,11 @@ def test_intersection_output_is_pinned(name):
     assert _pinned_digests(grammar, automaton) == digests
     for trim_useless, image in ((False, digests[1]), (True, digests[3])):
         assert _digest(intersect(grammar, automaton, trim_useless=trim_useless)) == image
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CASES))
+def test_anchored_pullback_equals_unanchored_on_pinned_cases(name):
+    _check_anchored_pullback(*PINNED_CASES[name])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12])

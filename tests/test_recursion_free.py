@@ -146,9 +146,12 @@ def test_deep_tree_repr():
 
 
 def test_nullable_chain_enumerates():
-    forest = parse_forest(G_EPS, word(G_EPS.category, "a" * 600))
+    w = word(G_EPS.category, "a" * N)
+    forest = parse_forest(G_EPS, w)
+    assert count_parses(forest) == 1
     (tree,) = enumerate_parses(forest, 10)
-    assert preorder_names(tree) == ("w",) * 600 + ("z",)
+    assert preorder_names(tree) == ("w",) * N + ("z",)
+    assert eval_tree(G_EPS, tree).as_path() == w
 
 
 def _self_referencing_functions(source: pathlib.Path) -> list[str]:

@@ -18,7 +18,7 @@ from catgram import (
     tree_substitute,
     validate_species_map,
 )
-from catgram.species import tree_key
+from catgram.species import derivable, tree_key
 from catgram.fixtures import G_AB, G_AMB
 
 AB_SPECIES = G_AB.species
@@ -213,3 +213,35 @@ def test_root_and_closed_queries():
     assert root_color(t) == "S"
     assert not is_closed(t)
     assert is_closed(tree_substitute(t, 0, Apply(R0, ())))
+
+
+def _derivable_by_sweep(edges):
+    """The reference fixed point: sweep every edge until nothing changes."""
+    held = set()
+    changed = True
+    while changed:
+        changed = False
+        for tails, head in edges:
+            if head not in held and all(t in held for t in tails):
+                held.add(head)
+                changed = True
+    return held
+
+
+VERTICES = st.integers(0, 7)
+
+
+@given(st.lists(st.tuples(st.lists(VERTICES, max_size=4), VERTICES), max_size=16))
+def test_derivable_agrees_with_the_sweep(edges):
+    # empty tails start the closure; tails repeat within an edge and across
+    # edges, and a head is often a tail of its own edge
+    assert derivable(edges) == _derivable_by_sweep(edges)
+
+
+def test_derivable_counts_each_tail_occurrence():
+    assert derivable([((), 1), ((1, 1), 2), ((2, 3, 2), 4)]) == {1, 2}
+    assert derivable([((), 1), ((1, 1), 2), ((2, 2), 3), ((3,), 3)]) == {1, 2, 3}
+    assert derivable([((0,), 0)]) == set()
+    # a chain given in descending order: one sweep per link, one step each
+    chain = [((k + 1,), k) for k in range(400)] + [((), 400)]
+    assert derivable(chain) == _derivable_by_sweep(chain) == set(range(401))
