@@ -98,7 +98,6 @@ from .automaton import (
 from .automaton import import_classical as import_classical_automaton
 from .product import intersect, pullback_grammar, trim
 from .contour import (
-    Corner,
     CSDecomposition,
     DyckLetter,
     brackets,
@@ -108,7 +107,6 @@ from .contour import (
     contour_functor,
     contour_interpretation,
     contour_word,
-    corners_of,
     cs_check,
     cs_decompose,
     dyck_decode,

@@ -92,6 +92,8 @@ def _emit(args: argparse.Namespace, data: Any, text: str) -> None:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
+    if not (args.grammar or args.automaton or args.species):
+        raise InputError("validate: nothing to check; pass -g, -m or -s")
     problems: list[str] = []
     if args.grammar:
         problems += validate(_load_grammar(args.grammar))

@@ -14,14 +14,20 @@ consistently, and (iii) a functor interpreting corners as the grammar's
 actual segments.  The grammar's language is the image under (iii) of the
 intersection of the languages of (i) and (ii).
 
-Contour categories are built only for free operads here; general operads
-would need the quotient presentation and a word-problem solver.
+The contour category depends only on the species, so it is built once per
+species value, together with its corners by name, and every construction
+here reads that one table.  Contour categories are built only for free
+operads here; general operads would need the quotient presentation and a
+word-problem solver.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from functools import lru_cache
+from itertools import islice
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import CompositionError, InputError
 from .automaton import Automaton, State, Transition
@@ -46,50 +52,32 @@ def corner_name(node_name: str, index: int) -> str:
     return f"({node_name},{index})"
 
 
-@dataclass(frozen=True)
-class Corner:
-    """Generating arrow of the contour category: a node and a boundary index."""
+@lru_cache(maxsize=64)
+def _contour_table(species: Species) -> tuple[FiniteGraph, Mapping[str, tuple[Node, int]]]:
+    """The contour category of a species and its corners by name, as
+    ``name -> (node, index)``; built once per species value.
 
-    node: Node
-    index: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.index <= self.node.arity:
-            raise InputError(
-                f"corner index {self.index} out of range for arity {self.node.arity}"
-            )
-
-    @property
-    def name(self) -> str:
-        return corner_name(self.node.name, self.index)
-
-    @property
-    def src(self) -> str:
-        if self.index == 0:
-            return up(self.node.output)
-        return down(self.node.inputs[self.index - 1])
-
-    @property
-    def dst(self) -> str:
-        if self.index == self.node.arity:
-            return down(self.node.output)
-        return up(self.node.inputs[self.index])
-
-
-def corners_of(species: Species) -> tuple[Corner, ...]:
-    return tuple(
-        Corner(node, i) for node in species.nodes for i in range(node.arity + 1)
-    )
+    A node of arity n has corners 0..n: corner i leaves the output color
+    upward (i = 0) or input i-1 downward, and arrives at input i upward or
+    at the output downward (i = n).  Generators come node by node, each
+    node's corners in index order.
+    """
+    objects = tuple(o for c in species.colors for o in (up(c), down(c)))
+    generators: list[Generator] = []
+    corners: dict[str, tuple[Node, int]] = {}
+    for node in species.nodes:
+        sources = (up(node.output), *map(down, node.inputs))
+        targets = (*map(up, node.inputs), down(node.output))
+        for i, (src, dst) in enumerate(zip(sources, targets)):
+            name = corner_name(node.name, i)
+            generators.append(Generator(name, src, dst))
+            corners[name] = (node, i)
+    return FiniteGraph(objects, tuple(generators)), MappingProxyType(corners)
 
 
 def contour_category(species: Species) -> FiniteGraph:
     """The free category on oriented colors and corners."""
-    objects: list[str] = []
-    for c in species.colors:
-        objects.append(up(c))
-        objects.append(down(c))
-    generators = tuple(Generator(c.name, c.src, c.dst) for c in corners_of(species))
-    return FiniteGraph(tuple(objects), generators)
+    return _contour_table(species)[0]
 
 
 def universal_grammar(species: Species, start: str) -> Grammar:
@@ -99,24 +87,32 @@ def universal_grammar(species: Species, start: str) -> Grammar:
         raise InputError(f"unknown start color {start!r}")
     graph = contour_category(species)
     color_gap = {c: GapType(up(c), down(c)) for c in species.colors}
-    node_splice = {}
-    for node in species.nodes:
-        corners = [Corner(node, i) for i in range(node.arity + 1)]
-        node_splice[node.name] = SplicedArrow(
+    corners = iter(graph.generators)  # node by node, each in index order
+    node_splice = {
+        node.name: SplicedArrow(
             outer=color_gap[node.output],
             gaps=tuple(color_gap[c] for c in node.inputs),
-            segments=tuple(Path(c.src, c.dst, (c.name,)) for c in corners),
+            segments=tuple(
+                Path(g.src, g.dst, (g.name,)) for g in islice(corners, node.arity + 1)
+            ),
         )
+        for node in species.nodes
+    }
     return Grammar(graph, species, start, color_gap, node_splice)
 
 
 def contour_word(species: Species, tree: DerivationTree) -> Path:
     """The corner sequence traced by walking around a closed tree; equals the
     evaluation of the tree in the universal grammar."""
+    nodes = species.node_by_name
     gens: list[str] = []
     for t, i in walk(tree):
         if isinstance(t, Leaf):
             raise InputError("contour words are defined for closed trees")
+        if i == 0:
+            own = nodes.get(t.node.name)
+            if own is not t.node and own != t.node:
+                raise InputError(f"tree node {t.node.name!r} is not a node of the species")
         gens.append(corner_name(t.node.name, i))
     root = tree.node.output  # type: ignore[union-attr]
     return Path(up(root), down(root), tuple(gens))
@@ -125,17 +121,15 @@ def contour_word(species: Species, tree: DerivationTree) -> Path:
 def contour_interpretation(grammar: Grammar) -> FreeFunctor:
     """The functor from the contour category of the grammar's species to its
     base category, reading each corner as the matching splice segment."""
-    dom = contour_category(grammar.species)
+    dom, corners = _contour_table(grammar.species)
     object_map = {}
     for c in grammar.species.colors:
         gap = grammar.gap_of(c)
         object_map[up(c)] = gap.left
         object_map[down(c)] = gap.right
-    generator_map = {}
-    for node in grammar.species.nodes:
-        splice = grammar.splice_of(node.name)
-        for i in range(node.arity + 1):
-            generator_map[corner_name(node.name, i)] = splice.segments[i]
+    generator_map = {
+        name: grammar.splice_of(node.name).segments[i] for name, (node, i) in corners.items()
+    }
     return FreeFunctor(
         domain=dom,
         codomain=grammar.category,
@@ -147,16 +141,18 @@ def contour_interpretation(grammar: Grammar) -> FreeFunctor:
 def contour_functor(phi: SpeciesMap) -> FreeFunctor:
     """The functor between contour categories induced by a species map; it
     sends corners to corners, so it is a finitary ULF functor."""
-    dom = contour_category(phi.source)
+    dom, corners = _contour_table(phi.source)
     cod = contour_category(phi.target)
     object_map = {}
     for c in phi.source.colors:
         object_map[up(c)] = up(phi.apply_color(c))
         object_map[down(c)] = down(phi.apply_color(c))
     generator_map = {}
-    for corner in corners_of(phi.source):
-        image = Corner(phi.target.node_by_name[phi.apply_node(corner.node.name)], corner.index)
-        generator_map[corner.name] = Path(image.src, image.dst, (image.name,))
+    for g in dom.generators:
+        # FreeFunctor checks that the target species has this corner
+        node, i = corners[g.name]
+        image = corner_name(phi.apply_node(node.name), i)
+        generator_map[g.name] = Path(object_map[g.src], object_map[g.dst], (image,))
     return FreeFunctor(dom, cod, object_map, generator_map)
 
 
@@ -213,10 +209,8 @@ def colors_automaton(grammar: Grammar) -> Automaton:
         target = collapse.apply_color(c)
         states.append(State(up(c), up(target)))
         states.append(State(down(c), down(target)))
-    transitions = tuple(
-        Transition(corner.name, corner.src, corner.dst, corner.name)
-        for corner in corners_of(grammar.species)
-    )
+    corners = contour_category(grammar.species).generators
+    transitions = tuple(Transition(g.name, g.src, g.dst, g.name) for g in corners)
     return Automaton(
         base=base,
         states=tuple(states),
@@ -268,15 +262,10 @@ def cs_check(grammar: Grammar, max_len: int) -> tuple[bool, tuple[Path, ...], tu
 # Dyck translation
 
 
-@dataclass(frozen=True)
-class DyckLetter:
+class DyckLetter(NamedTuple):
     bracket: str
     node: str
     index: int
-
-    def __post_init__(self) -> None:
-        if self.bracket not in ("[", "]"):
-            raise InputError(f"bracket must be '[' or ']', got {self.bracket!r}")
 
 
 def dyck_translate(species: Species, cw: Path) -> tuple[DyckLetter, ...]:
@@ -285,17 +274,19 @@ def dyck_translate(species: Species, cw: Path) -> tuple[DyckLetter, ...]:
     A corner first closes the edge it arrives on (opening at index 0, where
     it arrives from above) and then opens the edge it leaves on (closing at
     the last index, where it leaves downward), doubling the word length.
+    An identity path is the contour of no closed tree, so it is rejected.
     """
-    table = {c.name: c for c in corners_of(species)}
+    if cw.is_identity:
+        raise InputError(f"identity path at {cw.src!r} is not the contour of a closed tree")
+    _, corners = _contour_table(species)
     letters: list[DyckLetter] = []
     for name in cw.gens:
-        corner = table.get(name)
+        corner = corners.get(name)
         if corner is None:
             raise InputError(f"unknown corner {name!r}")
-        n = corner.node.arity
-        i = corner.index
-        letters.append(DyckLetter("[" if i == 0 else "]", corner.node.name, i))
-        letters.append(DyckLetter("[" if i < n else "]", corner.node.name, i))
+        node, i = corner
+        letters.append(DyckLetter("[" if i == 0 else "]", node.name, i))
+        letters.append(DyckLetter("[" if i < node.arity else "]", node.name, i))
     return tuple(letters)
 
 
@@ -326,9 +317,8 @@ def dyck_decode(species: Species, letters: Iterable[DyckLetter]) -> Path:
         if second.bracket != ("[" if i < node.arity else "]"):
             raise InputError(f"letter {k + 1} violates the departure orientation rule")
         gens.append(corner_name(node.name, i))
-    graph = contour_category(species)
     try:
-        return graph.path(tuple(gens))
+        return contour_category(species).path(tuple(gens))
     except CompositionError as exc:
         raise InputError(f"letters do not decode to a contour path: {exc}") from exc
 

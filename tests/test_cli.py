@@ -190,6 +190,15 @@ def test_dyck_roundtrip_via_files(files, tmp_path):
     assert json.loads(res.stdout)["contour"] == list(cw.gens)
 
 
+def test_dyck_encode_of_identity_path_exits_2(files):
+    # its empty bracket word would not decode, so it is refused up front
+    identity = files["write"]("identity.json", {"src": "1↑"})
+    res = run_cli("dyck", "--encode", "-s", files["fig3_species.json"], "-i", identity)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr == "error: identity path at '1↑' is not the contour of a closed tree\n"
+
+
 def test_cs_decompose_check(files):
     res = run_cli("cs-decompose", "-g", files["g_ab.json"], "--check-bound", "6")
     assert res.returncode == 0
@@ -208,6 +217,13 @@ def test_validate_commands(files, tmp_path):
     broken.write_text("{not json", encoding="utf-8")
     res = run_cli("validate", "-g", str(broken))
     assert res.returncode == 2
+
+
+def test_validate_without_input_exits_2():
+    res = run_cli("validate")
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr == "error: validate: nothing to check; pass -g, -m or -s\n"
 
 
 def test_text_format(files):

@@ -5,9 +5,11 @@ from catgram import (
     Apply,
     CompositionError,
     DyckLetter,
+    FiniteGraph,
     InputError,
     Node,
     Species,
+    SpeciesMap,
     apply_functor,
     brackets,
     chromatic_factorization,
@@ -29,6 +31,7 @@ from catgram import (
     eval_tree,
     functorial_image,
     grammar_from_rules,
+    identity_path,
     pullback_grammar,
     ulf_check_bounded,
     union,
@@ -87,6 +90,33 @@ def test_contour_category_g_ab_corners():
     assert (r1_1.src, r1_1.dst) == ("S" + DOWN, "S" + DOWN)
 
 
+def test_contour_category_is_built_once_per_species(monkeypatch):
+    # colors and nodes no other test uses, so no earlier call built this one
+    species = Species(
+        ("once",),
+        (Node("pair", ("once", "once"), "once"), Node("lone", (), "once")),
+    )
+    built = []
+    post_init = FiniteGraph.__post_init__
+
+    def counting(graph):
+        built.append(graph)
+        post_init(graph)
+
+    monkeypatch.setattr(FiniteGraph, "__post_init__", counting)
+    for t in enumerate_closed_trees(species, "once", 9):
+        cw = contour_word(species, t)
+        assert dyck_decode(species, dyck_translate(species, cw)) == cw
+    uni = universal_grammar(species, "once")
+    contour_interpretation(uni)
+    identity = SpeciesMap(
+        species, species, {"once": "once"}, {n.name: n.name for n in species.nodes}
+    )
+    contour_functor(identity)
+    assert contour_category(species) == uni.category
+    assert len(built) <= 1
+
+
 # -- universal grammars --------------------------------------------------------
 
 
@@ -134,6 +164,17 @@ def test_contour_word_g_ab_tree():
     r1 = G_AB.species.node_by_name["r1"]
     cw = contour_word(G_AB.species, Apply(r1, (Apply(r0, ()),)))
     assert cw.gens == ("(r1,0)", "(r0,0)", "(r1,1)")
+
+
+def test_contour_word_rejects_nodes_of_another_species():
+    r0 = G_AB.species.node_by_name["r0"]
+    r1 = G_AB.species.node_by_name["r1"]
+    with pytest.raises(InputError, match=r"^tree node 'r1' is not a node of the species$"):
+        contour_word(SPC_FIG3, Apply(r1, (Apply(r0, ()),)))
+    # same name as a node of SPC_FIG3, different output color
+    other_b = Node("b", (), "2")
+    with pytest.raises(InputError, match=r"^tree node 'b' is not a node of the species$"):
+        contour_word(SPC_FIG3, Apply(other_b, ()))
 
 
 def test_contour_word_equals_universal_evaluation():
@@ -384,6 +425,55 @@ def test_dyck_roundtrip():
     for species, cw in _fixture_contours():
         letters = dyck_translate(species, cw)
         assert dyck_decode(species, letters) == cw
+
+
+def test_dyck_translate_rejects_identity_paths():
+    # no closed tree has an empty contour, and dyck_decode rejects ()
+    with pytest.raises(InputError) as info:
+        dyck_translate(SPC_FIG3, identity_path("1" + UP))
+    assert str(info.value) == "identity path at '1↑' is not the contour of a closed tree"
+
+
+_FIG3_LETTERS = dyck_translate(SPC_FIG3, contour_word(SPC_FIG3, fig3_tree()))
+
+
+@pytest.mark.parametrize(
+    "letters, message",
+    [
+        ((), "empty letter sequence"),
+        (_FIG3_LETTERS[:-1], "odd number of letters"),
+        (
+            _FIG3_LETTERS[:1] + (DyckLetter("[", "c", 0),) + _FIG3_LETTERS[2:],
+            "letters 0 and 1 do not annotate the same corner: (a,0) vs (c,0)",
+        ),
+        ((DyckLetter("[", "z", 0),) * 2 + _FIG3_LETTERS[2:], "unknown node 'z'"),
+        (
+            (DyckLetter("]", "a", 4),) * 2 + _FIG3_LETTERS[2:],
+            "corner index 4 out of range for node 'a'",
+        ),
+        (
+            (DyckLetter("]", "a", 0), DyckLetter("[", "a", 0)) + _FIG3_LETTERS[2:],
+            "letter 0 violates the arrival orientation rule",
+        ),
+        (
+            (DyckLetter("[", "a", 0), DyckLetter("]", "a", 0)) + _FIG3_LETTERS[2:],
+            "letter 1 violates the departure orientation rule",
+        ),
+        (
+            _FIG3_LETTERS[2:4] + _FIG3_LETTERS[:2] + _FIG3_LETTERS[4:],
+            "letters do not decode to a contour path: generators do not compose: "
+            "expected source '1↓', got '(a,0)' : '1↑' -> '1↑'",
+        ),
+    ],
+    ids=[
+        "empty", "odd", "mismatched", "unknown-node",
+        "index-range", "arrival", "departure", "composition",
+    ],
+)
+def test_dyck_decode_messages(letters, message):
+    with pytest.raises(InputError) as info:
+        dyck_decode(SPC_FIG3, letters)
+    assert str(info.value) == message
 
 
 def test_dyck_decode_rejects_garbage():
