@@ -72,7 +72,6 @@ from .grammar import (
     validate,
 )
 from .parser import (
-    Alternative,
     PackedForest,
     ParseItem,
     count_parses,

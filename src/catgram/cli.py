@@ -84,8 +84,9 @@ def _render_word(graph: FiniteGraph, p: Path) -> Any:
     return jsonio.path_to_json(p)
 
 
-def _emit(args: argparse.Namespace, data: Any, text: str) -> None:
-    if args.format == "json":
+def _emit(args: argparse.Namespace, data: Any, text: str | None = None) -> None:
+    """Write ``data`` as JSON, or ``text`` (by default the JSON) as text."""
+    if args.format == "json" or text is None:
         sys.stdout.write(jsonio.dumps(data))
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
@@ -159,14 +160,13 @@ def _cmd_intersect(args: argparse.Namespace) -> int:
         result = pullback_grammar(grammar, automaton, trim_useless=trim_useless)
     else:
         result = intersect(grammar, automaton, trim_useless=trim_useless)
-    _emit(args, jsonio.grammar_to_json(result), jsonio.dumps(jsonio.grammar_to_json(result)))
+    _emit(args, jsonio.grammar_to_json(result))
     return 0
 
 
 def _cmd_bilinearize(args: argparse.Namespace) -> int:
     grammar = _load_grammar(args.grammar)
-    data = jsonio.grammar_to_json(bilinearize(grammar))
-    _emit(args, data, jsonio.dumps(data))
+    _emit(args, jsonio.grammar_to_json(bilinearize(grammar)))
     return 0
 
 
@@ -184,11 +184,8 @@ def _cmd_dyck(args: argparse.Namespace) -> int:
     if args.encode:
         cw = jsonio.path_from_json(contour_category(species), data, "contour")
         letters = dyck_translate(species, cw)
-        _emit(
-            args,
-            {"letters": jsonio.dyck_letters_to_json(letters), "brackets": brackets(letters)},
-            brackets(letters),
-        )
+        word = brackets(letters)
+        _emit(args, {"letters": jsonio.dyck_letters_to_json(letters), "brackets": word}, word)
     else:
         letters = jsonio.dyck_letters_from_json(data)
         cw = dyck_decode(species, letters)
@@ -210,7 +207,7 @@ def _cmd_cs_decompose(args: argparse.Namespace) -> int:
         equal, _, _ = cs_check(grammar, args.check_bound)
         payload["check"] = {"bound": args.check_bound, "equal": equal}
         code = 0 if equal else 1
-    _emit(args, payload, jsonio.dumps(payload))
+    _emit(args, payload)
     return code
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import CompositionError, InputError
 from .automaton import Automaton, State, Transition
@@ -168,15 +168,9 @@ def chromatic_factorization(grammar: Grammar) -> tuple[Grammar, SpeciesMap]:
     collapse (identity on nodes).  The chromatic language only loses
     coloring constraints, so it contains the original one.
     """
-    seen: list[str] = []
-    gap_of_color: dict[str, str] = {}
-    for c in grammar.species.colors:
-        name = gap_color(grammar.gap_of(c))
-        gap_of_color[c] = name
-        if name not in seen:
-            seen.append(name)
+    gap_of_color = {c: gap_color(grammar.gap_of(c)) for c in grammar.species.colors}
     chrom_species = Species(
-        colors=tuple(seen),
+        colors=tuple(dict.fromkeys(gap_of_color.values())),
         nodes=tuple(
             Node(n.name, tuple(gap_of_color[c] for c in n.inputs), gap_of_color[n.output])
             for n in grammar.species.nodes
@@ -262,10 +256,30 @@ def cs_check(grammar: Grammar, max_len: int) -> tuple[bool, tuple[Path, ...], tu
 # Dyck translation
 
 
+_NO_TREE = "not the contour of a closed tree"
+
+
 class DyckLetter(NamedTuple):
     bracket: str
     node: str
     index: int
+
+
+def _pair_letters(letters: Sequence[DyckLetter]) -> None:
+    """Check in one stack pass that letters obeying the orientation rules
+    pair as the translation pairs them: the second letter of ``(x,i)`` with
+    the first of ``(x,i+1)``, the first of ``(x,0)`` with the second of
+    ``(x,arity)``.  So each corner ``(x,i)`` with i > 0 is the next one of
+    the innermost open node, and a composable path passes just when it is
+    the contour of a closed tree."""
+    waiting: list[tuple[str, int]] = []  # the next corner of each open node
+    for k, (bracket, name, i) in enumerate(letters[1::2]):
+        if i and (not waiting or waiting.pop() != (name, i)):
+            raise InputError(f"corner {k} {corner_name(name, i)} is out of turn: {_NO_TREE}")
+        if bracket == "[":
+            waiting.append((name, i + 1))
+    if waiting:
+        raise InputError(f"the path ends inside {len(waiting)} open node(s): {_NO_TREE}")
 
 
 def dyck_translate(species: Species, cw: Path) -> tuple[DyckLetter, ...]:
@@ -274,10 +288,10 @@ def dyck_translate(species: Species, cw: Path) -> tuple[DyckLetter, ...]:
     A corner first closes the edge it arrives on (opening at index 0, where
     it arrives from above) and then opens the edge it leaves on (closing at
     the last index, where it leaves downward), doubling the word length.
-    An identity path is the contour of no closed tree, so it is rejected.
+    A path that is the contour of no closed tree is rejected.
     """
     if cw.is_identity:
-        raise InputError(f"identity path at {cw.src!r} is not the contour of a closed tree")
+        raise InputError(f"identity path at {cw.src!r} is {_NO_TREE}")
     _, corners = _contour_table(species)
     letters: list[DyckLetter] = []
     for name in cw.gens:
@@ -287,12 +301,13 @@ def dyck_translate(species: Species, cw: Path) -> tuple[DyckLetter, ...]:
         node, i = corner
         letters.append(DyckLetter("[" if i == 0 else "]", node.name, i))
         letters.append(DyckLetter("[" if i < node.arity else "]", node.name, i))
+    _pair_letters(letters)
     return tuple(letters)
 
 
 def dyck_decode(species: Species, letters: Iterable[DyckLetter]) -> Path:
     """Recover the contour word from its bracket expansion, validating the
-    pairing and the two orientation rules."""
+    pairing, the two orientation rules and that it is a tree's contour."""
     letters = tuple(letters)
     if not letters:
         raise InputError("empty letter sequence")
@@ -318,9 +333,11 @@ def dyck_decode(species: Species, letters: Iterable[DyckLetter]) -> Path:
             raise InputError(f"letter {k + 1} violates the departure orientation rule")
         gens.append(corner_name(node.name, i))
     try:
-        return contour_category(species).path(tuple(gens))
+        cw = contour_category(species).path(tuple(gens))
     except CompositionError as exc:
         raise InputError(f"letters do not decode to a contour path: {exc}") from exc
+    _pair_letters(letters)
+    return cw
 
 
 def brackets(letters: Iterable[DyckLetter]) -> str:

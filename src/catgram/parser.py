@@ -21,23 +21,24 @@ segment of a usable node ends, or ends where no last segment starts.  No
 item or alternative below a root is dropped.
 
 A packed forest shares subderivations: each item carries its local
-alternatives (a node plus child items), and unfolding the forest from the
-root item reproduces exactly the closed derivation trees of the word.  It
-is the kernel's own output: the items ``product.reachable`` finds below the
-root, children first, alternatives in node declaration order then gap spans
-ascending, each item the one ``ParseItem`` object the kernel derived.  A
-forest is a hypergraph like a species, with items as vertices and
-alternatives as edges: parse counts and size bounds fold over its
-children-first order, and enumeration is ``species.trees_by_size`` within
-those bounds, cut at the caller's limit: its cost is bounded by the limit,
-not by the number of trees of a size.
+alternatives, ``(node, child items)`` pairs, and unfolding the forest from
+the root item reproduces exactly the closed derivation trees of the word.
+It is the kernel's own output: the items ``product.reachable`` finds below
+the root, children first unless a cycle is reachable, alternatives in node
+declaration order then gap spans ascending, each item the one ``ParseItem``
+object the kernel derived.  A forest is a hypergraph like a species, with
+items as vertices and alternatives as edges: parse counts and size bounds
+fold over its items in key order, and enumeration is
+``species.trees_by_size`` on those edges within those bounds, cut at the
+caller's limit: its cost is bounded by the limit, not by the number of
+trees of a size.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, NamedTuple
+from dataclasses import dataclass
+from typing import Iterable, Mapping
 
 from .errors import InputError
 from .grammar import Grammar
@@ -46,31 +47,23 @@ from .species import DerivationTree, Node, trees_by_size
 from .freecat import Path
 
 
-class Alternative(NamedTuple):
-    """One way to derive an item: a node applied to child items."""
-
-    node: Node
-    children: tuple[ParseItem, ...]
+# one way to derive an item: a node applied to child items
+Alternative = tuple[Node, tuple[ParseItem, ...]]
 
 
 @dataclass(frozen=True)
 class PackedForest:
-    """The root item's alternatives, closed downwards.  ``order`` lists the
-    items children first, or is ``None`` when a derivation cycle (through
-    empty-segment or unit chains) is reachable."""
+    """The root item's alternatives, closed downwards: items children first
+    unless ``cyclic``, when a derivation cycle (through empty-segment or
+    unit chains) is reachable."""
 
-    word: Path
     root: ParseItem | None
     alternatives: Mapping[ParseItem, tuple[Alternative, ...]]
-    order: tuple[ParseItem, ...] | None = field(repr=False, compare=False)
+    cyclic: bool
 
     @property
     def is_empty(self) -> bool:
         return self.root is None
-
-    @property
-    def cyclic(self) -> bool:
-        return self.order is None
 
 
 def _lift(
@@ -84,11 +77,10 @@ def _lift(
     gens = w.gens
     objs = [w.src] + [grammar.category.generator_by_name[name].dst for name in gens]
 
-    def placements(seg: Path) -> list[tuple[int, int, None]]:
+    def placements(seg: Path) -> list[tuple[int, int]]:
         k = len(seg.gens)
-        if k == 0:
-            return [(p, p, None) for p, obj in enumerate(objs) if obj == seg.src]
-        return [(p, p + k, None) for p in range(len(gens) - k + 1) if gens[p : p + k] == seg.gens]
+        fits = range(len(gens) - k + 1)
+        return [(p, p + k) for p in fits if objs[p] == seg.src and gens[p : p + k] == seg.gens]
 
     nodes = grammar.species.nodes
     table = [[placements(seg) for seg in grammar.splice_of(node.name).segments] for node in nodes]
@@ -134,15 +126,13 @@ def _forest(grammar: Grammar, w: Path, derived: dict[ParseItem, list[Alt]]) -> P
     """The items of ``derived`` below the start item over the whole path."""
     root = _whole(derived, len(w.gens)).get(grammar.start)
     if root is None:
-        return PackedForest(w, None, {}, ())
+        return PackedForest(None, {}, False)
     reach, cyclic = reachable(derived, root)
     nodes = grammar.species.nodes
     alternatives = {
-        item: tuple([Alternative(nodes[n], kids) for n, _, kids in alts])
-        for item, alts in reach.items()
+        item: tuple([(nodes[n], kids) for n, _, kids in alts]) for item, alts in reach.items()
     }
-    order = None if cyclic else tuple(alternatives)
-    return PackedForest(w, root, alternatives, order)
+    return PackedForest(root, alternatives, cyclic)
 
 
 def count_parses(forest: PackedForest) -> int | float:
@@ -153,11 +143,11 @@ def count_parses(forest: PackedForest) -> int | float:
     if forest.cyclic:
         return math.inf
     counts: dict[ParseItem, int] = {}
-    for item in forest.order:
+    for item, alts in forest.alternatives.items():
         total = 0
-        for alt in forest.alternatives[item]:
+        for _, children in alts:
             prod = 1
-            for child in alt.children:
+            for child in children:
                 prod *= counts[child]
                 if prod == 0:
                     break
@@ -172,12 +162,12 @@ def _size_bounds(forest: PackedForest) -> dict[ParseItem, tuple[int | float, int
     if forest.cyclic:
         return {item: (1, math.inf) for item in forest.alternatives}
     bounds: dict[ParseItem, tuple[int | float, int | float]] = {}
-    for item in forest.order:
+    for item, alts in forest.alternatives.items():
         lo: int | float = math.inf
         hi: int | float = 0
-        for alt in forest.alternatives[item]:
-            lo = min(lo, 1 + sum(bounds[c][0] for c in alt.children))
-            hi = max(hi, 1 + sum(bounds[c][1] for c in alt.children))
+        for _, children in alts:
+            lo = min(lo, 1 + sum(bounds[c][0] for c in children))
+            hi = max(hi, 1 + sum(bounds[c][1] for c in children))
         bounds[item] = (lo, hi)
     return bounds
 

@@ -199,6 +199,35 @@ def test_dyck_encode_of_identity_path_exits_2(files):
     assert res.stderr == "error: identity path at '1↑' is not the contour of a closed tree\n"
 
 
+@pytest.mark.parametrize(
+    "contour, letters, error",
+    [
+        (
+            ["(a,0)"],
+            [("[", "a", 0), ("[", "a", 0)],
+            "the path ends inside 1 open node(s)",
+        ),
+        (
+            ["(c,0)", "(b,0)", "(c,2)"],
+            [("[", "c", 0), ("[", "c", 0), ("[", "b", 0), ("]", "b", 0)]
+            + [("]", "c", 2), ("]", "c", 2)],
+            "corner 2 (c,2) is out of turn",
+        ),
+    ],
+    ids=["open", "skipped-corner"],
+)
+def test_dyck_of_a_path_that_is_no_contour_exits_2(files, contour, letters, error):
+    species = files["fig3_species.json"]
+    contour_file = files["write"]("contour.json", contour)
+    letters_file = files["write"](
+        "letters.json", [{"bracket": b, "node": n, "index": i} for b, n, i in letters]
+    )
+    line = f"error: {error}: not the contour of a closed tree\n"
+    for args in (("--encode", "-i", contour_file), ("--decode", "-i", letters_file)):
+        res = run_cli("dyck", *args, "-s", species)
+        assert (res.returncode, res.stdout, res.stderr) == (2, "", line)
+
+
 def test_cs_decompose_check(files):
     res = run_cli("cs-decompose", "-g", files["g_ab.json"], "--check-bound", "6")
     assert res.returncode == 0
@@ -230,6 +259,28 @@ def test_text_format(files):
     res = run_cli("--format", "text", "parse", "-g", files["g_ab.json"], "-w", "aabb")
     assert res.returncode == 0
     assert "member: True" in res.stdout
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("intersect", "-g", "g_ab.json", "-m", "m_evena.json"),
+        ("intersect", "-g", "g_ab.json", "-m", "m_evena.json", "--emit", "pullback"),
+        ("bilinearize", "-g", "g_ab.json"),
+        ("cs-decompose", "-g", "g_ab.json", "--check-bound", "4"),
+    ],
+    ids=["intersect", "pullback", "bilinearize", "cs-decompose"],
+)
+def test_text_format_of_a_json_payload_is_its_json(files, capsys, command):
+    from catgram import cli
+
+    args = [files.get(arg, arg) for arg in command]
+    outputs = []
+    for fmt in ("json", "text"):
+        assert cli.run(["--format", fmt, *args]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    json.loads(outputs[0])
 
 
 def test_text_parse_enumerates_no_trees(files, monkeypatch, capsys):

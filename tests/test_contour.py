@@ -434,6 +434,62 @@ def test_dyck_translate_rejects_identity_paths():
     assert str(info.value) == "identity path at '1↑' is not the contour of a closed tree"
 
 
+def _naive_letters(species, cw):
+    """The letters of any corner path by the two orientation rules alone."""
+    letters = []
+    for name in cw.gens:
+        node_name, index = name[1:-1].rsplit(",", 1)
+        i, arity = int(index), species.node_by_name[node_name].arity
+        letters.append(DyckLetter("[" if i == 0 else "]", node_name, i))
+        letters.append(DyckLetter("[" if i < arity else "]", node_name, i))
+    return tuple(letters)
+
+
+@pytest.mark.parametrize(
+    "species, color, max_len",
+    [(SPC_FIG3, "1", 5), (G_AMB.species, "S", 7), (G_AB.species, "S", 9)],
+    ids=["fig3", "amb", "ab"],
+)
+def test_dyck_accepts_exactly_the_contours_of_closed_trees(species, color, max_len):
+    # a tree of n nodes has a contour of 2n - 1 corners
+    trees = enumerate_closed_trees(species, color, (max_len + 1) // 2)
+    contours = {contour_word(species, t) for t in trees}
+    refused = 0
+    for cw in enumerate_paths(contour_category(species), color + UP, color + DOWN, max_len):
+        letters = _naive_letters(species, cw)
+        if cw in contours:
+            assert dyck_translate(species, cw) == letters
+            assert dyck_decode(species, letters) == cw
+            continue
+        refused += 1
+        with pytest.raises(InputError, match="not the contour of a closed tree$"):
+            dyck_translate(species, cw)
+        with pytest.raises(InputError, match="not the contour of a closed tree$"):
+            dyck_decode(species, letters)
+    assert refused > 0
+
+
+@pytest.mark.parametrize(
+    "gens, message",
+    [
+        # 1↑ -> 1↑, brackets "[["
+        (("(a,0)",), "the path ends inside 1 open node(s)"),
+        # 1↑ -> 1↓ skipping (c,1) and a subtree, brackets "[[[]]]"
+        (("(c,0)", "(b,0)", "(c,2)"), "corner 2 (c,2) is out of turn"),
+    ],
+    ids=["open", "skipped-corner"],
+)
+def test_dyck_rejects_composable_paths_that_are_no_contour(gens, message):
+    cw = contour_category(SPC_FIG3).path(gens)
+    message += ": not the contour of a closed tree"
+    with pytest.raises(InputError) as info:
+        dyck_translate(SPC_FIG3, cw)
+    assert str(info.value) == message
+    with pytest.raises(InputError) as info:
+        dyck_decode(SPC_FIG3, _naive_letters(SPC_FIG3, cw))
+    assert str(info.value) == message
+
+
 _FIG3_LETTERS = dyck_translate(SPC_FIG3, contour_word(SPC_FIG3, fig3_tree()))
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 from collections import deque
@@ -27,7 +28,7 @@ from catgram.fixtures import G_AB, G_AMB, G_END, G_EPS, G_TERN, G_UNIT, GRAPH_A,
 from catgram.freecat import FiniteGraph, Generator
 from catgram.grammar import Grammar, grammar_from_rules, import_classical, parse_classical_text
 from catgram.oracle import enumerate_language
-from catgram.parser import ParseItem, _lift, _recognize_and_parse
+from catgram.parser import PackedForest, ParseItem, _lift, _recognize_and_parse
 from catgram.product import reachable
 from catgram.species import Apply, node_count, tree_key, trees_by_size
 
@@ -212,7 +213,7 @@ def test_forest_alternative_order():
     forest = parse_forest(G_AMB, word(GRAPH_A, "aaa"))
     got = {
         (item.start, item.end): [
-            (alt.node.name, [(c.start, c.end) for c in alt.children]) for alt in alts
+            (node.name, [(c.start, c.end) for c in children]) for node, children in alts
         ]
         for item, alts in forest.alternatives.items()
     }
@@ -226,12 +227,23 @@ def test_forest_alternative_order():
     }
 
 
+def test_forest_is_its_root_alternatives_and_cycle_flag():
+    assert [f.name for f in dataclasses.fields(PackedForest)] == ["root", "alternatives", "cyclic"]
+    forest = parse_forest(G_AMB, word(GRAPH_A, "aa"))
+    c, m = G_AMB.species.nodes
+    left, right, whole = ParseItem("S", 0, 1), ParseItem("S", 1, 2), ParseItem("S", 0, 2)
+    alternatives = {right: ((c, ()),), left: ((c, ()),), whole: ((m, (left, right)),)}
+    assert forest == PackedForest(whole, alternatives, False)
+    # the alternatives are (node, children) pairs, items children first
+    assert list(forest.alternatives.items()) == list(alternatives.items())
+
+
 def test_forest_holds_one_object_per_item():
     forest = parse_forest(G_AMB, word(GRAPH_A, "a" * 6))
     canonical = {item: item for item in forest.alternatives}
     for alts in forest.alternatives.values():
-        for alt in alts:
-            for child in alt.children:
+        for _, children in alts:
+            for child in children:
                 assert canonical[child] is child
 
 
@@ -350,7 +362,7 @@ def _check_reachable_graph(grammar, w):
     item once, children first."""
     forest = parse_forest(grammar, w)
     if forest.is_empty:
-        assert forest.alternatives == {} and forest.order == ()
+        assert forest.alternatives == {} and not forest.cyclic
         return
     derived = _lift(grammar, w)
     reached, queue = {forest.root}, deque([forest.root])
@@ -364,7 +376,7 @@ def _check_reachable_graph(grammar, w):
 
     keys = {id(item) for item in forest.alternatives}
     edges = {
-        item: {child for alt in alts for child in alt.children}
+        item: {child for _, children in alts for child in children}
         for item, alts in forest.alternatives.items()
     }
     assert all(id(child) in keys for kids in edges.values() for child in kids)
@@ -381,9 +393,7 @@ def _check_reachable_graph(grammar, w):
     assert forest.cyclic == any(item in seen for item, seen in below.items())
 
     if not forest.cyclic:
-        position = {item: k for k, item in enumerate(forest.order)}
-        assert len(forest.order) == len(position) == len(forest.alternatives)
-        assert position.keys() == forest.alternatives.keys()
+        position = {item: k for k, item in enumerate(forest.alternatives)}
         assert all(position[c] < position[item] for item, kids in edges.items() for c in kids)
 
 
@@ -410,7 +420,7 @@ def _unlimited(forest, at_least):
     """The canonical enumeration with no limit on any level, up to every
     tree of the forest or at least ``at_least`` trees of a cyclic one."""
     trees = trees_by_size(
-        lambda item: ((alt.node, alt.children) for alt in forest.alternatives[item]),
+        forest.alternatives.__getitem__,
         lambda item: (1, math.inf),
     )
     total = count_parses(forest)
@@ -459,7 +469,7 @@ def _check_anchored_against_unanchored(grammar, w):
         reach, cyclic = reachable(derived, (grammar.start, 0, n))
         nodes = grammar.species.nodes
         want = [(item, [(nodes[k], kids) for k, _, kids in alts]) for item, alts in reach.items()]
-        got = [(item, [tuple(alt) for alt in alts]) for item, alts in forest.alternatives.items()]
+        got = [(item, list(alts)) for item, alts in forest.alternatives.items()]
         assert got == want, w
         assert forest.cyclic == cyclic, w
 
