@@ -15,10 +15,12 @@ actual segments.  The grammar's language is the image under (iii) of the
 intersection of the languages of (i) and (ii).
 
 The contour category depends only on the species, so it is built once per
-species value, together with its corners by name, and every construction
-here reads that one table.  Contour categories are built only for free
-operads here; general operads would need the quotient presentation and a
-word-problem solver.
+species value, and every construction here reads that one table: the
+graph, each corner's node and index, endpoints and two Dyck letters, the
+corner of each letter pair, and each node's corner names.  Translating a
+contour word to letters and back is then one lookup per corner.  Contour
+categories are built only for free operads here; general operads would need
+the quotient presentation and a word-problem solver.
 """
 
 from __future__ import annotations
@@ -52,32 +54,59 @@ def corner_name(node_name: str, index: int) -> str:
     return f"({node_name},{index})"
 
 
+class DyckLetter(NamedTuple):
+    bracket: str
+    node: str
+    index: int
+
+
+class _Table(NamedTuple):
+    """What every contour function reads of one species."""
+
+    graph: FiniteGraph
+    corners: Mapping[str, tuple[Node, int]]  # name -> (node, index)
+    names: Mapping[str, tuple[str, ...]]  # node name -> its corner names
+    encode: Mapping[str, tuple[str, str, DyckLetter, DyckLetter]]  # name -> (src, dst, letters)
+    decode: Mapping[tuple[DyckLetter, DyckLetter], str]  # letter pair -> corner name
+
+
 @lru_cache(maxsize=64)
-def _contour_table(species: Species) -> tuple[FiniteGraph, Mapping[str, tuple[Node, int]]]:
-    """The contour category of a species and its corners by name, as
-    ``name -> (node, index)``; built once per species value.
+def _contour_table(species: Species) -> _Table:
+    """The contour category of a species, its corners by name and by letter
+    pair, and each node's corner names; built once per species value.
 
     A node of arity n has corners 0..n: corner i leaves the output color
     upward (i = 0) or input i-1 downward, and arrives at input i upward or
     at the output downward (i = n).  Generators come node by node, each
-    node's corners in index order.
+    node's corners in index order.  Corner i first closes the edge it
+    arrives on, unless it arrives from above (i = 0), and then opens the
+    edge it leaves on, unless it leaves downward (i = n): its two letters.
     """
     objects = tuple(o for c in species.colors for o in (up(c), down(c)))
     generators: list[Generator] = []
     corners: dict[str, tuple[Node, int]] = {}
+    names: dict[str, tuple[str, ...]] = {}
+    encode: dict[str, tuple[str, str, DyckLetter, DyckLetter]] = {}
     for node in species.nodes:
         sources = (up(node.output), *map(down, node.inputs))
         targets = (*map(up, node.inputs), down(node.output))
-        for i, (src, dst) in enumerate(zip(sources, targets)):
-            name = corner_name(node.name, i)
+        own = names[node.name] = tuple(corner_name(node.name, i) for i in range(node.arity + 1))
+        for i, (name, src, dst) in enumerate(zip(own, sources, targets)):
             generators.append(Generator(name, src, dst))
             corners[name] = (node, i)
-    return FiniteGraph(objects, tuple(generators)), MappingProxyType(corners)
+            first = DyckLetter("[" if i == 0 else "]", node.name, i)
+            second = DyckLetter("[" if i < node.arity else "]", node.name, i)
+            encode[name] = (src, dst, first, second)
+    decode = {(first, second): name for name, (_, _, first, second) in encode.items()}
+    return _Table(
+        FiniteGraph(objects, tuple(generators)),
+        *map(MappingProxyType, (corners, names, encode, decode)),
+    )
 
 
 def contour_category(species: Species) -> FiniteGraph:
     """The free category on oriented colors and corners."""
-    return _contour_table(species)[0]
+    return _contour_table(species).graph
 
 
 def universal_grammar(species: Species, start: str) -> Grammar:
@@ -105,6 +134,7 @@ def contour_word(species: Species, tree: DerivationTree) -> Path:
     """The corner sequence traced by walking around a closed tree; equals the
     evaluation of the tree in the universal grammar."""
     nodes = species.node_by_name
+    names = _contour_table(species).names
     gens: list[str] = []
     for t, i in walk(tree):
         if isinstance(t, Leaf):
@@ -113,7 +143,7 @@ def contour_word(species: Species, tree: DerivationTree) -> Path:
             own = nodes.get(t.node.name)
             if own is not t.node and own != t.node:
                 raise InputError(f"tree node {t.node.name!r} is not a node of the species")
-        gens.append(corner_name(t.node.name, i))
+        gens.append(names[t.node.name][i])
     root = tree.node.output  # type: ignore[union-attr]
     return Path(up(root), down(root), tuple(gens))
 
@@ -121,7 +151,8 @@ def contour_word(species: Species, tree: DerivationTree) -> Path:
 def contour_interpretation(grammar: Grammar) -> FreeFunctor:
     """The functor from the contour category of the grammar's species to its
     base category, reading each corner as the matching splice segment."""
-    dom, corners = _contour_table(grammar.species)
+    table = _contour_table(grammar.species)
+    dom, corners = table.graph, table.corners
     object_map = {}
     for c in grammar.species.colors:
         gap = grammar.gap_of(c)
@@ -141,7 +172,8 @@ def contour_interpretation(grammar: Grammar) -> FreeFunctor:
 def contour_functor(phi: SpeciesMap) -> FreeFunctor:
     """The functor between contour categories induced by a species map; it
     sends corners to corners, so it is a finitary ULF functor."""
-    dom, corners = _contour_table(phi.source)
+    table = _contour_table(phi.source)
+    dom, corners = table.graph, table.corners
     cod = contour_category(phi.target)
     object_map = {}
     for c in phi.source.colors:
@@ -257,12 +289,7 @@ def cs_check(grammar: Grammar, max_len: int) -> tuple[bool, tuple[Path, ...], tu
 
 
 _NO_TREE = "not the contour of a closed tree"
-
-
-class DyckLetter(NamedTuple):
-    bracket: str
-    node: str
-    index: int
+_NO_PATH = "not a path of the contour category"
 
 
 def _pair_letters(letters: Sequence[DyckLetter]) -> None:
@@ -283,24 +310,26 @@ def _pair_letters(letters: Sequence[DyckLetter]) -> None:
 
 
 def dyck_translate(species: Species, cw: Path) -> tuple[DyckLetter, ...]:
-    """Expand each corner into two annotated brackets.
-
-    A corner first closes the edge it arrives on (opening at index 0, where
-    it arrives from above) and then opens the edge it leaves on (closing at
-    the last index, where it leaves downward), doubling the word length.
-    A path that is the contour of no closed tree is rejected.
+    """Expand each corner into its two annotated brackets, doubling the word
+    length.  A path whose corners do not compose from its source to its
+    target, or that is the contour of no closed tree, is rejected.
     """
     if cw.is_identity:
         raise InputError(f"identity path at {cw.src!r} is {_NO_TREE}")
-    _, corners = _contour_table(species)
+    encode = _contour_table(species).encode
     letters: list[DyckLetter] = []
-    for name in cw.gens:
-        corner = corners.get(name)
+    at = cw.src
+    for k, name in enumerate(cw.gens):
+        corner = encode.get(name)
         if corner is None:
             raise InputError(f"unknown corner {name!r}")
-        node, i = corner
-        letters.append(DyckLetter("[" if i == 0 else "]", node.name, i))
-        letters.append(DyckLetter("[" if i < node.arity else "]", node.name, i))
+        src, at_next, first, second = corner
+        if src != at:
+            raise InputError(f"corner {k} {name} starts at {src!r}, not at {at!r}: {_NO_PATH}")
+        at = at_next
+        letters += (first, second)
+    if at != cw.dst:
+        raise InputError(f"the corners end at {at!r}, not at {cw.dst!r}: {_NO_PATH}")
     _pair_letters(letters)
     return tuple(letters)
 
@@ -313,31 +342,42 @@ def dyck_decode(species: Species, letters: Iterable[DyckLetter]) -> Path:
         raise InputError("empty letter sequence")
     if len(letters) % 2 != 0:
         raise InputError("odd number of letters")
+    table = _contour_table(species)
+    corner_of = table.decode.get
     gens: list[str] = []
-    for k in range(0, len(letters), 2):
-        first, second = letters[k], letters[k + 1]
-        if (first.node, first.index) != (second.node, second.index):
-            raise InputError(
-                f"letters {k} and {k + 1} do not annotate the same corner: "
-                f"({first.node},{first.index}) vs ({second.node},{second.index})"
-            )
-        node = species.node_by_name.get(first.node)
-        if node is None:
-            raise InputError(f"unknown node {first.node!r}")
-        i = first.index
-        if not 0 <= i <= node.arity:
-            raise InputError(f"corner index {i} out of range for node {node.name!r}")
-        if first.bracket != ("[" if i == 0 else "]"):
-            raise InputError(f"letter {k} violates the arrival orientation rule")
-        if second.bracket != ("[" if i < node.arity else "]"):
-            raise InputError(f"letter {k + 1} violates the departure orientation rule")
-        gens.append(corner_name(node.name, i))
+    for j, pair in enumerate(zip(letters[::2], letters[1::2])):
+        name = corner_of(pair)
+        # 1.0 and True equal the index 1, but name no corner
+        if name is None or type(pair[0].index) is not int:
+            name = _corner_of_pair(species, 2 * j, *pair)
+        gens.append(name)
     try:
-        cw = contour_category(species).path(tuple(gens))
+        cw = table.graph.path(gens)
     except CompositionError as exc:
         raise InputError(f"letters do not decode to a contour path: {exc}") from exc
     _pair_letters(letters)
     return cw
+
+
+def _corner_of_pair(species: Species, k: int, first: DyckLetter, second: DyckLetter) -> str:
+    """The corner that letters ``k`` and ``k + 1`` annotate, by the pairing
+    and orientation rules; the error names the first rule they break."""
+    if (first.node, first.index) != (second.node, second.index):
+        raise InputError(
+            f"letters {k} and {k + 1} do not annotate the same corner: "
+            f"({first.node},{first.index}) vs ({second.node},{second.index})"
+        )
+    node = species.node_by_name.get(first.node)
+    if node is None:
+        raise InputError(f"unknown node {first.node!r}")
+    i = first.index
+    if not 0 <= i <= node.arity:
+        raise InputError(f"corner index {i} out of range for node {node.name!r}")
+    if first.bracket != ("[" if i == 0 else "]"):
+        raise InputError(f"letter {k} violates the arrival orientation rule")
+    if second.bracket != ("[" if i < node.arity else "]"):
+        raise InputError(f"letter {k + 1} violates the departure orientation rule")
+    return corner_name(node.name, i)
 
 
 def brackets(letters: Iterable[DyckLetter]) -> str:

@@ -31,13 +31,16 @@ and each pulled color to its color's gap type, so the grammar for the
 intersection of the two languages is the same pulled species over the base
 category, each node carrying its base node's own splice.  The trimmed
 pullback anchors the kernel at the start item; the raw one lifts nothing.
+Both render each chosen ``(node, placements)`` the same way: the parts of
+every placement prefix (name, pulled inputs, gap types, runs) are made
+once and shared by the nodes that extend it, so a node costs one lookup
+and its last segment.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import deque
-from operator import getitem
 from typing import Hashable, Iterable, NamedTuple, Sequence
 
 from .errors import CompositionError
@@ -295,46 +298,60 @@ def _pulled(grammar: Grammar, automaton: Automaton, trim_useless: bool, over_run
         derived = lift(nodes, table, roots=[root])
         useful = reachable(derived, root)[0] if root in derived else {root: []}
         items = [item for item in items if item in useful]
-        chosen = (
-            (nodes[n], tuple(map(getitem, table[n], idx)))
-            for n, idx, _ in sorted(alt for alts in useful.values() for alt in alts)
-        )
+        chosen = sorted(alt[:2] for alts in useful.values() for alt in alts)
     else:
         chosen = (
-            (node, picks) for node, segs in zip(nodes, table) for picks in itertools.product(*segs)
+            (n, idx)
+            for n, segs in enumerate(table)
+            for idx in itertools.product(*(range(len(seg)) for seg in segs))
         )
 
-    # pullback color names by (src, color, dst), made once and shared by
-    # every node that meets them
+    # pullback color names by (src, color, dst) and gap types by state
+    # pair, made once and shared by every node that meets them
     names = _Memo("({},{},{})".format)
-    name_of = names.__getitem__
+    gap_types = _Memo(GapType)
+
+    def grow(n: int, head: tuple[int, ...], b: int) -> tuple:
+        """The parts of node ``n`` placed at ``head + (b,)``: its name so
+        far, pulled inputs, gap types and runs, first source, last target."""
+        name, inputs, gaps, runs, first, last = parts[n, head]
+        k = len(head)
+        src, dst, run, label = table[n][k][b]
+        if k:
+            inputs += (names[last, nodes[n].inputs[k - 1], src],)
+            gaps += (gap_types[last, src],)
+        else:
+            first = src
+        return name + "|" + label, inputs, gaps, runs + (run,), first, dst
+
+    # the parts of each placement prefix ``(n, head)``, made once and shared
+    # by every node whose first segments are placed alike
+    parts = _Memo(
+        lambda n, head: grow(n, head[:-1], head[-1])
+        if head
+        else (f"({nodes[n].name}", (), (), (), None, None)
+    )
     if over_runs:
         category = automaton.state_graph
-        gap_types = _Memo(GapType)
-        gap_of = gap_types.__getitem__
         color_gap = {names[q, c, q2]: gap_types[q, q2] for c, q, q2 in items}
-
-        def splice(node: Node, srcs: tuple, dsts: tuple, runs: tuple) -> SplicedArrow:
-            gaps = tuple(map(gap_of, zip(dsts, srcs[1:])))
-            return SplicedArrow(gap_types[srcs[0], dsts[-1]], gaps, runs)
-
     else:
         # a run lies over its segment and a pulled color over its color's
         # gap type, so each pulled node maps down to its base node's splice
         category = grammar.category
         color_gap = {names[q, c, q2]: grammar.gap_of(c) for c, q, q2 in items}
 
-        def splice(node: Node, *_: tuple) -> SplicedArrow:
-            return grammar.node_splice[node.name]
-
     pulled_nodes: list[Node] = []
     node_splice: dict[str, SplicedArrow] = {}
-    for node, picks in chosen:
-        srcs, dsts, runs, labels = zip(*picks)
-        name = f"({node.name}|{'|'.join(labels)})"
-        inputs = tuple(map(name_of, zip(dsts, node.inputs, srcs[1:])))
-        pulled_nodes.append(Node(name, inputs, names[srcs[0], node.output, dsts[-1]]))
-        node_splice[name] = splice(node, srcs, dsts, runs)
+    for n, idx in chosen:
+        name, inputs, gaps, runs, first, last = grow(n, idx[:-1], idx[-1])
+        name += ")"
+        node = nodes[n]
+        pulled_nodes.append(Node(name, inputs, names[first, node.output, last]))
+        node_splice[name] = (
+            SplicedArrow(gap_types[first, last], gaps, runs)
+            if over_runs
+            else grammar.node_splice[node.name]
+        )
     colors = tuple(names[q, c, q2] for c, q, q2 in items)
     species = Species(colors=colors, nodes=tuple(pulled_nodes))
     start = names[automaton.initial, grammar.start, automaton.final]

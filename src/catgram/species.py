@@ -61,6 +61,19 @@ class Species:
                 if c not in declared:
                     raise InputError(f"node {n.name!r} references undeclared color {c!r}")
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        # hashed once, as the key of every per-species table
+        return hash((self.colors, self.nodes))
+
+    def __getstate__(self) -> dict:
+        # a string's hash differs between processes, so a pickle carries no
+        # cached hash
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+
     @cached_property
     def node_by_name(self) -> Mapping[str, Node]:
         return {n.name: n for n in self.nodes}

@@ -8,6 +8,7 @@ from catgram import (
     FiniteGraph,
     InputError,
     Node,
+    Path,
     Species,
     SpeciesMap,
     apply_functor,
@@ -49,6 +50,7 @@ from catgram.fixtures import (
     SPC_FIG3,
     fig3_tree,
 )
+from catgram.contour import _contour_table
 from test_parser import RANDOM_WORD_BOUND, random_grammars
 
 UP = "↑"
@@ -104,9 +106,18 @@ def test_contour_category_is_built_once_per_species(monkeypatch):
         post_init(graph)
 
     monkeypatch.setattr(FiniteGraph, "__post_init__", counting)
-    for t in enumerate_closed_trees(species, "once", 9):
+    misses = _contour_table.cache_info().misses
+    trees = enumerate_closed_trees(species, "once", 13)
+    assert len(trees) == 197
+    made = {}
+    for t in trees:
         cw = contour_word(species, t)
-        assert dyck_decode(species, dyck_translate(species, cw)) == cw
+        letters = dyck_translate(species, cw)
+        assert dyck_decode(species, letters) == cw
+        # every round trip reads the one table: the same letter objects
+        for k, letter in enumerate(letters):
+            assert made.setdefault((k % 2, letter), letter) is letter
+    assert _contour_table.cache_info().misses == misses + 1
     uni = universal_grammar(species, "once")
     contour_interpretation(uni)
     identity = SpeciesMap(
@@ -446,6 +457,23 @@ def _naive_letters(species, cw):
 
 
 @pytest.mark.parametrize(
+    "species", [SPC_FIG3, G_AMB.species, G_AB.species], ids=["fig3", "amb", "ab"]
+)
+def test_contour_table_agrees_with_the_bracket_rule(species):
+    table = _contour_table(species)
+    assert set(table.encode) == set(table.corners) == set(table.decode.values())
+    for g in contour_category(species).generators:
+        src, dst, *letters = table.encode[g.name]
+        assert (src, dst) == (g.src, g.dst)
+        assert tuple(letters) == _naive_letters(species, Path(g.src, g.dst, (g.name,)))
+        assert table.decode[tuple(letters)] == g.name
+    for node in species.nodes:
+        assert table.names[node.name] == tuple(
+            g.name for g in contour_category(species).generators if table.corners[g.name][0] == node
+        )
+
+
+@pytest.mark.parametrize(
     "species, color, max_len",
     [(SPC_FIG3, "1", 5), (G_AMB.species, "S", 7), (G_AB.species, "S", 9)],
     ids=["fig3", "amb", "ab"],
@@ -490,6 +518,25 @@ def test_dyck_rejects_composable_paths_that_are_no_contour(gens, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize(
+    "cw, message",
+    [
+        # two whole trees side by side
+        (
+            Path("1↑", "1↓", ("(b,0)", "(d,0)")),
+            "corner 1 (d,0) starts at '1↑', not at '1↓'",
+        ),
+        (Path("1↓", "1↓", ("(b,0)",)), "corner 0 (b,0) starts at '1↑', not at '1↓'"),
+        (Path("1↑", "1↑", ("(b,0)",)), "the corners end at '1↓', not at '1↑'"),
+    ],
+    ids=["two-trees", "wrong-source", "wrong-target"],
+)
+def test_dyck_translate_rejects_paths_that_do_not_compose(cw, message):
+    with pytest.raises(InputError) as info:
+        dyck_translate(SPC_FIG3, cw)
+    assert str(info.value) == message + ": not a path of the contour category"
+
+
 _FIG3_LETTERS = dyck_translate(SPC_FIG3, contour_word(SPC_FIG3, fig3_tree()))
 
 
@@ -530,6 +577,21 @@ def test_dyck_decode_messages(letters, message):
     with pytest.raises(InputError) as info:
         dyck_decode(SPC_FIG3, letters)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("index", [1.0, True], ids=["float", "bool"])
+def test_dyck_decode_reads_an_index_that_only_equals_an_int_as_written(index):
+    # letters 4 and 5 annotate (a,1); 1.0 and True equal 1 and hash like it,
+    # but the corner they name is (a,1.0) or (a,True), which does not exist
+    letters = list(_FIG3_LETTERS)
+    assert letters[4:6] == [DyckLetter("]", "a", 1), DyckLetter("[", "a", 1)]
+    letters[4:6] = [letter._replace(index=index) for letter in letters[4:6]]
+    with pytest.raises(InputError) as info:
+        dyck_decode(SPC_FIG3, letters)
+    assert str(info.value) == f"unknown generator(s) ['(a,{index})']"
+    # an int first letter names the corner, as the pairing check compares
+    letters[4] = _FIG3_LETTERS[4]
+    assert dyck_decode(SPC_FIG3, letters) == contour_word(SPC_FIG3, fig3_tree())
 
 
 def test_dyck_decode_rejects_garbage():

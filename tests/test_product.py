@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 from unittest import mock
 
@@ -12,6 +13,7 @@ from catgram import (
     GapType,
     Grammar,
     InputError,
+    Node,
     Path,
     SplicedArrow,
     State,
@@ -264,6 +266,79 @@ def _check_anchored_pullback(grammar, automaton):
 @given(grammars_and_automata(max_inputs=3))
 def test_anchored_pullback_equals_unanchored_on_random_automata(pair):
     _check_anchored_pullback(*pair)
+
+
+def _naive_runs(automaton, seg):
+    """Every run over ``seg``, by source state in declaration order, then by
+    the transitions taken in declaration order."""
+    runs = []
+    for s in automaton.states:
+        if s.over != seg.src:
+            continue
+        partial = [(s.name, ())]
+        for letter in seg.gens:
+            partial = [
+                (t.dst, gens + (t.name,))
+                for at, gens in partial
+                for t in automaton.transitions
+                if (t.src, t.over) == (at, letter)
+            ]
+        runs += [Path(s.name, at, gens) for at, gens in partial]
+    return runs
+
+
+def _naive_pulled(grammar, automaton, over_runs, trim_useless):
+    """The pulled nodes and splices, one node per choice of runs over its
+    segments, in node order and then in the order of ``itertools.product``;
+    trimmed, only the nodes whose colors are productive and reachable."""
+    nodes, splices = [], {}
+    for node in grammar.species.nodes:
+        segments = grammar.splice_of(node.name).segments
+        for runs in itertools.product(*(_naive_runs(automaton, seg) for seg in segments)):
+            labels = [f"{r.src}>{'.'.join(r.gens) or 'e'}>{r.dst}" for r in runs]
+            name = "(" + "|".join([node.name] + labels) + ")"
+            inputs = tuple(
+                f"({runs[m].dst},{c},{runs[m + 1].src})" for m, c in enumerate(node.inputs)
+            )
+            nodes.append(Node(name, inputs, f"({runs[0].src},{node.output},{runs[-1].dst})"))
+            if over_runs:
+                gaps = tuple(GapType(runs[m].dst, runs[m + 1].src) for m in range(len(inputs)))
+                splices[name] = SplicedArrow(GapType(runs[0].src, runs[-1].dst), gaps, runs)
+            else:
+                splices[name] = grammar.splice_of(node.name)
+    if trim_useless:
+        productive = set()
+        while True:
+            more = {n.output for n in nodes if productive.issuperset(n.inputs)} - productive
+            if not more:
+                break
+            productive |= more
+        reached = {f"({automaton.initial},{grammar.start},{automaton.final})"}
+        while True:
+            more = {
+                c
+                for n in nodes
+                if n.output in reached and productive.issuperset(n.inputs)
+                for c in n.inputs
+            } - reached
+            if not more:
+                break
+            reached |= more
+        keep = productive & reached
+        nodes = [n for n in nodes if keep.issuperset((n.output, *n.inputs))]
+        splices = {n.name: splices[n.name] for n in nodes}
+    return nodes, splices
+
+
+@given(grammars_and_automata(max_inputs=3))
+def test_pulled_nodes_agree_with_a_naive_product(pair):
+    grammar, automaton = pair
+    for build, over_runs in ((pullback_grammar, True), (intersect, False)):
+        for trim_useless in (False, True):
+            got = build(grammar, automaton, trim_useless)
+            nodes, splices = _naive_pulled(grammar, automaton, over_runs, trim_useless)
+            assert list(got.species.nodes) == nodes
+            assert got.node_splice == splices
 
 
 # -- pinned output ------------------------------------------------------------

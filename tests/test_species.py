@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -36,6 +38,15 @@ def test_species_rejects_bad_data():
         Species(colors=("S",), nodes=(Node("x", ("T",), "S"),))
     with pytest.raises(InputError):
         Species(colors=("S",), nodes=(Node("x", (), "S"), Node("x", (), "S")))
+
+
+def test_species_hash_is_the_hash_of_its_fields_and_is_not_pickled():
+    species = Species(AMB_SPECIES.colors, AMB_SPECIES.nodes)
+    assert species == AMB_SPECIES and species is not AMB_SPECIES
+    assert hash(species) == hash(AMB_SPECIES) == hash((species.colors, species.nodes))
+    copy = pickle.loads(pickle.dumps(species))
+    assert "_hash" in vars(species) and "_hash" not in vars(copy)
+    assert copy == species and hash(copy) == hash(species)
 
 
 def test_apply_checks_arity_and_colors():
