@@ -84,15 +84,13 @@ from .automaton import (
     Automaton,
     State,
     Transition,
-    TreeAutomaton,
-    TreeTransition,
     UlfViolation,
+    automaton_of,
     enumerate_runs,
     interval_automaton,
     run_membership,
     tree_accept,
     ulf_check_bounded,
-    validate_tree_automaton,
 )
 from .automaton import import_classical as import_classical_automaton
 from .product import intersect, pullback_grammar, trim

@@ -6,11 +6,17 @@ the induced functor of free categories finitary (finite fibers) and gives it
 the unique-lifting-of-factorizations property, which is what lets grammars
 be pulled back along automata.  A run is a path in the state graph; the
 recognized language is the set of images of runs from the initial to the
-final state.
+final state.  ``Automaton.functor`` is that functor, and ``automaton_of``
+reads an automaton back off any functor of this kind.
 
 Epsilon transitions and transitions over longer paths are deliberately
 rejected: collapsing a generator to an identity already breaks unique
 lifting, as ``ulf_check_bounded`` will demonstrate on such a functor.
+
+A bottom-up tree automaton is the same idea one level up: a species map
+into the base species, whose source colors are the states and whose source
+nodes are the transitions.  ``tree_accept`` folds a tree over the fibres of
+its node map.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from .freecat import (
     enumerate_paths,
     monoid_graph,
 )
-from .species import Apply, DerivationTree, Leaf, Species, fold
+from .species import Apply, DerivationTree, Leaf, Node, SpeciesMap, fold, validate_species_map
 
 
 @dataclass(frozen=True)
@@ -116,6 +122,20 @@ class Automaton:
                 for t in self.transitions
             },
         )
+
+
+def automaton_of(functor: FreeFunctor, initial: str, final: str) -> Automaton:
+    """The automaton of a functor that sends each generator to a single
+    generator, the inverse of ``Automaton.functor``: each domain object is a
+    state over its image, each domain generator a transition over its own."""
+    transitions = []
+    for g in functor.domain.generators:
+        image = functor.generator_map[g.name]
+        if len(image) != 1:
+            raise InputError(f"generator {g.name!r} is sent to {len(image)} generators, not one")
+        transitions.append(Transition(g.name, g.src, g.dst, *image.gens))
+    states = tuple(State(o, functor.object_map[o]) for o in functor.domain.objects)
+    return Automaton(functor.codomain, states, tuple(transitions), initial, final)
 
 
 def import_classical(
@@ -212,77 +232,36 @@ def interval_automaton(category: FiniteGraph, w: Path) -> Automaton:
     return Automaton(category, states, transitions, "0", str(len(w.gens)))
 
 
-@dataclass(frozen=True)
-class TreeTransition:
-    name: str
-    node: str
-    inputs: tuple[str, ...]
-    output: str
-
-
-@dataclass(frozen=True)
-class TreeAutomaton:
-    """A bottom-up nondeterministic tree automaton over a finite species."""
-
-    base_species: Species
-    states: tuple[str, ...]
-    state_over: Mapping[str, str]
-    transitions: tuple[TreeTransition, ...]
-    accept: str
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "state_over", dict(self.state_over))
-
-    @cached_property
-    def by_node(self) -> Mapping[str, list[TreeTransition]]:
-        """Transitions keyed by base node name, in declaration order."""
-        table: dict[str, list[TreeTransition]] = {}
-        for t in self.transitions:
-            table.setdefault(t.node, []).append(t)
-        return table
-
-
-def validate_tree_automaton(ta: TreeAutomaton) -> list[str]:
-    """Arity and coloring compatibility, read as a species map."""
-    problems = []
-    if len(set(ta.states)) != len(ta.states):
-        problems.append("duplicate state names")
-    colors = set(ta.base_species.colors)
-    for s in ta.states:
-        c = ta.state_over.get(s)
-        if c is None or c not in colors:
-            problems.append(f"state {s!r} does not lie over a base color")
-    if ta.accept not in set(ta.states):
-        problems.append("accept state undeclared")
-    for t in ta.transitions:
-        base = ta.base_species.node_by_name.get(t.node)
-        if base is None:
-            problems.append(f"transition {t.name!r} lies over unknown node {t.node!r}")
-            continue
-        if len(t.inputs) != base.arity:
-            problems.append(f"transition {t.name!r} has arity {len(t.inputs)}, node has {base.arity}")
-            continue
-        if ta.state_over.get(t.output) != base.output or any(
-            ta.state_over.get(q) != c for q, c in zip(t.inputs, base.inputs)
-        ):
-            problems.append(f"transition {t.name!r} does not lie over the coloring of {t.node!r}")
-    return problems
-
-
-def tree_accept(ta: TreeAutomaton, tree: DerivationTree) -> bool:
-    """Standard bottom-up nondeterministic evaluation of a closed tree."""
+def tree_accept(phi: SpeciesMap, accept: str, tree: DerivationTree) -> bool:
+    """Whether ``phi`` maps some closed tree of color ``accept`` onto
+    ``tree``: the bottom-up run of the tree automaton whose states and
+    transitions are the colors and nodes of ``phi.source``.  A run of the
+    contour word along ``contour_functor(phi)`` would accept more, as it may
+    take each corner of a node on a different transition over it."""
+    if accept not in phi.source.colors:
+        raise InputError(f"accept state {accept!r} is not a color of the automaton")
+    problems = validate_species_map(phi)
+    if problems:
+        raise InputError(problems[0])
+    fibre: dict[str, list[Node]] = {}
+    for n in phi.source.nodes:
+        fibre.setdefault(phi.apply_node(n.name), []).append(n)
+    nodes = phi.target.node_by_name
 
     def open_leaf(leaf: Leaf) -> frozenset[str]:
         raise InputError("tree automata run on closed trees only")
 
     def states_of(t: Apply, below: tuple[frozenset[str], ...]) -> frozenset[str]:
+        own = nodes.get(t.node.name)
+        if own is not t.node and own != t.node:
+            raise InputError(f"tree node {t.node.name!r} is not a node of the base species")
         return frozenset(
-            tr.output
-            for tr in ta.by_node.get(t.node.name, ())
-            if all(q in states for q, states in zip(tr.inputs, below))
+            n.output
+            for n in fibre.get(t.node.name, ())
+            if all(q in states for q, states in zip(n.inputs, below))
         )
 
-    return ta.accept in fold(tree, open_leaf, states_of)
+    return accept in fold(tree, open_leaf, states_of)
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import CompositionError, InputError
-from .automaton import Automaton, State, Transition
+from .automaton import Automaton, automaton_of
 from .freecat import FiniteGraph, FreeFunctor, Generator, Path
 from .grammar import Grammar
 from .species import DerivationTree, Leaf, Node, Species, SpeciesMap, walk
@@ -226,24 +226,11 @@ def chromatic_factorization(grammar: Grammar) -> tuple[Grammar, SpeciesMap]:
 
 def colors_automaton(grammar: Grammar) -> Automaton:
     """The finite automaton on oriented colors over the chromatic contour
-    category; its runs recolor chromatic contours back to the original
-    species.  All oriented colors are kept as states, reachable or not."""
-    chromatic, collapse = chromatic_factorization(grammar)
-    base = contour_category(chromatic.species)
-    states = []
-    for c in grammar.species.colors:
-        target = collapse.apply_color(c)
-        states.append(State(up(c), up(target)))
-        states.append(State(down(c), down(target)))
-    corners = contour_category(grammar.species).generators
-    transitions = tuple(Transition(g.name, g.src, g.dst, g.name) for g in corners)
-    return Automaton(
-        base=base,
-        states=tuple(states),
-        transitions=transitions,
-        initial=up(grammar.start),
-        final=down(grammar.start),
-    )
+    category, read off the contour functor of the chromatic collapse; its
+    runs recolor chromatic contours back to the original species.  All
+    oriented colors are kept as states, reachable or not."""
+    _, collapse = chromatic_factorization(grammar)
+    return automaton_of(contour_functor(collapse), up(grammar.start), down(grammar.start))
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,22 @@
 import itertools
 
 import pytest
+from hypothesis import given, strategies as st
 
 from catgram import (
     Automaton,
     FreeFunctor,
     InputError,
+    Node,
+    Path,
+    Species,
+    SpeciesMap,
     State,
     Transition,
-    TreeAutomaton,
-    TreeTransition,
+    automaton_of,
+    contour_functor,
+    contour_word,
+    enumerate_closed_trees,
     enumerate_paths,
     enumerate_regular_language,
     enumerate_runs,
@@ -18,12 +25,14 @@ from catgram import (
     import_classical_automaton,
     interval_automaton,
     monoid_graph,
+    node_count,
     run_membership,
     tree_accept,
     ulf_check_bounded,
-    validate_tree_automaton,
+    validate_species_map,
     word,
 )
+from catgram.contour import down, up
 from catgram.fixtures import GRAPH_AB, GRAPH_AB_END, M_EVENA, SPC_FIG3, fig3_tree
 from catgram.species import Apply, Leaf
 
@@ -125,72 +134,159 @@ def test_even_a_language():
 # -- tree automata ------------------------------------------------------------
 
 
-def _all_accepting_ta():
-    transitions = tuple(
-        TreeTransition(f"t_{n.name}", n.name, ("q",) * n.arity, "q")
-        for n in SPC_FIG3.nodes
+def tree_automaton(states, transitions, base=SPC_FIG3):
+    """The species map of a tree automaton: ``states`` maps each state to
+    the base color it lies over, and ``transitions`` lists
+    ``(name, base node, input states, output state)``."""
+    source = Species(
+        tuple(states), tuple(Node(name, tuple(ins), out) for name, _, ins, out in transitions)
     )
-    return TreeAutomaton(SPC_FIG3, ("q",), {"q": "1"}, transitions, "q")
+    return SpeciesMap(source, base, states, {name: node for name, node, _, _ in transitions})
+
+
+def _all_accepting_ta():
+    return tree_automaton(
+        {"q": "1"}, [(f"t_{n.name}", n.name, ("q",) * n.arity, "q") for n in SPC_FIG3.nodes]
+    )
 
 
 def test_tree_automaton_accepting_everything():
     ta = _all_accepting_ta()
-    assert validate_tree_automaton(ta) == []
-    assert tree_accept(ta, fig3_tree())
+    assert validate_species_map(ta) == []
+    assert tree_accept(ta, "q", fig3_tree())
 
 
 def _alternating_ta():
     # nullary letters start in p; f flips p and q; accept q
-    names = SPC_FIG3.node_by_name
-    transitions = (
-        TreeTransition("b", "b", (), "p"),
-        TreeTransition("d", "d", (), "p"),
-        TreeTransition("e", "e", (), "p"),
-        TreeTransition("g", "g", (), "p"),
-        TreeTransition("c", "c", ("p", "p"), "p"),
-        TreeTransition("f_pq", "f", ("p",), "q"),
-        TreeTransition("f_qp", "f", ("q",), "p"),
+    return tree_automaton(
+        {"p": "1", "q": "1"},
+        [
+            ("b", "b", (), "p"),
+            ("d", "d", (), "p"),
+            ("e", "e", (), "p"),
+            ("g", "g", (), "p"),
+            ("c", "c", ("p", "p"), "p"),
+            ("f_pq", "f", ("p",), "q"),
+            ("f_qp", "f", ("q",), "p"),
+        ],
     )
-    return TreeAutomaton(SPC_FIG3, ("p", "q"), {"p": "1", "q": "1"}, transitions, "q")
 
 
 def test_tree_automaton_alternating_hand_runs():
     ta = _alternating_ta()
-    assert validate_tree_automaton(ta) == []
+    assert validate_species_map(ta) == []
     n = SPC_FIG3.node_by_name
     g = Apply(n["g"], ())
     # f(g): g -> p, f flips to q: accepted
-    assert tree_accept(ta, Apply(n["f"], (g,)))
+    assert tree_accept(ta, "q", Apply(n["f"], (g,)))
     # f(f(g)): p -> q -> p: rejected
-    assert not tree_accept(ta, Apply(n["f"], (Apply(n["f"], (g,)),)))
+    assert not tree_accept(ta, "q", Apply(n["f"], (Apply(n["f"], (g,)),)))
     # c(d, e): stays in p: rejected
-    assert not tree_accept(ta, Apply(n["c"], (Apply(n["d"], ()), Apply(n["e"], ()))))
+    assert not tree_accept(ta, "q", Apply(n["c"], (Apply(n["d"], ()), Apply(n["e"], ()))))
 
 
 def test_tree_automaton_missing_transition_rejects():
     ta = _alternating_ta()
     # no transition over node a, so the fig 3 tree cannot be evaluated
-    assert not tree_accept(ta, fig3_tree())
+    assert not tree_accept(ta, "q", fig3_tree())
 
 
 def test_tree_accept_rejects_open_trees_with_input_error():
     ta = _alternating_ta()
     f = SPC_FIG3.node_by_name["f"]
     with pytest.raises(InputError, match="closed trees only"):
-        tree_accept(ta, Leaf("1"))
+        tree_accept(ta, "q", Leaf("1"))
     with pytest.raises(InputError, match="closed trees only"):
-        tree_accept(ta, Apply(f, (Leaf("1"),)))
+        tree_accept(ta, "q", Apply(f, (Leaf("1"),)))
 
 
 def test_tree_automaton_validation_reports():
-    bad = TreeAutomaton(
-        SPC_FIG3,
-        ("p",),
-        {"p": "1"},
-        (TreeTransition("t", "f", (), "p"),),
-        "p",
-    )
-    assert any("arity" in line for line in validate_tree_automaton(bad))
+    # a nullary transition over the unary node f: the species map reports
+    # the wrong type of f, and tree_accept refuses to run
+    bad = tree_automaton({"p": "1"}, [("t", "f", (), "p")])
+    problems = validate_species_map(bad)
+    assert problems == ["node 't': image 'f' has type ('1',) -> '1', expected () -> '1'"]
+    with pytest.raises(InputError) as info:
+        tree_accept(bad, "p", Apply(SPC_FIG3.node_by_name["g"], ()))
+    assert str(info.value) == problems[0]
+
+
+def test_tree_accept_rejects_an_accept_state_that_is_no_color():
+    with pytest.raises(InputError, match="accept state 'r' is not a color"):
+        tree_accept(_alternating_ta(), "r", fig3_tree())
+
+
+def test_tree_accept_rejects_a_species_map_with_a_missing_node():
+    ta = _alternating_ta()
+    partial = SpeciesMap(ta.source, ta.target, ta.color_map, {"b": "b"})
+    with pytest.raises(InputError, match="node 'd' missing from node map"):
+        tree_accept(partial, "q", fig3_tree())
+    unmapped = SpeciesMap(ta.source, ta.target, {"p": "1"}, ta.node_map)
+    with pytest.raises(InputError, match="color 'q' missing from color map"):
+        tree_accept(unmapped, "q", fig3_tree())
+
+
+@pytest.mark.parametrize(
+    "node",
+    [Node("z", (), "1"), Node("g", (), "2"), Node("d", ("1",), "1")],
+    ids=["unknown-name", "other-color", "other-arity"],
+)
+def test_tree_accept_rejects_a_node_of_another_species(node):
+    tree = Apply(node, (Apply(SPC_FIG3.node_by_name["g"], ()),) * node.arity)
+    message = f"tree node {node.name!r} is not a node of the base species"
+    with pytest.raises(InputError, match=message):
+        tree_accept(_all_accepting_ta(), "q", tree)
+
+
+# base species c(X,X), d, e, and transitions d1 -> p, e1 -> r,
+# c1: (p,p) -> q, c2: (p,r) -> s, c3: (t,r) -> q, accepting q
+SPC_CDE = Species(("X",), (Node("c", ("X", "X"), "X"), Node("d", (), "X"), Node("e", (), "X")))
+TA_CDE = tree_automaton(
+    {q: "X" for q in "pqrst"},
+    [
+        ("d1", "d", (), "p"),
+        ("e1", "e", (), "r"),
+        ("c1", "c", ("p", "p"), "q"),
+        ("c2", "c", ("p", "r"), "s"),
+        ("c3", "c", ("t", "r"), "q"),
+    ],
+    base=SPC_CDE,
+)
+
+
+def test_tree_accept_is_not_a_run_of_the_contour_word():
+    # the contour word of c(d,e) runs from q-up to q-down on the corners of
+    # c1, d1, c2, e1, c3: each corner of c on a different transition
+    n = SPC_CDE.node_by_name
+    tree = Apply(n["c"], (Apply(n["d"], ()), Apply(n["e"], ())))
+    assert not tree_accept(TA_CDE, "q", tree)
+    contours = automaton_of(contour_functor(TA_CDE), up("q"), down("q"))
+    assert run_membership(contours, contour_word(SPC_CDE, tree))
+
+
+FIG3_TREES = enumerate_closed_trees(SPC_FIG3, "1", 5)
+
+
+@st.composite
+def fig3_tree_automata(draw):
+    """A tree automaton over SPC_FIG3 with one to three states over color 1
+    and zero to two transitions over each node, with its accept state."""
+    states = [f"q{i}" for i in range(draw(st.integers(1, 3)))]
+    state = st.sampled_from(states)
+    transitions = [
+        (f"{n.name}{k}", n.name, draw(st.tuples(*[state] * n.arity)), draw(state))
+        for n in SPC_FIG3.nodes
+        for k in range(draw(st.integers(0, 2)))
+    ]
+    return tree_automaton(dict.fromkeys(states, "1"), transitions), draw(state)
+
+
+@given(fig3_tree_automata(), st.sampled_from(FIG3_TREES))
+def test_tree_accept_agrees_with_a_naive_oracle(automaton, tree):
+    # accepted exactly when some tree of the accept color maps onto it
+    phi, accept = automaton
+    sources = enumerate_closed_trees(phi.source, accept, node_count(tree))
+    assert tree_accept(phi, accept, tree) == any(phi.apply_tree(s) == tree for s in sources)
 
 
 # -- interval automata --------------------------------------------------------
@@ -220,15 +316,40 @@ def test_interval_automaton_end_marked():
 # -- ULF and finitary ---------------------------------------------------------
 
 
+AUTOMATA = [
+    M_EVENA,
+    interval_automaton(GRAPH_AB, word(GRAPH_AB, "aabb")),
+    interval_automaton(GRAPH_AB, GRAPH_AB.path((), src="*")),
+    interval_automaton(GRAPH_AB_END, GRAPH_AB_END.path(("a", "b", "$"))),
+    import_classical_automaton("ab", *ENDS_IN_A),
+    import_classical_automaton("ab", *EPS_OR_A),
+]
+
+
 def test_automaton_functors_are_ulf():
-    states, delta, q0, finals = ENDS_IN_A
-    fixtures = [
-        M_EVENA,
-        interval_automaton(GRAPH_AB, word(GRAPH_AB, "aabb")),
-        import_classical_automaton("ab", states, delta, q0, finals),
-    ]
-    for auto in fixtures:
+    for auto in AUTOMATA:
         assert ulf_check_bounded(auto.functor, 4) is None
+
+
+@pytest.mark.parametrize("auto", AUTOMATA)
+def test_automaton_of_inverts_the_automaton_functor(auto):
+    assert automaton_of(auto.functor, auto.initial, auto.final) == auto
+
+
+@pytest.mark.parametrize(
+    "image, length",
+    [(identity_path("*"), 0), (Path("*", "*", ("a", "b")), 2)],
+    ids=["identity", "two-generators"],
+)
+def test_automaton_of_rejects_a_generator_not_sent_to_one_generator(image, length):
+    functor = FreeFunctor(
+        domain=monoid_graph(("x", "y")),
+        codomain=GRAPH_AB,
+        object_map={"*": "*"},
+        generator_map={"x": Path("*", "*", ("a",)), "y": image},
+    )
+    with pytest.raises(InputError, match=f"generator 'y' is sent to {length} generators, not one"):
+        automaton_of(functor, "*", "*")
 
 
 def test_identity_functor_is_ulf():

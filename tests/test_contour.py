@@ -1,8 +1,11 @@
+import hashlib
+
 import pytest
 from hypothesis import given
 
 from catgram import (
     Apply,
+    Automaton,
     CompositionError,
     DyckLetter,
     FiniteGraph,
@@ -11,6 +14,8 @@ from catgram import (
     Path,
     Species,
     SpeciesMap,
+    State,
+    Transition,
     apply_functor,
     brackets,
     chromatic_factorization,
@@ -41,11 +46,14 @@ from catgram import (
     validate_species_map,
     word,
 )
+from catgram import cli, jsonio
 from catgram.fixtures import (
     G_AB,
     G_AMB,
     G_END,
     G_EPS,
+    G_TERN,
+    G_UNIT,
     GRAPH_AB,
     SPC_FIG3,
     fig3_tree,
@@ -283,13 +291,51 @@ def test_colors_automaton_of_g_ab():
     assert auto.initial == "S" + UP and auto.final == "S" + DOWN
 
 
-def test_colors_automaton_agrees_with_contour_functor():
-    for g in (G_AB, G_AMB, G_END):
-        _, collapse = chromatic_factorization(g)
-        auto = colors_automaton(g)
-        functor = contour_functor(collapse)
-        assert auto.functor.object_map == functor.object_map
-        assert auto.functor.generator_map == functor.generator_map
+SIX_GRAMMARS = {
+    "g_ab": G_AB, "g_amb": G_AMB, "g_end": G_END, "g_eps": G_EPS, "g_tern": G_TERN, "g_unit": G_UNIT
+}
+
+
+def _reference_colors_automaton(grammar):
+    """A state pair per color over its oriented chromatic color, and a
+    transition per corner over the same corner of the chromatic species."""
+    chromatic, collapse = chromatic_factorization(grammar)
+    states = []
+    for c in grammar.species.colors:
+        over = collapse.apply_color(c)
+        states += (State(c + UP, over + UP), State(c + DOWN, over + DOWN))
+    corners = contour_category(grammar.species).generators
+    transitions = tuple(Transition(g.name, g.src, g.dst, g.name) for g in corners)
+    base = contour_category(chromatic.species)
+    return Automaton(base, tuple(states), transitions, grammar.start + UP, grammar.start + DOWN)
+
+
+def test_colors_automaton_agrees_with_a_reference():
+    for grammar in SIX_GRAMMARS.values():
+        assert colors_automaton(grammar) == _reference_colors_automaton(grammar)
+
+
+# sha256 of ``catgram cs-decompose -g <grammar> --check-bound 4`` stdout,
+# the same in both formats
+CS_DECOMPOSE_DIGESTS = {
+    "g_ab": "1487353d5820888f0f18ec911ea49de2613063f6bd53ff9660bbaedd9e732cbc",
+    "g_amb": "9b13f27223360092f0a71bcfcb37365f6a953c2a422b214d05b15a5d8e6c2844",
+    "g_end": "a5ccec4ce3e981a2b79f545e5d8e1b2f37391646364b76923fb36d23cb9863c6",
+    "g_eps": "3660538dbbee5d9f5834c5855d730c090435b225a683b12ca1b6abb1a94d4a32",
+    "g_tern": "71375ea1389ccdbf166aaa1996b3742a9ed3caecf1c74b2bc7b80472c0278e56",
+    "g_unit": "a11bad974d53258fab0b2ea4c66f787dd8d02263e59a6fcdb6f3037d730b2cbb",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIX_GRAMMARS))
+def test_cs_decompose_output_is_pinned(name, tmp_path, capsys):
+    path = tmp_path / f"{name}.json"
+    path.write_text(jsonio.dumps(jsonio.grammar_to_json(SIX_GRAMMARS[name])), encoding="utf-8")
+    for fmt in ("json", "text"):
+        args = ["--format", fmt, "cs-decompose", "-g", str(path), "--check-bound", "4"]
+        assert cli.run(args) == 0
+        stdout = capsys.readouterr().out
+        assert hashlib.sha256(stdout.encode("utf-8")).hexdigest() == CS_DECOMPOSE_DIGESTS[name]
 
 
 def test_contour_functor_is_ulf():

@@ -19,6 +19,7 @@ from catgram import (
     State,
     Transition,
     apply_functor,
+    automaton_of,
     enumerate_language,
     enumerate_paths,
     enumerate_regular_language,
@@ -238,6 +239,7 @@ def grammars_and_automata(draw, max_inputs=2):
 @given(grammars_and_automata())
 def test_intersection_agrees_with_oracles_on_random_automata(pair):
     grammar, automaton = pair
+    assert automaton_of(automaton.functor, automaton.initial, automaton.final) == automaton
     raw = pullback_grammar(grammar, automaton, trim_useless=False)
     assert pullback_grammar(grammar, automaton) == trim(raw)
     for trim_useless in (False, True):
