@@ -34,7 +34,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 from .errors import CompositionError, InputError
 from .automaton import Automaton, automaton_of
 from .freecat import FiniteGraph, FreeFunctor, Generator, Path
-from .grammar import Grammar
+from .grammar import Grammar, _rules, grammar_from_rules
 from .species import DerivationTree, Leaf, Node, Species, SpeciesMap, walk
 from .spliced import GapType, SplicedArrow
 
@@ -200,25 +200,15 @@ def chromatic_factorization(grammar: Grammar) -> tuple[Grammar, SpeciesMap]:
     collapse (identity on nodes).  The chromatic language only loses
     coloring constraints, so it contains the original one.
     """
-    gap_of_color = {c: gap_color(grammar.gap_of(c)) for c in grammar.species.colors}
-    chrom_species = Species(
-        colors=tuple(dict.fromkeys(gap_of_color.values())),
-        nodes=tuple(
-            Node(n.name, tuple(gap_of_color[c] for c in n.inputs), gap_of_color[n.output])
-            for n in grammar.species.nodes
-        ),
-    )
-    chromatic = Grammar(
-        category=grammar.category,
-        species=chrom_species,
-        start=gap_of_color[grammar.start],
-        color_gap={name: grammar.gap_of(c) for c, name in gap_of_color.items()},
-        node_splice=dict(grammar.node_splice),
-    )
+    def recolor(c: str) -> str:
+        return gap_color(grammar.gap_of(c))
+
+    nonterminals, rules = _rules(grammar, color=recolor)
+    chromatic = grammar_from_rules(grammar.category, recolor(grammar.start), nonterminals, rules)
     collapse = SpeciesMap(
         source=grammar.species,
-        target=chrom_species,
-        color_map=gap_of_color,
+        target=chromatic.species,
+        color_map={c: recolor(c) for c in grammar.species.colors},
         node_map={n.name: n.name for n in grammar.species.nodes},
     )
     return chromatic, collapse
@@ -249,7 +239,8 @@ def cs_decompose(grammar: Grammar) -> CSDecomposition:
     chromatic, collapse = chromatic_factorization(grammar)
     return CSDecomposition(
         universal=universal_grammar(chromatic.species, chromatic.start),
-        automaton=colors_automaton(grammar),
+        # the colors automaton, read off the collapse already at hand
+        automaton=automaton_of(contour_functor(collapse), up(grammar.start), down(grammar.start)),
         interpretation=contour_interpretation(chromatic),
         chromatic=chromatic,
         collapse=collapse,

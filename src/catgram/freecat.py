@@ -130,11 +130,14 @@ class FiniteGraph:
         return Path(first.src, at, names)
 
     def contains_path(self, p: Path) -> bool:
-        try:
-            q = self.path(p.gens, src=p.src if p.is_identity else None)
-        except (InputError, CompositionError):
-            return False
-        return q == p
+        """Whether the generators of ``p`` compose from ``p.src`` to ``p.dst``."""
+        at = p.src
+        for name in p.gens:
+            g = self.generator_by_name.get(name)
+            if g is None or g.src != at:
+                return False
+            at = g.dst
+        return at == p.dst and self.has_object(at)
 
 
 def path_compose(p: Path, q: Path) -> Path:

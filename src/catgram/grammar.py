@@ -10,7 +10,10 @@ category, the property predicates (linearity, normal forms, nullable and
 useful nonterminals), the closure constructions (union, spliced
 concatenation, functorial image), bilinearization, and a bounded language
 equivalence check, which diffs the two grammars' bounded languages as
-``catgram.oracle`` computes them (least fixed points on word sets).
+``catgram.oracle`` computes them (least fixed points on word sets).  Union,
+spliced concatenation, bilinearization and the chromatic collapse rewrite
+rule data, read off with ``_rules``, and build through the checked
+``grammar_from_rules``; the functorial image maps already checked splices.
 """
 
 from __future__ import annotations
@@ -26,11 +29,10 @@ from .freecat import (
     Path,
     _Memo,
     apply_functor,
-    identity_path,
     monoid_graph,
 )
 from .species import DerivationTree, Leaf, Node, Species, derivable, walk
-from .spliced import GapType, SplicedArrow, check_operands, spliced_identity
+from .spliced import GapType, SplicedArrow, check_operands
 
 
 @dataclass(frozen=True)
@@ -378,25 +380,25 @@ def export_classical(grammar: Grammar) -> str:
 # closure constructions
 
 
-def _rename(
-    grammar: Grammar,
-    color_ren: Callable[[str], str],
-    node_ren: Callable[[str], str],
-) -> Grammar:
-    species = Species(
-        colors=tuple(color_ren(c) for c in grammar.species.colors),
-        nodes=tuple(
-            Node(node_ren(n.name), tuple(color_ren(c) for c in n.inputs), color_ren(n.output))
-            for n in grammar.species.nodes
-        ),
-    )
-    return Grammar(
-        category=grammar.category,
-        species=species,
-        start=color_ren(grammar.start),
-        color_gap={color_ren(c): g for c, g in grammar.color_gap.items()},
-        node_splice={node_ren(n): s for n, s in grammar.node_splice.items()},
-    )
+def _rules(
+    grammar: Grammar, tag: str = "", color: Callable[[str], str] | None = None
+) -> tuple[dict[str, tuple[str, str]], list[tuple]]:
+    """The rule data of a grammar as ``grammar_from_rules`` reads it, in
+    species order: node names end in ``tag``, and colors are renamed by
+    ``color``, which by default appends ``tag`` too.  A grammar that
+    ``validate`` faults is rejected with its first message."""
+    problems = validate(grammar)
+    if problems:
+        raise InputError(problems[0])
+    color = color or (lambda c: c + tag)
+    gaps = grammar.color_gap
+    nonterminals = {color(c): (gaps[c].left, gaps[c].right) for c in grammar.species.colors}
+    rules = [
+        (n.name + tag, color(n.output), tuple(map(color, n.inputs)),
+         tuple(seg.gens for seg in grammar.node_splice[n.name].segments))
+        for n in grammar.species.nodes
+    ]
+    return nonterminals, rules
 
 
 def union(g1: Grammar, g2: Grammar) -> Grammar:
@@ -404,29 +406,13 @@ def union(g1: Grammar, g2: Grammar) -> Grammar:
     species plus a fresh start with two identity injections."""
     if g1.category != g2.category:
         raise CompositionError("union needs grammars over the same category")
+    (nts1, rules1), (nts2, rules2) = _rules(g1, "#u1"), _rules(g2, "#u2")
     gap = g1.gap_of(g1.start)
     if gap != g2.gap_of(g2.start):
         raise CompositionError("union needs start symbols of the same gap type")
-    r1 = _rename(g1, lambda c: c + "#u1", lambda n: n + "#u1")
-    r2 = _rename(g2, lambda c: c + "#u2", lambda n: n + "#u2")
-    start = "S#u"
-    species = Species(
-        colors=(start,) + r1.species.colors + r2.species.colors,
-        nodes=(
-            Node("i1#u", (r1.start,), start),
-            Node("i2#u", (r2.start,), start),
-        )
-        + r1.species.nodes
-        + r2.species.nodes,
-    )
-    color_gap = {start: gap, **r1.color_gap, **r2.color_gap}
-    node_splice = {
-        "i1#u": spliced_identity(gap),
-        "i2#u": spliced_identity(gap),
-        **r1.node_splice,
-        **r2.node_splice,
-    }
-    return Grammar(g1.category, species, start, color_gap, node_splice)
+    injections = [(f"i{k}#u", "S#u", (f"{g.start}#u{k}",), ((), ())) for k, g in ((1, g1), (2, g2))]
+    nonterminals = {"S#u": (gap.left, gap.right), **nts1, **nts2}
+    return grammar_from_rules(g1.category, "S#u", nonterminals, injections + rules1 + rules2)
 
 
 def spliced_concat(
@@ -449,26 +435,18 @@ def spliced_concat(
             raise CompositionError("spliced_concat needs grammars over one category")
     elif category is None:
         raise InputError("spliced_concat with no grammars needs an explicit category")
+    nonterminals = {"S#cat": (op.outer.left, op.outer.right)}
+    inputs = tuple(f"{g.start}#cat{i + 1}" for i, g in enumerate(grammars))
+    rules = [("x#cat", "S#cat", inputs, tuple(seg.gens for seg in op.segments))]
     for i, g in enumerate(grammars):
+        more_nonterminals, more_rules = _rules(g, f"#cat{i + 1}")
         if op.gaps[i] != g.gap_of(g.start):
             raise CompositionError(
                 f"gap {i} of the operation does not match the start type of grammar {i}"
             )
-    renamed = [
-        _rename(g, lambda c, i=i: f"{c}#cat{i + 1}", lambda n, i=i: f"{n}#cat{i + 1}")
-        for i, g in enumerate(grammars)
-    ]
-    start = "S#cat"
-    colors = (start,)
-    nodes: tuple[Node, ...] = (Node("x#cat", tuple(r.start for r in renamed), start),)
-    color_gap: dict[str, GapType] = {start: op.outer}
-    node_splice: dict[str, SplicedArrow] = {"x#cat": op}
-    for r in renamed:
-        colors += r.species.colors
-        nodes += r.species.nodes
-        color_gap.update(r.color_gap)
-        node_splice.update(r.node_splice)
-    return Grammar(category, Species(colors, nodes), start, color_gap, node_splice)
+        nonterminals.update(more_nonterminals)
+        rules += more_rules
+    return grammar_from_rules(category, "S#cat", nonterminals, rules)
 
 
 def functorial_image(grammar: Grammar, functor: FreeFunctor) -> Grammar:
@@ -503,54 +481,25 @@ def bilinearize(grammar: Grammar) -> Grammar:
     """Rewrite every node of arity three or more as a chain of one nullary
     and n binary nodes over fresh interface colors, preserving derivations
     one-to-one.  Nodes of arity at most two pass through unchanged."""
-    colors = list(grammar.species.colors)
-    color_gap = dict(grammar.color_gap)
-    nodes: list[Node] = []
-    node_splice: dict[str, SplicedArrow] = {}
-    for node in grammar.species.nodes:
-        splice = grammar.splice_of(node.name)
-        if node.arity <= 2:
-            nodes.append(node)
-            node_splice[node.name] = splice
+    nonterminals, rules = _rules(grammar)
+    chained = []
+    for name, output, inputs, segments in rules:
+        n = len(inputs)
+        if n <= 2:
+            chained.append((name, output, inputs, segments))
             continue
-        n = node.arity
-        outer = splice.outer
-        a = outer.left
-        input_gaps = [grammar.gap_of(c) for c in node.inputs]
-        chain_colors = []
-        for i in range(n):
-            name = f"I({node.name},{i})"
-            chain_colors.append(name)
-            colors.append(name)
-            color_gap[name] = GapType(a, input_gaps[i].left)
-        nodes.append(Node(f"{node.name}#b0", (), chain_colors[0]))
-        node_splice[f"{node.name}#b0"] = SplicedArrow(
-            outer=color_gap[chain_colors[0]],
-            gaps=(),
-            segments=(splice.segments[0],),
-        )
-        for i in range(1, n + 1):
-            out_color = node.output if i == n else chain_colors[i]
-            name = f"{node.name}#b{i}"
-            nodes.append(Node(name, (chain_colors[i - 1], node.inputs[i - 1]), out_color))
-            left_gap = color_gap[chain_colors[i - 1]]
-            in_gap = input_gaps[i - 1]
-            node_splice[name] = SplicedArrow(
-                outer=color_gap[out_color] if i < n else outer,
-                gaps=(left_gap, in_gap),
-                segments=(
-                    identity_path(a),
-                    identity_path(in_gap.left),
-                    splice.segments[i],
-                ),
-            )
-    return Grammar(
-        category=grammar.category,
-        species=Species(tuple(colors), tuple(nodes)),
-        start=grammar.start,
-        color_gap=color_gap,
-        node_splice=node_splice,
-    )
+        # I(name,i) refines (A, A_i): the output's left end to input i's
+        chain = [f"I({name},{i})" for i in range(n)] + [output]
+        for link, c in zip(chain, inputs):
+            if link in nonterminals:
+                raise InputError("duplicate color names in species")
+            nonterminals[link] = (nonterminals[output][0], nonterminals[c][0])
+        chained.append((f"{name}#b0", chain[0], (), segments[:1]))
+        chained += [
+            (f"{name}#b{i}", chain[i], (chain[i - 1], inputs[i - 1]), ((), (), segments[i]))
+            for i in range(1, n + 1)
+        ]
+    return grammar_from_rules(grammar.category, grammar.start, nonterminals, chained)
 
 
 def check_equiv_bounded(g1: Grammar, g2: Grammar, max_len: int) -> Path | None:

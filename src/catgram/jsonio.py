@@ -198,6 +198,15 @@ def _nonterminal(data: Any, where: str) -> tuple[str, tuple[str, str]]:
     return name, (left, right)
 
 
+def _nonterminals(data: Any, where: str) -> dict[str, tuple[str, str]]:
+    declared: dict[str, tuple[str, str]] = {}
+    for i, (name, gap) in enumerate(_array(data, _nonterminal, where)):
+        if name in declared:
+            raise InputError(f"{where}[{i}]: duplicate nonterminal {name!r}")
+        declared[name] = gap
+    return declared
+
+
 def _rule(data: Any, where: str) -> tuple[str, str, tuple[str, ...], tuple[tuple[str, ...], ...]]:
     splice, name, output, inputs = _record(
         data, where, splice=[_str_list], name=str, output=str, inputs=[str]
@@ -207,10 +216,10 @@ def _rule(data: Any, where: str) -> tuple[str, str, tuple[str, ...], tuple[tuple
 
 def grammar_from_json(data: Any, where: str = "grammar") -> Grammar:
     category, nonterminals, rules, start = _record(
-        data, where, category=graph_from_json, nonterminals=[_nonterminal], rules=[_rule], start=str
+        data, where, category=graph_from_json, nonterminals=_nonterminals, rules=[_rule], start=str
     )
     try:
-        return grammar_from_rules(category, start, dict(nonterminals), rules)
+        return grammar_from_rules(category, start, nonterminals, rules)
     except (InputError, CompositionError) as exc:
         raise InputError(f"{where}: {exc}") from exc
 

@@ -8,7 +8,7 @@ import pytest
 from catgram import Automaton, State, Transition, bilinearize, interval_automaton, word
 from catgram import jsonio
 from catgram.contour import contour_word
-from catgram.fixtures import G_AB, G_AMB, G_EPS, GRAPH_A, GRAPH_AB, M_EVENA, SPC_FIG3, fig3_tree
+from catgram.fixtures import G_AB, G_AMB, G_END, G_EPS, GRAPH_A, GRAPH_AB, M_EVENA, SPC_FIG3, fig3_tree
 
 
 def run_cli(*args, seed="0"):
@@ -246,6 +246,14 @@ def test_validate_commands(files, tmp_path):
     broken.write_text("{not json", encoding="utf-8")
     res = run_cli("validate", "-g", str(broken))
     assert res.returncode == 2
+
+
+def test_validate_rejects_a_duplicate_nonterminal(files):
+    data = jsonio.grammar_to_json(G_END)
+    data["nonterminals"].append({"name": "E", "left": "*", "right": "*"})
+    res = run_cli("validate", "-g", files["write"]("dup.json", data))
+    assert (res.returncode, res.stdout) == (2, "")
+    assert res.stderr == "error: grammar.nonterminals[2]: duplicate nonterminal 'E'\n"
 
 
 def test_validate_without_input_exits_2():

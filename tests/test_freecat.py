@@ -1,4 +1,6 @@
+import itertools
 import random
+import re
 
 import pytest
 
@@ -281,3 +283,47 @@ def test_path_validation():
     assert AB.contains_path(word(AB, "ab"))
     assert not AB.contains_path(Path("*", "*", ("z",)))
     assert not TWO.contains_path(Path("X", "X", ("u", "u")))
+
+
+def _contains_path_by_rebuilding(graph, p):
+    """Reference for ``contains_path``: rebuild the path from its generator
+    names through ``FiniteGraph.path`` and compare."""
+    try:
+        q = graph.path(p.gens, src=p.src if p.is_identity else None)
+    except (InputError, CompositionError):
+        return False
+    return q == p
+
+
+@pytest.mark.parametrize("graph", [AB, TWO, end_marked(AB)], ids=["AB", "TWO", "AB-end"])
+def test_contains_path_agrees_with_rebuilding_exhaustive(graph):
+    names = [g.name for g in graph.generators] + ["z"]
+    objects = list(graph.objects) + ["nowhere"]
+    for length in range(4):
+        for gens in itertools.product(names, repeat=length):
+            for src, dst in itertools.product(objects, repeat=2):
+                p = Path(src, dst, gens)
+                assert graph.contains_path(p) == _contains_path_by_rebuilding(graph, p), p
+
+
+@pytest.mark.parametrize(
+    "object_map,generator_map,message",
+    [
+        ({"X": "*"}, {}, "object 'Y' missing from object map"),
+        ({"X": "*", "Y": "nowhere"}, {}, "object 'Y' mapped outside the codomain"),
+        ({"X": "*", "Y": "*"}, {"u": word(AB, "a")}, "generator 'v' missing from generator map"),
+        ({"X": "*", "Y": "*"}, {"u": Path("*", "*", ("z",)), "v": word(AB, "a")},
+         "image of generator 'u' is not a codomain path"),
+    ],
+    ids=["object-missing", "object-outside", "generator-missing", "not-a-path"],
+)
+def test_free_functor_error_messages(object_map, generator_map, message):
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        FreeFunctor(TWO, AB, object_map, generator_map)
+
+
+def test_free_functor_rejects_an_image_with_other_endpoints():
+    with pytest.raises(
+        InputError, match="^image of generator 'a' has endpoints X->Y, expected X->X$"
+    ):
+        FreeFunctor(AB, TWO, {"*": "X"}, {"a": word(TWO, "u"), "b": identity_path("X")})

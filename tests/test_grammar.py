@@ -13,9 +13,11 @@ from catgram import (
     GapType,
     InputError,
     Leaf,
+    Path,
     SplicedArrow,
     bilinearize,
     check_equiv_bounded,
+    chromatic_factorization,
     count_parses,
     enumerate_closed_trees,
     enumerate_language,
@@ -55,7 +57,8 @@ from catgram.grammar import Grammar
 from catgram.species import Node, Species, fold
 from conftest import words
 from test_species import _open_trees
-from test_parser import EXPR, GRAPH_PQ, RANDOM_WORD_BOUND, _at_start, random_grammars
+from test_parser import EXPR, GRAPH_PQ, RANDOM_WORD_BOUND, _at_start, _segment, random_grammars
+from test_product import _digest
 
 TOP = "⊤"
 
@@ -86,6 +89,49 @@ def test_validate_reports_outer_mismatch():
     )
     report = validate(bad)
     assert any("outer type" in line for line in report)
+
+
+def _g_ab_with(start="S", color_gap=None, **splices):
+    """G_AB, hand-built, with another start, gap types or node splices;
+    a splice given as None is dropped."""
+    node_splice = {**G_AB.node_splice, **splices}
+    return Grammar(
+        GRAPH_AB,
+        G_AB.species,
+        start,
+        G_AB.color_gap if color_gap is None else color_gap,
+        {k: v for k, v in node_splice.items() if v is not None},
+    )
+
+
+@pytest.mark.parametrize(
+    "grammar,report",
+    [
+        (_g_ab_with(start="X"), ["start symbol 'X' is not a declared color"]),
+        (_g_ab_with(color_gap={}), ["color 'S' has no gap type"]),
+        (
+            _g_ab_with(color_gap={"S": GapType("*", TOP)}),
+            [
+                "color 'S' has gap type outside the category",
+                "node 'r1': outer type (*,*) differs from gap type (*,⊤) of 'S'",
+                "node 'r1': gap 0 is (*,*), expected (*,⊤) for input 'S'",
+                "node 'r0': outer type (*,*) differs from gap type (*,⊤) of 'S'",
+            ],
+        ),
+        (_g_ab_with(r0=None), ["node 'r0' has no spliced arrow"]),
+        (
+            _g_ab_with(r0=G_AB.splice_of("r1")),
+            ["node 'r0' has arity 0 but its spliced arrow has arity 1"],
+        ),
+        (
+            _g_ab_with(r0=SplicedArrow(GapType("*", "*"), (), (Path("*", "*", ("a", "c")),))),
+            ["node 'r0': segment 0 is not a path of the category"],
+        ),
+    ],
+    ids=["start", "no-gap", "gap-outside", "no-splice", "arity", "segment"],
+)
+def test_validate_reports_are_pinned(grammar, report):
+    assert validate(grammar) == report
 
 
 def test_validate_knuth_end_rule():
@@ -623,3 +669,200 @@ def test_bilinearize_keeps_languages_and_parse_counts_on_random_grammars(grammar
         # derivations correspond one to one, so cyclic forests give inf on both sides
         assert count_parses(parse_forest(binned, w)) == count_parses(parse_forest(grammar, w)), w
     assert check_equiv_bounded(grammar, binned, bound) is None
+
+
+# -- closure constructions: errors, pinned outputs, random languages ---------
+
+
+def test_union_rejects_two_categories():
+    with pytest.raises(CompositionError, match="^union needs grammars over the same category$"):
+        union(G_AB, G_AMB)
+
+
+STAR = GapType("*", "*")
+
+
+@pytest.mark.parametrize(
+    "op,grammars,error,message",
+    [
+        (spliced_identity(STAR), [], CompositionError,
+         "operation of arity 1 needs 1 grammars"),
+        (SplicedArrow(STAR, (STAR, STAR), (identity_path("*"),) * 3), [G_AB, G_AMB],
+         CompositionError, "spliced_concat needs grammars over one category"),
+        (SplicedArrow(STAR, (), (identity_path("*"),)), [], InputError,
+         "spliced_concat with no grammars needs an explicit category"),
+        (spliced_identity(STAR), [G_END], CompositionError,
+         "gap 0 of the operation does not match the start type of grammar 0"),
+    ],
+    ids=["arity", "two-categories", "no-category", "gap"],
+)
+def test_spliced_concat_error_messages(op, grammars, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        spliced_concat(op, grammars)
+
+
+def test_spliced_concat_rejects_a_segment_that_is_no_path():
+    # the middle segment claims to run from top to * with no generators
+    end = GapType("*", TOP)
+    op = SplicedArrow(end, (end, end), (identity_path("*"), Path(TOP, "*", ()), identity_path(TOP)))
+    with pytest.raises(InputError, match="^rule 'x#cat': segment 1 has type"):
+        spliced_concat(op, [G_END, G_END])
+
+
+# a^n b^n with arity four and interface colors of two gap types: a b b $
+G_QUAD = grammar_from_rules(
+    GRAPH_AB_END,
+    "Q",
+    {"Q": ("*", TOP), "A": ("*", "*"), "Z": (TOP, TOP)},
+    [
+        ("q", "Q", ("A", "A", "Z", "Z"), (("a",), (), ("$",), (), ())),
+        ("ra", "A", (), (("b",),)),
+        ("rz", "Z", (), ((),)),
+    ],
+)
+FIXTURES = {
+    "g_ab": G_AB, "g_amb": G_AMB, "g_end": G_END, "g_eps": G_EPS, "g_tern": G_TERN,
+    "g_unit": G_UNIT,
+}
+PINNED_CONSTRUCTIONS = {
+    **{
+        f"union {n1} {n2}": lambda g1=g1, g2=g2: union(g1, g2)
+        for (n1, g1), (n2, g2) in itertools.product(FIXTURES.items(), repeat=2)
+        if g1.category == g2.category and g1.gap_of(g1.start) == g2.gap_of(g2.start)
+    },
+    "spliced_concat identity g_ab": lambda: spliced_concat(spliced_identity(STAR), [G_AB]),
+    "spliced_concat wrap g_end": lambda: spliced_concat(
+        SplicedArrow(GapType("*", TOP), (GapType("*", TOP),),
+                     (word(GRAPH_AB_END, "ab"), identity_path(TOP))),
+        [G_END],
+    ),
+    "spliced_concat two factors": lambda: spliced_concat(
+        SplicedArrow(STAR, (STAR, STAR), (identity_path("*"), word(GRAPH_AB, "b"), word(GRAPH_AB, "a"))),
+        [G_AB, G_TERN],
+    ),
+    "spliced_concat nullary": lambda: spliced_concat(
+        SplicedArrow(STAR, (), (word(GRAPH_AB, "ab"),)), [], category=GRAPH_AB
+    ),
+    **{f"bilinearize {n}": lambda g=g: bilinearize(g) for n, g in FIXTURES.items()},
+    "bilinearize expr": lambda: bilinearize(EXPR),
+    "bilinearize g_quad": lambda: bilinearize(G_QUAD),
+    **{f"chromatic {n}": lambda g=g: chromatic_factorization(g)[0] for n, g in FIXTURES.items()},
+    "chromatic g_quad": lambda: chromatic_factorization(G_QUAD)[0],
+}
+PINNED_CONSTRUCTION_DIGESTS = {
+    "bilinearize expr": "76718a3aca1410d4",
+    "bilinearize g_ab": "15fe24af26937558",
+    "bilinearize g_amb": "06e9554c3126eb1f",
+    "bilinearize g_end": "9c8e8d3ba13a2ed3",
+    "bilinearize g_eps": "cbb51941cca04254",
+    "bilinearize g_quad": "bfcdfb858f1ca56d",
+    "bilinearize g_tern": "074753ac3abaaa21",
+    "bilinearize g_unit": "d6cdff75c37295b8",
+    "chromatic g_ab": "ee0424d1ee344fd4",
+    "chromatic g_amb": "3d361c3d588d0da9",
+    "chromatic g_end": "6a2bc53f64228f22",
+    "chromatic g_eps": "d0522997dfef517d",
+    "chromatic g_quad": "53c34244fb7ad419",
+    "chromatic g_tern": "970b52ffbd562128",
+    "chromatic g_unit": "426b7819187c6a89",
+    "spliced_concat identity g_ab": "02c7ac120cca60e6",
+    "spliced_concat nullary": "55c7dbce4c91d816",
+    "spliced_concat two factors": "fc863641e04eb1bf",
+    "spliced_concat wrap g_end": "90ea85158fb383c9",
+    "union g_ab g_ab": "08e981d000f31b5a",
+    "union g_ab g_tern": "aba111ea46acf36c",
+    "union g_amb g_amb": "a1b1c5a2f6f9a6f1",
+    "union g_amb g_eps": "fddc968544bd7c81",
+    "union g_amb g_unit": "9a8f3b482c12d2e0",
+    "union g_end g_end": "8848807672ce9722",
+    "union g_eps g_amb": "b44cb9d0f6b1f1c5",
+    "union g_eps g_eps": "6f11e939a58f16a2",
+    "union g_eps g_unit": "a5ce0f6ad170b567",
+    "union g_tern g_ab": "39aef9add51a4550",
+    "union g_tern g_tern": "2ef61f99ba377a34",
+    "union g_unit g_amb": "b427c94a681570e6",
+    "union g_unit g_eps": "ec9c726e0fe699dd",
+    "union g_unit g_unit": "02f5cac361e4af24",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CONSTRUCTIONS))
+def test_construction_output_is_pinned(name):
+    # digests of the outputs as the constructions built them by hand
+    assert _digest(PINNED_CONSTRUCTIONS[name]()) == PINNED_CONSTRUCTION_DIGESTS[name]
+
+
+def test_bilinearize_of_g_quad():
+    binned = bilinearize(G_QUAD)
+    assert validate(binned) == []
+    # I(q,i) refines (*, left end of input i)
+    end = GapType("*", TOP)
+    assert [binned.gap_of(f"I(q,{i})") for i in range(4)] == [STAR, STAR, end, end]
+    assert lang(binned, 6) == lang(G_QUAD, 6) == {"abb$"}
+
+
+NOT_A_PATH = _g_ab_with(r0=SplicedArrow(STAR, (), (Path("*", "*", ("a", "c")),)))
+
+
+@pytest.mark.parametrize(
+    "construct",
+    [
+        lambda: union(NOT_A_PATH, G_AB),
+        lambda: union(G_AB, NOT_A_PATH),
+        lambda: spliced_concat(spliced_identity(STAR), [NOT_A_PATH]),
+        lambda: bilinearize(NOT_A_PATH),
+        lambda: chromatic_factorization(NOT_A_PATH),
+    ],
+    ids=["union-left", "union-right", "spliced_concat", "bilinearize", "chromatic"],
+)
+def test_constructions_reject_a_grammar_that_validate_faults(construct):
+    # they used to build a grammar carrying the fault on
+    with pytest.raises(InputError, match="^node 'r0': segment 0 is not a path of the category$"):
+        construct()
+
+
+def test_bilinearize_rejects_an_interface_color_that_is_taken():
+    taken = grammar_from_rules(
+        GRAPH_AB,
+        "T",
+        {"S": ("*", "*"), "T": ("*", "*"), "I(t,1)": ("*", "*")},
+        [("r0", "S", (), (("a", "b"),)), ("t", "T", ("S", "S", "S"), (("a",), (), (), ("b",)))],
+    )
+    with pytest.raises(InputError, match="^duplicate color names in species$"):
+        bilinearize(taken)
+
+
+@given(random_grammars(), random_grammars(), st.data())
+def test_union_language_is_the_union_on_random_grammars(g1, g2, data):
+    gap = g1.gap_of(g1.start)
+    same = [c for c in g2.species.colors if g2.gap_of(c) == gap]
+    if not same:
+        with pytest.raises(CompositionError):
+            union(g1, g2)
+        return
+    g2 = _at_start(g2, data.draw(st.sampled_from(same)))
+    bound = RANDOM_WORD_BOUND
+    expected = set(enumerate_language(g1, bound)) | set(enumerate_language(g2, bound))
+    assert set(enumerate_language(union(g1, g2), bound)) == expected
+
+
+@given(st.lists(random_grammars(), max_size=2), st.data())
+def test_spliced_concat_language_is_the_spliced_words_on_random_grammars(grammars, data):
+    objects = st.sampled_from(GRAPH_PQ.objects)
+    outer = GapType(data.draw(objects), data.draw(objects))
+    gaps = tuple(g.gap_of(g.start) for g in grammars)
+    ends = [outer.left, *(end for gap in gaps for end in (gap.left, gap.right)), outer.right]
+    segments = tuple(
+        GRAPH_PQ.path(_segment(data.draw, src, dst), src=src) for src, dst in zip(ends[::2], ends[1::2])
+    )
+    op = SplicedArrow(outer, gaps, segments)
+    bound = RANDOM_WORD_BOUND
+    expected = set()
+    for factors in itertools.product(*(enumerate_language(g, bound) for g in grammars)):
+        gens = segments[0].gens
+        for factor, segment in zip(factors, segments[1:]):
+            gens += factor.gens + segment.gens
+        if len(gens) <= bound:
+            expected.add(Path(outer.left, outer.right, gens))
+    result = spliced_concat(op, grammars, category=GRAPH_PQ)
+    assert set(enumerate_language(result, bound)) == expected

@@ -97,6 +97,15 @@ def test_grammar_from_json_rejects_bad_splice():
         jsonio.grammar_from_json(data)
 
 
+@pytest.mark.parametrize("right", ["*", "⊤"], ids=["same-gap", "other-gap"])
+def test_grammar_from_json_rejects_a_duplicate_nonterminal(right):
+    data = jsonio.grammar_to_json(G_END)
+    data["nonterminals"].append({"name": "E", "left": "*", "right": right})
+    with pytest.raises(InputError) as info:
+        jsonio.grammar_from_json(data)
+    assert str(info.value) == "grammar.nonterminals[2]: duplicate nonterminal 'E'"
+
+
 def test_automaton_roundtrip():
     data = jsonio.automaton_to_json(M_EVENA)
     assert jsonio.automaton_from_json(data) == M_EVENA
