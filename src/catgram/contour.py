@@ -119,11 +119,7 @@ def universal_grammar(species: Species, start: str) -> Grammar:
     corners = iter(graph.generators)  # node by node, each in index order
     node_splice = {
         node.name: SplicedArrow(
-            outer=color_gap[node.output],
-            gaps=tuple(color_gap[c] for c in node.inputs),
-            segments=tuple(
-                Path(g.src, g.dst, (g.name,)) for g in islice(corners, node.arity + 1)
-            ),
+            tuple(Path(g.src, g.dst, (g.name,)) for g in islice(corners, node.arity + 1))
         )
         for node in species.nodes
     }

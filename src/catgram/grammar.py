@@ -13,7 +13,7 @@ equivalence check, which diffs the two grammars' bounded languages as
 ``catgram.oracle`` computes them (least fixed points on word sets).  Union,
 spliced concatenation, bilinearization and the chromatic collapse rewrite
 rule data, read off with ``_rules``, and build through the checked
-``grammar_from_rules``; the functorial image maps already checked splices.
+``grammar_from_rules``; the functorial image maps each splice's segments.
 """
 
 from __future__ import annotations
@@ -66,7 +66,8 @@ def grammar_from_rules(
 
     Each rule is ``(name, output, inputs, segments)`` with segments given as
     generator-name sequences; empty segments become identity paths at the
-    position forced by the gap types.
+    position forced by the gap types, and a segment with other endpoints
+    than the gap types force is an ``InputError``.
     """
     color_gap = {c: GapType(left, right) for c, (left, right) in nonterminals.items()}
     for c, gap in color_gap.items():
@@ -84,16 +85,21 @@ def grammar_from_rules(
             raise InputError(
                 f"rule {name!r} needs {len(inputs) + 1} segments, got {len(segments)}"
             )
-        paths = []
-        for i, gens in enumerate(segments):
-            src = outer.left if i == 0 else gaps[i - 1].right
-            paths.append(category.path(tuple(gens), src=src if not gens else None))
-        try:
-            splice = SplicedArrow(outer=outer, gaps=gaps, segments=tuple(paths))
-        except CompositionError as exc:
-            raise InputError(f"rule {name!r}: {exc}") from exc
+        # the endpoints the gap types force on each segment
+        ends = [outer.left, *(end for gap in gaps for end in (gap.left, gap.right)), outer.right]
+        spans = list(zip(ends[::2], ends[1::2]))
+        paths = tuple(
+            category.path(tuple(gens), src=None if gens else src)
+            for gens, (src, _) in zip(segments, spans)
+        )
+        for i, (seg, (src, dst)) in enumerate(zip(paths, spans)):
+            if (seg.src, seg.dst) != (src, dst):
+                raise InputError(
+                    f"rule {name!r}: segment {i} has type {seg.src}->{seg.dst}, "
+                    f"expected {src}->{dst}"
+                )
         nodes.append(Node(name, tuple(inputs), output))
-        node_splice[name] = splice
+        node_splice[name] = SplicedArrow(paths)
     species = Species(colors=tuple(nonterminals), nodes=tuple(nodes))
     if start not in color_gap:
         raise InputError(f"start symbol {start!r} is not a declared nonterminal")
@@ -178,9 +184,7 @@ def eval_tree(grammar: Grammar, tree: DerivationTree) -> SplicedArrow:
     (outer,) = frames[0][1]
     ends = [outer.left, *(end for gap in gaps for end in (gap.left, gap.right)), outer.right]
     return SplicedArrow(
-        outer,
-        tuple(gaps),
-        tuple(Path(ends[2 * k], ends[2 * k + 1], tuple(gens)) for k, gens in enumerate(segments)),
+        tuple(Path(ends[2 * k], ends[2 * k + 1], tuple(gens)) for k, gens in enumerate(segments))
     )
 
 
@@ -462,11 +466,9 @@ def functorial_image(grammar: Grammar, functor: FreeFunctor) -> Grammar:
     images = _Memo(lambda src, dst, gens: apply_functor(functor, Path(src, dst, gens)))
     node_splice = {}
     for node in grammar.species.nodes:
-        splice = grammar.splice_of(node.name)
+        segments = grammar.splice_of(node.name).segments
         node_splice[node.name] = SplicedArrow(
-            outer=gaps[splice.outer.left, splice.outer.right],
-            gaps=tuple(gaps[g.left, g.right] for g in splice.gaps),
-            segments=tuple(images[seg.src, seg.dst, seg.gens] for seg in splice.segments),
+            tuple(images[seg.src, seg.dst, seg.gens] for seg in segments)
         )
     return Grammar(
         category=functor.codomain,

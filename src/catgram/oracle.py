@@ -28,7 +28,7 @@ def _splice_words(splice: SplicedArrow, children: tuple[Path, ...]) -> Path:
     gens: tuple[str, ...] = splice.segments[0].gens
     for i, u in enumerate(children):
         gens = gens + u.gens + splice.segments[i + 1].gens
-    return Path(splice.outer.left, splice.outer.right, gens)
+    return Path(splice.segments[0].src, splice.segments[-1].dst, gens)
 
 
 def _combos(

@@ -32,9 +32,9 @@ intersection of the two languages is the same pulled species over the base
 category, each node carrying its base node's own splice.  The trimmed
 pullback anchors the kernel at the start item; the raw one lifts nothing.
 Both render each chosen ``(node, placements)`` the same way: the parts of
-every placement prefix (name, pulled inputs, gap types, runs) are made
-once and shared by the nodes that extend it, so a node costs one lookup
-and its last segment.
+every placement prefix (name, pulled inputs, runs) are made once and shared
+by the nodes that extend it, so a node costs one lookup and its last
+segment.
 """
 
 from __future__ import annotations
@@ -306,34 +306,32 @@ def _pulled(grammar: Grammar, automaton: Automaton, trim_useless: bool, over_run
             for idx in itertools.product(*(range(len(seg)) for seg in segs))
         )
 
-    # pullback color names by (src, color, dst) and gap types by state
-    # pair, made once and shared by every node that meets them
+    # pullback color names by (src, color, dst), made once and shared by
+    # every node that meets them
     names = _Memo("({},{},{})".format)
-    gap_types = _Memo(GapType)
 
     def grow(n: int, head: tuple[int, ...], b: int) -> tuple:
         """The parts of node ``n`` placed at ``head + (b,)``: its name so
-        far, pulled inputs, gap types and runs, first source, last target."""
-        name, inputs, gaps, runs, first, last = parts[n, head]
+        far, pulled inputs and runs, first source, last target."""
+        name, inputs, runs, first, last = parts[n, head]
         k = len(head)
         src, dst, run, label = table[n][k][b]
         if k:
             inputs += (names[last, nodes[n].inputs[k - 1], src],)
-            gaps += (gap_types[last, src],)
         else:
             first = src
-        return name + "|" + label, inputs, gaps, runs + (run,), first, dst
+        return name + "|" + label, inputs, runs + (run,), first, dst
 
     # the parts of each placement prefix ``(n, head)``, made once and shared
     # by every node whose first segments are placed alike
     parts = _Memo(
         lambda n, head: grow(n, head[:-1], head[-1])
         if head
-        else (f"({nodes[n].name}", (), (), (), None, None)
+        else (f"({nodes[n].name}", (), (), None, None)
     )
     if over_runs:
         category = automaton.state_graph
-        color_gap = {names[q, c, q2]: gap_types[q, q2] for c, q, q2 in items}
+        color_gap = {names[q, c, q2]: GapType(q, q2) for c, q, q2 in items}
     else:
         # a run lies over its segment and a pulled color over its color's
         # gap type, so each pulled node maps down to its base node's splice
@@ -343,15 +341,11 @@ def _pulled(grammar: Grammar, automaton: Automaton, trim_useless: bool, over_run
     pulled_nodes: list[Node] = []
     node_splice: dict[str, SplicedArrow] = {}
     for n, idx in chosen:
-        name, inputs, gaps, runs, first, last = grow(n, idx[:-1], idx[-1])
+        name, inputs, runs, first, last = grow(n, idx[:-1], idx[-1])
         name += ")"
         node = nodes[n]
         pulled_nodes.append(Node(name, inputs, names[first, node.output, last]))
-        node_splice[name] = (
-            SplicedArrow(gap_types[first, last], gaps, runs)
-            if over_runs
-            else grammar.node_splice[node.name]
-        )
+        node_splice[name] = SplicedArrow(runs) if over_runs else grammar.node_splice[node.name]
     colors = tuple(names[q, c, q2] for c, q, q2 in items)
     species = Species(colors=colors, nodes=tuple(pulled_nodes))
     start = names[automaton.initial, grammar.start, automaton.final]

@@ -29,55 +29,48 @@ class SplicedArrow:
 
     Segment ``i`` runs from the right object of gap ``i-1`` to the left
     object of gap ``i``, reading the outer type as the fictitious gaps -1
-    and n.  Gap types are stored explicitly so mistyped operations fail at
-    construction.
+    and n.  The segments are the whole operation: its outer and gap types
+    are their endpoints, so no mistyped operation can be built.
     """
 
-    outer: GapType
-    gaps: tuple[GapType, ...]
     segments: tuple[Path, ...]
 
     def __post_init__(self) -> None:
-        n = len(self.gaps)
-        if len(self.segments) != n + 1:
-            raise CompositionError(
-                f"spliced arrow with {n} gaps needs {n + 1} segments, got {len(self.segments)}"
-            )
-        for i, seg in enumerate(self.segments):
-            want_src = self.outer.left if i == 0 else self.gaps[i - 1].right
-            want_dst = self.outer.right if i == n else self.gaps[i].left
-            if seg.src != want_src or seg.dst != want_dst:
-                raise CompositionError(
-                    f"segment {i} has type {seg.src}->{seg.dst}, expected {want_src}->{want_dst}"
-                )
+        if not self.segments:
+            raise CompositionError("a spliced arrow needs at least one segment")
+
+    @property
+    def outer(self) -> GapType:
+        return GapType(self.segments[0].src, self.segments[-1].dst)
+
+    @property
+    def gaps(self) -> tuple[GapType, ...]:
+        segs = self.segments
+        return tuple(GapType(a.dst, b.src) for a, b in zip(segs, segs[1:]))
 
     @property
     def arity(self) -> int:
-        return len(self.gaps)
+        return len(self.segments) - 1
 
     @property
     def is_constant(self) -> bool:
-        return not self.gaps
+        return len(self.segments) == 1
 
     def as_path(self) -> Path:
         """The unique segment of a constant, seen as an arrow."""
-        if self.gaps:
+        if not self.is_constant:
             raise CompositionError("only constants can be read back as arrows")
         return self.segments[0]
 
 
 def constant(path: Path) -> SplicedArrow:
     """An arrow seen as a 0-ary operation."""
-    return SplicedArrow(outer=GapType(path.src, path.dst), gaps=(), segments=(path,))
+    return SplicedArrow((path,))
 
 
 def spliced_identity(gap: GapType) -> SplicedArrow:
     """The identity operation on a gap type: two identity segments."""
-    return SplicedArrow(
-        outer=gap,
-        gaps=(gap,),
-        segments=(identity_path(gap.left), identity_path(gap.right)),
-    )
+    return SplicedArrow((identity_path(gap.left), identity_path(gap.right)))
 
 
 def spliced_compose_partial(f: SplicedArrow, i: int, g: SplicedArrow) -> SplicedArrow:
@@ -94,10 +87,10 @@ def check_operands(f: SplicedArrow, outers: Sequence[GapType]) -> None:
     ``outers`` fill the gaps of ``f``, one per gap."""
     if len(outers) != f.arity:
         raise CompositionError(f"parallel composition needs {f.arity} operands, got {len(outers)}")
-    for i, outer in enumerate(outers):
-        if f.gaps[i] != outer:
+    for i, (gap, outer) in enumerate(zip(f.gaps, outers)):
+        if gap != outer:
             raise CompositionError(
-                f"gap {i} has type ({f.gaps[i].left},{f.gaps[i].right}), operand has "
+                f"gap {i} has type ({gap.left},{gap.right}), operand has "
                 f"outer type ({outer.left},{outer.right})"
             )
 
@@ -106,13 +99,11 @@ def spliced_compose_parallel(f: SplicedArrow, operands: tuple[SplicedArrow, ...]
     """Substitute one operand into every gap of ``f`` simultaneously."""
     check_operands(f, [g.outer for g in operands])
     segments = [f.segments[0]]
-    gaps: list[GapType] = []
     for i, g in enumerate(operands):
         segments[-1] = path_compose(segments[-1], g.segments[0])
         segments.extend(g.segments[1:])
-        gaps.extend(g.gaps)
         segments[-1] = path_compose(segments[-1], f.segments[i + 1])
-    return SplicedArrow(outer=f.outer, gaps=tuple(gaps), segments=tuple(segments))
+    return SplicedArrow(tuple(segments))
 
 
 def constants_of(graph: FiniteGraph, gap: GapType, max_len: int) -> tuple[SplicedArrow, ...]:

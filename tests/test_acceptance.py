@@ -79,9 +79,8 @@ def criterion(number, title):
 
 def _random_spliced(rng, arity):
     pool = ["", "a", "b", "aa", "ab", "ba", "bb"]
-    gap = GapType("*", "*")
     segs = tuple(GRAPH_AB.path(tuple(rng.choice(pool)), src="*") for _ in range(arity + 1))
-    return SplicedArrow(gap, (gap,) * arity, segs)
+    return SplicedArrow(segs)
 
 
 def test_criterion_1_spliced_operad_laws():
@@ -120,14 +119,9 @@ def test_criterion_1_spliced_operad_laws():
                     assert lhs == rhs
         # the worked composition from the one-object example
         letters = monoid_graph(tuple("abcdef"))
-        gap = GapType("*", "*")
 
         def op(*texts):
-            return SplicedArrow(
-                gap,
-                (gap,) * (len(texts) - 1),
-                tuple(letters.path(tuple(t), src="*") for t in texts),
-            )
+            return SplicedArrow(tuple(letters.path(tuple(t), src="*") for t in texts))
 
         got = spliced_compose_parallel(op("a", "b", "c"), (op("d", "e", "f"), op("", "a")))
         assert ["".join(s.gens) for s in got.segments] == ["ad", "e", "fb", "ac"]
@@ -219,11 +213,7 @@ def test_criterion_4_closure_constructions():
             {"S": ("*", "*")},
             [("r1", "S", ("S",), (("a",), ("b",))), ("r0", "S", (), (("a", "b"),))],
         )
-        wrap = SplicedArrow(
-            GapType("*", "*"),
-            (GapType("*", "*"),),
-            (word(abcd, "c"), word(abcd, "d")),
-        )
+        wrap = SplicedArrow((word(abcd, "c"), word(abcd, "d")))
         got = {"".join(w.gens) for w in enumerate_language(spliced_concat(wrap, [g_ab4]), 8)}
         assert got == {
             "c" + "".join(u.gens) + "d"

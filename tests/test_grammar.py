@@ -124,7 +124,7 @@ def _g_ab_with(start="S", color_gap=None, **splices):
             ["node 'r0' has arity 0 but its spliced arrow has arity 1"],
         ),
         (
-            _g_ab_with(r0=SplicedArrow(GapType("*", "*"), (), (Path("*", "*", ("a", "c")),))),
+            _g_ab_with(r0=SplicedArrow((Path("*", "*", ("a", "c")),))),
             ["node 'r0': segment 0 is not a path of the category"],
         ),
     ],
@@ -458,8 +458,7 @@ G_AB4 = grammar_from_rules(
 
 
 def test_spliced_concat_wraps_language():
-    star = GapType("*", "*")
-    op = SplicedArrow(star, (star,), (word(ABCD, "c"), word(ABCD, "d")))
+    op = SplicedArrow((word(ABCD, "c"), word(ABCD, "d")))
     g = spliced_concat(op, [G_AB4])
     assert lang(g, 8) == {"c" + w + "d" for w in lang(G_AB4, 6)}
 
@@ -470,17 +469,13 @@ def test_spliced_concat_identity_is_neutral():
 
 
 def test_spliced_concat_nullary_constant():
-    star = GapType("*", "*")
-    op = SplicedArrow(star, (), (word(GRAPH_AB, "ab"),))
+    op = SplicedArrow((word(GRAPH_AB, "ab"),))
     g = spliced_concat(op, [], category=GRAPH_AB)
     assert lang(g, 8) == {"ab"}
 
 
 def test_spliced_concat_two_factors():
-    star = GapType("*", "*")
-    op = SplicedArrow(
-        star, (star, star), (identity_path("*"), word(ABCD, "c"), identity_path("*"))
-    )
+    op = SplicedArrow((identity_path("*"), word(ABCD, "c"), identity_path("*")))
     g = spliced_concat(op, [G_AB4, G_AB4])
     expected = {
         u + "c" + v
@@ -642,7 +637,7 @@ def test_check_equiv_bounded_agrees_with_recognizing_on_random_grammars(g1, g2, 
     added = _with_nodes(
         g1,
         g1.species.nodes + (Node("extra", (), g1.start),),
-        {**g1.node_splice, "extra": SplicedArrow(gap, (), (extra,))},
+        {**g1.node_splice, "extra": SplicedArrow((extra,))},
     )
     gone = data.draw(st.sampled_from(g1.species.nodes))
     dropped = _with_nodes(
@@ -687,9 +682,9 @@ STAR = GapType("*", "*")
     [
         (spliced_identity(STAR), [], CompositionError,
          "operation of arity 1 needs 1 grammars"),
-        (SplicedArrow(STAR, (STAR, STAR), (identity_path("*"),) * 3), [G_AB, G_AMB],
+        (SplicedArrow((identity_path("*"),) * 3), [G_AB, G_AMB],
          CompositionError, "spliced_concat needs grammars over one category"),
-        (SplicedArrow(STAR, (), (identity_path("*"),)), [], InputError,
+        (SplicedArrow((identity_path("*"),)), [], InputError,
          "spliced_concat with no grammars needs an explicit category"),
         (spliced_identity(STAR), [G_END], CompositionError,
          "gap 0 of the operation does not match the start type of grammar 0"),
@@ -703,10 +698,27 @@ def test_spliced_concat_error_messages(op, grammars, error, message):
 
 def test_spliced_concat_rejects_a_segment_that_is_no_path():
     # the middle segment claims to run from top to * with no generators
-    end = GapType("*", TOP)
-    op = SplicedArrow(end, (end, end), (identity_path("*"), Path(TOP, "*", ()), identity_path(TOP)))
+    op = SplicedArrow((identity_path("*"), Path(TOP, "*", ()), identity_path(TOP)))
     with pytest.raises(InputError, match="^rule 'x#cat': segment 1 has type"):
         spliced_concat(op, [G_END, G_END])
+
+
+@pytest.mark.parametrize(
+    "inputs,segments,message",
+    [
+        (("A",), (("$",), ("$",)), "rule 'x': segment 0 has type *->⊤, expected *->*"),
+        (("A", "A"), ((), ("$",), ("$",)), "rule 'x': segment 1 has type *->⊤, expected *->*"),
+        (("A",), (("a",), ("a",)), "rule 'x': segment 1 has type *->*, expected *->⊤"),
+        # every path is built before any segment's type is checked
+        (("A",), (("$",), ("c",)), "unknown generator(s) ['c']"),
+        (("A",), (("a",),), "rule 'x' needs 2 segments, got 1"),
+    ],
+    ids=["first", "middle", "last", "paths-first", "count"],
+)
+def test_grammar_from_rules_error_messages(inputs, segments, message):
+    nonterminals = {"S": ("*", TOP), "A": ("*", "*")}
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        grammar_from_rules(GRAPH_AB_END, "S", nonterminals, [("x", "S", inputs, segments)])
 
 
 # a^n b^n with arity four and interface colors of two gap types: a b b $
@@ -732,16 +744,15 @@ PINNED_CONSTRUCTIONS = {
     },
     "spliced_concat identity g_ab": lambda: spliced_concat(spliced_identity(STAR), [G_AB]),
     "spliced_concat wrap g_end": lambda: spliced_concat(
-        SplicedArrow(GapType("*", TOP), (GapType("*", TOP),),
-                     (word(GRAPH_AB_END, "ab"), identity_path(TOP))),
+        SplicedArrow((word(GRAPH_AB_END, "ab"), identity_path(TOP))),
         [G_END],
     ),
     "spliced_concat two factors": lambda: spliced_concat(
-        SplicedArrow(STAR, (STAR, STAR), (identity_path("*"), word(GRAPH_AB, "b"), word(GRAPH_AB, "a"))),
+        SplicedArrow((identity_path("*"), word(GRAPH_AB, "b"), word(GRAPH_AB, "a"))),
         [G_AB, G_TERN],
     ),
     "spliced_concat nullary": lambda: spliced_concat(
-        SplicedArrow(STAR, (), (word(GRAPH_AB, "ab"),)), [], category=GRAPH_AB
+        SplicedArrow((word(GRAPH_AB, "ab"),)), [], category=GRAPH_AB
     ),
     **{f"bilinearize {n}": lambda g=g: bilinearize(g) for n, g in FIXTURES.items()},
     "bilinearize expr": lambda: bilinearize(EXPR),
@@ -801,7 +812,7 @@ def test_bilinearize_of_g_quad():
     assert lang(binned, 6) == lang(G_QUAD, 6) == {"abb$"}
 
 
-NOT_A_PATH = _g_ab_with(r0=SplicedArrow(STAR, (), (Path("*", "*", ("a", "c")),)))
+NOT_A_PATH = _g_ab_with(r0=SplicedArrow((Path("*", "*", ("a", "c")),)))
 
 
 @pytest.mark.parametrize(
@@ -855,7 +866,7 @@ def test_spliced_concat_language_is_the_spliced_words_on_random_grammars(grammar
     segments = tuple(
         GRAPH_PQ.path(_segment(data.draw, src, dst), src=src) for src, dst in zip(ends[::2], ends[1::2])
     )
-    op = SplicedArrow(outer, gaps, segments)
+    op = SplicedArrow(segments)
     bound = RANDOM_WORD_BOUND
     expected = set()
     for factors in itertools.product(*(enumerate_language(g, bound) for g in grammars)):

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from catgram import (
     Automaton,
     CompositionError,
-    GapType,
     Grammar,
     InputError,
     Node,
@@ -35,6 +34,7 @@ from catgram import (
     pullback_grammar,
     run_membership,
     trim,
+    validate,
     word,
 )
 import catgram.product
@@ -252,6 +252,22 @@ def test_intersection_agrees_with_oracles_on_random_automata(pair):
     assert enumerate_language(intersect(grammar, automaton), RANDOM_WORD_BOUND) == want
 
 
+@given(grammars_and_automata(max_inputs=3))
+def test_pulled_and_transported_grammars_validate_on_random_automata(pair):
+    # these grammars are built without grammar_from_rules, so nothing else
+    # checks that each node's splice has its colors' gap types
+    grammar, automaton = pair
+    raw = pullback_grammar(grammar, automaton, trim_useless=False)
+    built = [trim(raw), functorial_image(raw, automaton.functor)]
+    for trim_useless in (False, True):
+        built += [
+            pullback_grammar(grammar, automaton, trim_useless),
+            intersect(grammar, automaton, trim_useless),
+        ]
+    for g in built:
+        assert validate(g) == []
+
+
 def _unanchored_lift(nodes, placements, reverse_agenda=False, roots=None):
     """The kernel with its roots ignored: the whole least fixed point."""
     return lift(nodes, placements, reverse_agenda)
@@ -303,11 +319,7 @@ def _naive_pulled(grammar, automaton, over_runs, trim_useless):
                 f"({runs[m].dst},{c},{runs[m + 1].src})" for m, c in enumerate(node.inputs)
             )
             nodes.append(Node(name, inputs, f"({runs[0].src},{node.output},{runs[-1].dst})"))
-            if over_runs:
-                gaps = tuple(GapType(runs[m].dst, runs[m + 1].src) for m in range(len(inputs)))
-                splices[name] = SplicedArrow(GapType(runs[0].src, runs[-1].dst), gaps, runs)
-            else:
-                splices[name] = grammar.splice_of(node.name)
+            splices[name] = SplicedArrow(runs) if over_runs else grammar.splice_of(node.name)
     if trim_useless:
         productive = set()
         while True:
@@ -436,7 +448,7 @@ def test_functorial_image_rejects_segment_outside_domain():
         color_gap=G_AB.color_gap,
         node_splice={
             **G_AB.node_splice,
-            "r0": SplicedArrow(GapType("*", "*"), (), (Path("*", "*", ("a", "c")),)),
+            "r0": SplicedArrow((Path("*", "*", ("a", "c")),)),
         },
     )
     with pytest.raises(InputError, match="does not lie in the functor's domain"):

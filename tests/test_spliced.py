@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from catgram import (
     CompositionError,
@@ -10,6 +12,7 @@ from catgram import (
     constant,
     constants_of,
     end_marked,
+    enumerate_paths,
     identity_path,
     monoid_graph,
     spliced_compose_parallel,
@@ -18,18 +21,21 @@ from catgram import (
     word,
 )
 from conftest import words
+from test_parser import GRAPH_PQ
 
 AB = monoid_graph(("a", "b"))
 STAR_GAP = GapType("*", "*")
+END_GAP = GapType("*", "⊤")
+TOP_GAP = GapType("⊤", "⊤")
+MARKED = end_marked(AB)
+# a$ around a gap (*,*) and a gap (⊤,⊤): its types are read off the segments
+ACROSS = SplicedArrow((MARKED.path(("a",)), MARKED.path(("$",)), identity_path("⊤")))
 
 
 def op(*segments: str) -> SplicedArrow:
     """A spliced word over the one-object category on {a, b, ...}."""
     graph = monoid_graph(tuple(sorted({c for s in segments for c in s})) or ("a",))
-    paths = tuple(graph.path(tuple(s), src="*") for s in segments)
-    return SplicedArrow(
-        STAR_GAP, tuple(STAR_GAP for _ in range(len(segments) - 1)), paths
-    )
+    return SplicedArrow(tuple(graph.path(tuple(s), src="*") for s in segments))
 
 
 def segs(f: SplicedArrow) -> list[str]:
@@ -75,10 +81,7 @@ def test_partial_composition_index_and_type_errors():
     f = op("a", "b")
     with pytest.raises(CompositionError):
         spliced_compose_partial(f, 1, f)
-    marked = end_marked(AB)
-    g = SplicedArrow(
-        GapType("*", "⊤"), (), (marked.path(("$",)),)
-    )
+    g = constant(MARKED.path(("$",)))
     with pytest.raises(CompositionError):
         spliced_compose_partial(f, 0, g)
 
@@ -86,16 +89,9 @@ def test_partial_composition_index_and_type_errors():
 def test_partial_composition_across_objects():
     # the gap left alone keeps its own type: (*,*) before the end marker,
     # (⊤,⊤) after it
-    marked = end_marked(AB)
-    top = GapType("⊤", "⊤")
-    f = SplicedArrow(
-        GapType("*", "⊤"),
-        (STAR_GAP, top),
-        (marked.path(("a",)), marked.path(("$",)), identity_path("⊤")),
-    )
-    got = spliced_compose_partial(f, 0, constant(marked.path(("b",))))
-    assert segs(got) == ["ab$", ""] and got.gaps == (top,)
-    assert spliced_compose_partial(f, 1, spliced_identity(top)) == f
+    got = spliced_compose_partial(ACROSS, 0, constant(MARKED.path(("b",))))
+    assert segs(got) == ["ab$", ""] and got.gaps == (TOP_GAP,)
+    assert spliced_compose_partial(ACROSS, 1, spliced_identity(TOP_GAP)) == ACROSS
 
 
 def test_parallel_worked_example():
@@ -231,19 +227,74 @@ def test_constants_of_empty_hom_set():
     assert constants_of(marked, GapType("⊤", "*"), 0) == ()
 
 
-def test_spliced_arrow_validates_typing():
-    with pytest.raises(CompositionError):
-        SplicedArrow(STAR_GAP, (), (identity_path("*"), identity_path("*")))
-    marked = end_marked(AB)
-    with pytest.raises(CompositionError):
-        SplicedArrow(
-            GapType("*", "⊤"),
-            (),
-            (word(AB, "ab"),),
-        )
-    top = GapType("*", "⊤")
-    with pytest.raises(CompositionError, match="segment 1 has type"):
-        SplicedArrow(top, (top,), (identity_path("*"), identity_path("*")))
-    with pytest.raises(CompositionError, match="needs 2 segments"):
-        SplicedArrow(STAR_GAP, (STAR_GAP,), (identity_path("*"),))
+def test_types_are_read_off_the_segments():
+    c = constant(word(AB, "ab"))
+    assert (c.outer, c.gaps, c.arity, c.is_constant) == (STAR_GAP, (), 0, True)
+    ident = spliced_identity(END_GAP)
+    assert (ident.outer, ident.gaps, ident.arity, ident.is_constant) == (
+        END_GAP, (END_GAP,), 1, False
+    )
+    assert (ACROSS.outer, ACROSS.gaps, ACROSS.arity) == (END_GAP, (STAR_GAP, TOP_GAP), 2)
 
+
+def test_spliced_arrow_needs_a_segment():
+    with pytest.raises(CompositionError, match="^a spliced arrow needs at least one segment$"):
+        SplicedArrow(())
+
+
+@st.composite
+def pq_ops(draw, outer=None, min_arity=0):
+    """A spliced arrow over the two-object GRAPH_PQ with up to three gaps of
+    drawn types; segments have length at most two, identities included."""
+    objects = st.sampled_from(GRAPH_PQ.objects)
+    if outer is None:
+        outer = GapType(draw(objects), draw(objects))
+    n = draw(st.integers(min_arity, 3))
+    ends = [outer.left, *(draw(objects) for _ in range(2 * n)), outer.right]
+    return SplicedArrow(
+        tuple(
+            draw(st.sampled_from(enumerate_paths(GRAPH_PQ, src, dst, 2)))
+            for src, dst in zip(ends[::2], ends[1::2])
+        )
+    )
+
+
+@given(pq_ops())
+def test_unit_laws_over_two_objects(f):
+    assert spliced_compose_parallel(spliced_identity(f.outer), (f,)) == f
+    for i, gap in enumerate(f.gaps):
+        assert spliced_compose_partial(f, i, spliced_identity(gap)) == f
+
+
+@given(st.data())
+def test_sequential_associativity_over_two_objects(data):
+    f = data.draw(pq_ops(min_arity=1))
+    i = data.draw(st.integers(0, f.arity - 1))
+    g = data.draw(pq_ops(f.gaps[i], min_arity=1))
+    j = data.draw(st.integers(0, g.arity - 1))
+    h = data.draw(pq_ops(g.gaps[j]))
+    lhs = spliced_compose_partial(spliced_compose_partial(f, i, g), i + j, h)
+    assert lhs == spliced_compose_partial(f, i, spliced_compose_partial(g, j, h))
+
+
+@given(st.data())
+def test_interchange_over_two_objects(data):
+    f = data.draw(pq_ops(min_arity=2))
+    i, k = sorted(data.draw(st.sets(st.integers(0, f.arity - 1), min_size=2, max_size=2)))
+    g = data.draw(pq_ops(f.gaps[i]))
+    h = data.draw(pq_ops(f.gaps[k]))
+    lhs = spliced_compose_partial(spliced_compose_partial(f, i, g), k + g.arity - 1, h)
+    assert lhs == spliced_compose_partial(spliced_compose_partial(f, k, h), i, g)
+
+
+@given(st.data())
+def test_parallel_equals_iterated_partial_over_two_objects(data):
+    f = data.draw(pq_ops())
+    operands = tuple(data.draw(pq_ops(gap)) for gap in f.gaps)
+    parallel = spliced_compose_parallel(f, operands)
+    iterated = f
+    for i in reversed(range(f.arity)):
+        iterated = spliced_compose_partial(iterated, i, operands[i])
+    assert parallel == iterated
+    assert parallel.outer == f.outer
+    assert parallel.gaps == tuple(gap for g in operands for gap in g.gaps)
