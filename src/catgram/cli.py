@@ -7,9 +7,10 @@ equivalence.  All commands read JSON files against the schemas in
 :mod:`catgram.jsonio` and emit deterministic JSON (or plain text).
 
 Exit codes: 0 on success and for properties that hold, 1 for properties
-that fail (a counterexample, a failed bounded check, a validation report),
-2 for malformed input and for JSON (a deep tree read or written) nested too
-deeply for the recursion limit; every exit 2 prints one ``error:`` line.
+that fail (a counterexample or a failed bounded check), 2 for malformed
+input and for JSON (a deep tree read or written) nested too deeply for the
+recursion limit; every exit 2 prints one ``error:`` line.  ``validate``
+exits 0 or 2: a file that loads is a valid grammar, automaton or species.
 """
 
 from __future__ import annotations
@@ -194,6 +195,8 @@ def _cmd_dyck(args: argparse.Namespace) -> int:
 
 
 def _cmd_cs_decompose(args: argparse.Namespace) -> int:
+    if args.check_bound is not None and args.check_bound < 0:
+        raise InputError("--check-bound must be nonnegative")
     grammar = _load_grammar(args.grammar)
     parts = cs_decompose(grammar)
     payload = {

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from .errors import CompositionError, InputError
 
@@ -250,48 +250,22 @@ def end_marked(graph: FiniteGraph) -> FiniteGraph:
     )
 
 
-def _disjointify(
-    left: FiniteGraph, right: FiniteGraph
-) -> tuple[FiniteGraph, dict[str, str], dict[str, str]]:
-    """Rename the right graph's colliding names; returns the renamed graph
-    and the object/generator renaming actually applied."""
-    taken_objects = set(left.objects)
-    taken_gens = {g.name for g in left.generators}
-    obj_ren: dict[str, str] = {}
-    for o in right.objects:
-        new = o
-        while new in taken_objects:
-            new = new + "#2"
-        obj_ren[o] = new
-        taken_objects.add(new)
-    gen_ren: dict[str, str] = {}
-    for g in right.generators:
-        new = g.name
-        while new in taken_gens:
-            new = new + "#2"
-        gen_ren[g.name] = new
-        taken_gens.add(new)
-    renamed = FiniteGraph(
-        objects=tuple(obj_ren[o] for o in right.objects),
-        generators=tuple(
-            Generator(gen_ren[g.name], obj_ren[g.src], obj_ren[g.dst])
-            for g in right.generators
-        ),
-    )
-    return renamed, obj_ren, gen_ren
-
-
 def ordinal_sum(first: FiniteGraph, second: FiniteGraph) -> FiniteGraph:
     """Disjoint union of two graphs plus one fresh connecting generator
-    ``e(A,B) : A -> B`` for every object A of the first and B of the second."""
-    second, _, _ = _disjointify(first, second)
-    connectors = tuple(
-        Generator(f"e({a},{b})", a, b) for a in first.objects for b in second.objects
-    )
-    return FiniteGraph(
-        objects=first.objects + second.objects,
-        generators=first.generators + second.generators + connectors,
-    )
+    ``e(A,B) : A -> B`` for every object A of the first and B of the second;
+    each name of the second that is taken gets ``#2`` until it is free."""
+
+    def fresh(name: str, taken: set[str]) -> str:
+        while name in taken:
+            name += "#2"
+        taken.add(name)
+        return name
+
+    taken_objects, taken_gens = set(first.objects), {g.name for g in first.generators}
+    obj = {o: fresh(o, taken_objects) for o in second.objects}
+    gens = [Generator(fresh(g.name, taken_gens), obj[g.src], obj[g.dst]) for g in second.generators]
+    gens += [Generator(f"e({a},{b})", a, b) for a in first.objects for b in obj.values()]
+    return FiniteGraph(first.objects + tuple(obj.values()), first.generators + tuple(gens))
 
 
 def enumerate_paths(graph: FiniteGraph, src: str, dst: str, max_len: int) -> tuple[Path, ...]:
@@ -312,16 +286,3 @@ def enumerate_paths(graph: FiniteGraph, src: str, dst: str, max_len: int) -> tup
             layer = [(g.dst, gens + (g.name,)) for at, gens in layer for g in graph.out_of[at]]
         found.extend(Path(src, dst, gens) for at, gens in layer if at == dst)
     return tuple(found)
-
-
-class _Memo(dict):
-    """A dict that fills a missing key ``k`` with ``make(*k)``: a memo local
-    to one construction, so each distinct value is built once."""
-
-    def __init__(self, make: Callable[..., Any]) -> None:
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key: tuple) -> Any:
-        value = self[key] = self.make(*key)
-        return value

@@ -18,6 +18,7 @@ rule data, read off with ``_rules``, and build through the checked
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -27,7 +28,6 @@ from .freecat import (
     FiniteGraph,
     FreeFunctor,
     Path,
-    _Memo,
     apply_functor,
     monoid_graph,
 )
@@ -462,19 +462,19 @@ def functorial_image(grammar: Grammar, functor: FreeFunctor) -> Grammar:
     # each distinct gap type and segment is mapped once, keyed by its fields;
     # ``apply_functor`` still checks every distinct segment against the domain
     obj = functor.object_map
-    gaps = _Memo(lambda left, right: GapType(obj[left], obj[right]))
-    images = _Memo(lambda src, dst, gens: apply_functor(functor, Path(src, dst, gens)))
+    gaps = functools.cache(lambda left, right: GapType(obj[left], obj[right]))
+    images = functools.cache(lambda src, dst, gens: apply_functor(functor, Path(src, dst, gens)))
     node_splice = {}
     for node in grammar.species.nodes:
         segments = grammar.splice_of(node.name).segments
         node_splice[node.name] = SplicedArrow(
-            tuple(images[seg.src, seg.dst, seg.gens] for seg in segments)
+            tuple(images(seg.src, seg.dst, seg.gens) for seg in segments)
         )
     return Grammar(
         category=functor.codomain,
         species=grammar.species,
         start=grammar.start,
-        color_gap={c: gaps[g.left, g.right] for c, g in grammar.color_gap.items()},
+        color_gap={c: gaps(g.left, g.right) for c, g in grammar.color_gap.items()},
         node_splice=node_splice,
     )
 

@@ -67,7 +67,7 @@ class PackedForest:
 
 
 def _lift(
-    grammar: Grammar, w: Path, reverse_agenda: bool = False, roots: Iterable[str] | None = None
+    grammar: Grammar, w: Path, roots: Iterable[str] | None = None
 ) -> dict[ParseItem, list[Alt]]:
     """The kernel run along the positions of ``w``: a segment sits wherever
     its generators occur, an identity segment wherever its object does.
@@ -85,19 +85,13 @@ def _lift(
     nodes = grammar.species.nodes
     table = [[placements(seg) for seg in grammar.splice_of(node.name).segments] for node in nodes]
     whole = None if roots is None else [(color, 0, len(gens)) for color in roots]
-    return lift(nodes, table, reverse_agenda, whole)
+    return lift(nodes, table, whole)
 
 
-def parse_chart(
-    grammar: Grammar, w: Path, reverse_agenda: bool = False
-) -> frozenset[ParseItem]:
+def parse_chart(grammar: Grammar, w: Path) -> frozenset[ParseItem]:
     """The full item set ``(color, start, end)`` for a target path: the
-    unanchored least fixed point, whether or not an item spans the path.
-
-    ``reverse_agenda`` pops the agenda last-in first-out instead of
-    first-in first-out; the result is the same least fixed point either way.
-    """
-    return frozenset(_lift(grammar, w, reverse_agenda))
+    unanchored least fixed point, whether or not an item spans the path."""
+    return frozenset(_lift(grammar, w))
 
 
 def _whole(derived: dict[ParseItem, list[Alt]], n: int) -> dict[str, ParseItem]:
@@ -105,9 +99,9 @@ def _whole(derived: dict[ParseItem, list[Alt]], n: int) -> dict[str, ParseItem]:
     return {item.color: item for item in derived if item.start == 0 and item.end == n}
 
 
-def recognize(grammar: Grammar, w: Path, reverse_agenda: bool = False) -> frozenset[str]:
+def recognize(grammar: Grammar, w: Path) -> frozenset[str]:
     """Nonterminals deriving the whole path."""
-    derived = _lift(grammar, w, reverse_agenda, grammar.species.colors)
+    derived = _lift(grammar, w, grammar.species.colors)
     return frozenset(_whole(derived, len(w.gens)))
 
 
@@ -149,8 +143,6 @@ def count_parses(forest: PackedForest) -> int | float:
             prod = 1
             for child in children:
                 prod *= counts[child]
-                if prod == 0:
-                    break
             total += prod
         counts[item] = total
     return counts[forest.root]

@@ -39,13 +39,14 @@ segment.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import deque
 from typing import Hashable, Iterable, NamedTuple, Sequence
 
 from .errors import CompositionError
 from .automaton import Automaton, runs_by_source
-from .freecat import Path, _Memo
+from .freecat import Path
 from .grammar import Grammar, useful_set
 from .species import Node, Species, derivable
 from .spliced import GapType, SplicedArrow
@@ -67,7 +68,6 @@ Alt = tuple[int, tuple[int, ...], tuple[ParseItem, ...]]
 def lift(
     nodes: Sequence[Node],
     placements: Sequence[Sequence[Sequence[tuple]]],
-    reverse_agenda: bool = False,
     roots: Iterable[tuple] | None = None,
 ) -> dict[ParseItem, list[Alt]]:
     """The least set of items closed under the nodes, each with every way it
@@ -94,7 +94,7 @@ def lift(
             uses.setdefault(color, []).append((n, m))
     derived: dict[ParseItem, list[Alt]] = {}
     agenda: deque[ParseItem] = deque()
-    pop = agenda.pop if reverse_agenda else agenda.popleft
+    pop = agenda.popleft
     # popped items by (color, start) and (color, end); an item enters
     # ``ends`` before it is joined and ``starts`` after, so a placement
     # using it in two gaps is found once
@@ -308,35 +308,34 @@ def _pulled(grammar: Grammar, automaton: Automaton, trim_useless: bool, over_run
 
     # pullback color names by (src, color, dst), made once and shared by
     # every node that meets them
-    names = _Memo("({},{},{})".format)
+    names = functools.cache("({},{},{})".format)
 
     def grow(n: int, head: tuple[int, ...], b: int) -> tuple:
         """The parts of node ``n`` placed at ``head + (b,)``: its name so
         far, pulled inputs and runs, first source, last target."""
-        name, inputs, runs, first, last = parts[n, head]
+        name, inputs, runs, first, last = parts(n, head)
         k = len(head)
         src, dst, run, label = table[n][k][b]
         if k:
-            inputs += (names[last, nodes[n].inputs[k - 1], src],)
+            inputs += (names(last, nodes[n].inputs[k - 1], src),)
         else:
             first = src
         return name + "|" + label, inputs, runs + (run,), first, dst
 
     # the parts of each placement prefix ``(n, head)``, made once and shared
     # by every node whose first segments are placed alike
-    parts = _Memo(
-        lambda n, head: grow(n, head[:-1], head[-1])
-        if head
-        else (f"({nodes[n].name}", (), (), None, None)
-    )
+    @functools.cache
+    def parts(n: int, head: tuple[int, ...]) -> tuple:
+        return grow(n, head[:-1], head[-1]) if head else (f"({nodes[n].name}", (), (), None, None)
+
     if over_runs:
         category = automaton.state_graph
-        color_gap = {names[q, c, q2]: GapType(q, q2) for c, q, q2 in items}
+        color_gap = {names(q, c, q2): GapType(q, q2) for c, q, q2 in items}
     else:
         # a run lies over its segment and a pulled color over its color's
         # gap type, so each pulled node maps down to its base node's splice
         category = grammar.category
-        color_gap = {names[q, c, q2]: grammar.gap_of(c) for c, q, q2 in items}
+        color_gap = {names(q, c, q2): grammar.gap_of(c) for c, q, q2 in items}
 
     pulled_nodes: list[Node] = []
     node_splice: dict[str, SplicedArrow] = {}
@@ -344,11 +343,11 @@ def _pulled(grammar: Grammar, automaton: Automaton, trim_useless: bool, over_run
         name, inputs, runs, first, last = grow(n, idx[:-1], idx[-1])
         name += ")"
         node = nodes[n]
-        pulled_nodes.append(Node(name, inputs, names[first, node.output, last]))
+        pulled_nodes.append(Node(name, inputs, names(first, node.output, last)))
         node_splice[name] = SplicedArrow(runs) if over_runs else grammar.node_splice[node.name]
-    colors = tuple(names[q, c, q2] for c, q, q2 in items)
+    colors = tuple(names(q, c, q2) for c, q, q2 in items)
     species = Species(colors=colors, nodes=tuple(pulled_nodes))
-    start = names[automaton.initial, grammar.start, automaton.final]
+    start = names(automaton.initial, grammar.start, automaton.final)
     return Grammar(category, species, start, color_gap, node_splice)
 
 

@@ -62,6 +62,7 @@ from catgram.fixtures import (
     SPC_FIG3,
     fig3_tree,
 )
+from conftest import lifo
 
 
 @contextmanager
@@ -381,9 +382,7 @@ def test_criterion_10_determinism(tmp_path):
     with criterion(10, "byte-stable CLI output and order-independent parsing"):
         for grammar, max_len, _ in PARSER_FIXTURES:
             for w in _words_of(grammar, min(max_len, 6)):
-                assert parse_chart(grammar, w) == parse_chart(
-                    grammar, w, reverse_agenda=True
-                )
+                assert parse_chart(grammar, w) == lifo(parse_chart, grammar, w)
         g_file = tmp_path / "g.json"
         g_file.write_text(jsonio.dumps(jsonio.grammar_to_json(G_AB)), encoding="utf-8")
         m_file = tmp_path / "m.json"

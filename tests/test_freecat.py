@@ -218,6 +218,25 @@ def test_ordinal_sum_renames_collisions():
     assert {g.name for g in summed.generators} == {"a", "a#2", "e(*,*#2)"}
 
 
+def test_ordinal_sum_renames_chained_collisions():
+    # a renamed name can itself be taken, so "#2" is appended until it is free
+    first = FiniteGraph(
+        objects=("*", "*#2"),
+        generators=(Generator("a", "*", "*#2"), Generator("a#2", "*#2", "*")),
+    )
+    summed = ordinal_sum(first, monoid_graph(("a",)))
+    assert summed == FiniteGraph(
+        objects=("*", "*#2", "*#2#2"),
+        generators=(
+            Generator("a", "*", "*#2"),
+            Generator("a#2", "*#2", "*"),
+            Generator("a#2#2", "*#2#2", "*#2#2"),
+            Generator("e(*,*#2#2)", "*", "*#2#2"),
+            Generator("e(*#2,*#2#2)", "*#2", "*#2#2"),
+        ),
+    )
+
+
 def test_enumerate_paths_short_words():
     got = enumerate_paths(AB, "*", "*", 1)
     assert [p.gens for p in got] == [(), ("a",), ("b",)]

@@ -57,7 +57,15 @@ from catgram.grammar import Grammar
 from catgram.species import Node, Species, fold
 from conftest import words
 from test_species import _open_trees
-from test_parser import EXPR, GRAPH_PQ, RANDOM_WORD_BOUND, _at_start, _segment, random_grammars
+from test_parser import (
+    EXPR,
+    GRAPH_PQ,
+    RANDOM_COLORS,
+    RANDOM_WORD_BOUND,
+    _at_start,
+    _segment,
+    random_grammars,
+)
 from test_product import _digest
 
 TOP = "⊤"
@@ -719,6 +727,48 @@ def test_grammar_from_rules_error_messages(inputs, segments, message):
     nonterminals = {"S": ("*", TOP), "A": ("*", "*")}
     with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
         grammar_from_rules(GRAPH_AB_END, "S", nonterminals, [("x", "S", inputs, segments)])
+
+
+@st.composite
+def rule_data(draw):
+    """Rule data over ``GRAPH_PQ``, each rule with at most one of the faults
+    ``grammar_from_rules`` checks: an undeclared color ``U``, an unknown
+    generator ``z``, a segment of another type or a wrong segment count;
+    sometimes a color ``R`` typed at an object of no graph."""
+    real = st.sampled_from(GRAPH_PQ.objects)
+    declared = draw(st.lists(st.sampled_from(RANDOM_COLORS), min_size=1, unique=True))
+    nonterminals = {c: (draw(real), draw(real)) for c in declared}
+    if not draw(st.integers(0, 7)):
+        nonterminals["R"] = ("r", draw(real))
+    rules = []
+    for index in range(draw(st.integers(0, 4))):
+        fault = draw(st.integers(0, 9))
+        colors = st.sampled_from(declared + ["U"] if fault == 0 else declared)
+        output, inputs = draw(colors), tuple(draw(st.lists(colors, max_size=2)))
+        gaps = [nonterminals.get(c, ("p", "q")) for c in (output, *inputs)]
+        ends = [gaps[0][0], *(end for gap in gaps[1:] for end in gap), gaps[0][1]]
+        segments = [_segment(draw, src, dst) for src, dst in zip(ends[::2], ends[1::2])]
+        at = draw(st.integers(0, len(segments) - 1))
+        if fault == 1:
+            segments[at] = draw(st.sampled_from([("z",), ("a", "z")]))
+        elif fault == 2:
+            segments[at] = _segment(draw, draw(real), draw(real))
+        elif fault == 3:
+            segments = draw(st.sampled_from([segments[:-1], segments + [()]]))
+        rules.append((f"n{index}", output, inputs, tuple(segments)))
+    return draw(st.sampled_from(declared * 3 + ["U"])), nonterminals, rules
+
+
+@given(rule_data())
+def test_grammar_from_rules_builds_only_grammars_validate_accepts(data):
+    # every grammar file is read through grammar_from_rules, so `catgram
+    # validate -g` exits 0 or 2, never 1 with a report
+    start, nonterminals, rules = data
+    try:
+        grammar = grammar_from_rules(GRAPH_PQ, start, nonterminals, rules)
+    except InputError:
+        return
+    assert validate(grammar) == []
 
 
 # a^n b^n with arity four and interface colors of two gap types: a b b $

@@ -31,6 +31,7 @@ from catgram.oracle import enumerate_language
 from catgram.parser import PackedForest, ParseItem, _lift, _recognize_and_parse
 from catgram.product import reachable
 from catgram.species import Apply, node_count, tree_key, trees_by_size
+from conftest import lifo
 
 # per-fixture tree bounds covering every word up to length 8:
 # G_AB derives a^k b^k from k+1 nodes, G_AMB derives a^n from 2n-1 nodes,
@@ -169,9 +170,9 @@ def test_epsilon_grammar_parses_empty_word():
 def test_chart_is_agenda_order_independent():
     for grammar, src, dst, _, _ in FIXTURES:
         for w in enumerate_paths(grammar.category, src, dst, 6):
-            assert parse_chart(grammar, w) == parse_chart(grammar, w, reverse_agenda=True)
+            assert parse_chart(grammar, w) == lifo(parse_chart, grammar, w)
     w = word(GRAPH_A, "a")
-    assert parse_chart(G_UNIT, w) == parse_chart(G_UNIT, w, reverse_agenda=True)
+    assert parse_chart(G_UNIT, w) == lifo(parse_chart, G_UNIT, w)
 
 
 def _time_parse(grammar, w):
@@ -266,7 +267,7 @@ def test_alternatives_are_agenda_order_independent_and_distinct():
     # pivot on either gap could find the same placement twice
     for w in (word(GRAPH_A, "a" * 7), GRAPH_A.path(("a",) * 4, src="*")):
         for grammar in (G_AMB, G_EPS):
-            forward, backward = _lift(grammar, w), _lift(grammar, w, reverse_agenda=True)
+            forward, backward = _lift(grammar, w), lifo(_lift, grammar, w)
             assert forward.keys() == backward.keys()
             for item, alts in forward.items():
                 assert len(set(alts)) == len(alts)
@@ -333,7 +334,7 @@ def test_parser_agrees_with_oracles_on_random_grammars(grammar):
         language = set(enumerate_language(_at_start(grammar, color), RANDOM_WORD_BOUND))
         for w in enumerate_paths(grammar.category, gap.left, gap.right, RANDOM_WORD_BOUND):
             assert (color in recognize(grammar, w)) == (w in language), (color, w)
-            assert parse_chart(grammar, w) == parse_chart(grammar, w, reverse_agenda=True)
+            assert parse_chart(grammar, w) == lifo(parse_chart, grammar, w)
 
     gap = grammar.gap_of(grammar.start)
     small = {}

@@ -268,9 +268,9 @@ def test_pulled_and_transported_grammars_validate_on_random_automata(pair):
         assert validate(g) == []
 
 
-def _unanchored_lift(nodes, placements, reverse_agenda=False, roots=None):
+def _unanchored_lift(nodes, placements, roots=None):
     """The kernel with its roots ignored: the whole least fixed point."""
-    return lift(nodes, placements, reverse_agenda)
+    return lift(nodes, placements)
 
 
 def _check_anchored_pullback(grammar, automaton):
