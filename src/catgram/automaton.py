@@ -21,9 +21,9 @@ its node map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import InputError
 from .freecat import (
@@ -41,41 +41,39 @@ from .freecat import (
 from .species import Apply, DerivationTree, Leaf, Node, SpeciesMap, fold, validate_species_map
 
 
-@dataclass(frozen=True)
-class State:
+class State(NamedTuple):
     name: str
     over: str
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(NamedTuple):
     name: str
     src: str
     dst: str
     over: str
 
 
-@dataclass(frozen=True)
-class Automaton:
-    base: FiniteGraph
-    states: tuple[State, ...]
-    transitions: tuple[Transition, ...]
-    initial: str
-    final: str
-
-    def __post_init__(self) -> None:
-        names = [s.name for s in self.states]
+class Automaton(namedtuple("Automaton", "base states transitions initial final")):
+    def __new__(
+        cls,
+        base: FiniteGraph,
+        states: tuple[State, ...],
+        transitions: tuple[Transition, ...],
+        initial: str,
+        final: str,
+    ) -> Automaton:
+        names = [s.name for s in states]
         if len(set(names)) != len(names):
             raise InputError("duplicate state names")
-        tnames = [t.name for t in self.transitions]
+        tnames = [t.name for t in transitions]
         if len(set(tnames)) != len(tnames):
             raise InputError("duplicate transition names")
-        over = {s.name: s.over for s in self.states}
-        for s in self.states:
-            if not self.base.has_object(s.over):
+        over = {s.name: s.over for s in states}
+        for s in states:
+            if not base.has_object(s.over):
                 raise InputError(f"state {s.name!r} lies over unknown object {s.over!r}")
-        gen_table = self.base.generator_by_name
-        for t in self.transitions:
+        gen_table = base.generator_by_name
+        for t in transitions:
             g = gen_table.get(t.over)
             if g is None:
                 raise InputError(f"transition {t.name!r} lies over unknown generator {t.over!r}")
@@ -86,8 +84,9 @@ class Automaton:
                     f"transition {t.name!r} does not lie over its generator: "
                     f"{over[t.src]}->{over[t.dst]} vs {g.src}->{g.dst}"
                 )
-        if self.initial not in over or self.final not in over:
+        if initial not in over or final not in over:
             raise InputError("initial or final state undeclared")
+        return super().__new__(cls, base, states, transitions, initial, final)
 
     @cached_property
     def state_over(self) -> Mapping[str, str]:
@@ -264,8 +263,7 @@ def tree_accept(phi: SpeciesMap, accept: str, tree: DerivationTree) -> bool:
     return accept in fold(tree, open_leaf, states_of)
 
 
-@dataclass(frozen=True)
-class UlfViolation:
+class UlfViolation(NamedTuple):
     path: Path
     left: Path
     right: Path

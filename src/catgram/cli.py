@@ -34,7 +34,7 @@ from .contour import (
 )
 from .errors import CatgramError, InputError
 from .freecat import FiniteGraph, Path
-from .grammar import Grammar, bilinearize, check_equiv_bounded, validate
+from .grammar import Grammar, bilinearize, check_equiv_bounded
 from .oracle import enumerate_language, enumerate_regular_language
 from .parser import _recognize_and_parse, count_parses, enumerate_parses
 from .product import intersect, pullback_grammar
@@ -96,22 +96,15 @@ def _emit(args: argparse.Namespace, data: Any, text: str | None = None) -> None:
 def _cmd_validate(args: argparse.Namespace) -> int:
     if not (args.grammar or args.automaton or args.species):
         raise InputError("validate: nothing to check; pass -g, -m or -s")
-    problems: list[str] = []
+    # each loader raises on a fault, so loading is the validation
     if args.grammar:
-        problems += validate(_load_grammar(args.grammar))
+        _load_grammar(args.grammar)
     if args.automaton:
-        # construction performs the checks; loading is the validation
         _load_automaton(args.automaton)
     if args.species:
-        # construction performs the structural checks
         jsonio.species_from_json(_load_json(args.species))
-    ok = not problems
-    _emit(
-        args,
-        {"ok": ok, "problems": problems},
-        "ok" if ok else "\n".join(problems),
-    )
-    return 0 if ok else 1
+    _emit(args, {"ok": True, "problems": []}, "ok")
+    return 0
 
 
 def _cmd_parse(args: argparse.Namespace) -> int:

@@ -25,7 +25,6 @@ the quotient presentation and a word-problem solver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
 from types import MappingProxyType
@@ -219,8 +218,7 @@ def colors_automaton(grammar: Grammar) -> Automaton:
     return automaton_of(contour_functor(collapse), up(grammar.start), down(grammar.start))
 
 
-@dataclass(frozen=True)
-class CSDecomposition:
+class CSDecomposition(NamedTuple):
     """The three components exhibiting a language as an image of a chromatic
     tree contour language intersected with a regular language."""
 

@@ -9,9 +9,9 @@ by their action on objects and generators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import CompositionError, InputError
 
@@ -20,8 +20,7 @@ TOP = "⊤"
 END_MARKER = "$"
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(NamedTuple):
     """A generating arrow of a finite graph."""
 
     name: str
@@ -29,8 +28,7 @@ class Generator:
     dst: str
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(NamedTuple):
     """An arrow of a free category: a composable sequence of generator names.
 
     Invariants (consecutive generators compose, endpoints match the ambient
@@ -54,29 +52,26 @@ def identity_path(obj: str) -> Path:
     return Path(obj, obj, ())
 
 
-@dataclass(frozen=True)
-class FiniteGraph:
+class FiniteGraph(namedtuple("FiniteGraph", "objects generators")):
     """A finite presentation of a free category.
 
     Objects and generators are kept in declaration order so that every
     enumeration over the graph is reproducible.
     """
 
-    objects: tuple[str, ...]
-    generators: tuple[Generator, ...] = ()
-
-    def __post_init__(self) -> None:
-        if len(set(self.objects)) != len(self.objects):
+    def __new__(cls, objects: tuple[str, ...], generators: tuple[Generator, ...] = ()) -> FiniteGraph:
+        if len(set(objects)) != len(objects):
             raise InputError("duplicate object names in graph")
-        names = [g.name for g in self.generators]
+        names = [g.name for g in generators]
         if len(set(names)) != len(names):
             raise InputError("duplicate generator names in graph")
-        objs = set(self.objects)
-        for g in self.generators:
+        objs = set(objects)
+        for g in generators:
             if g.src not in objs or g.dst not in objs:
                 raise InputError(
                     f"generator {g.name!r} has undeclared endpoint {g.src!r} or {g.dst!r}"
                 )
+        return super().__new__(cls, objects, generators)
 
     @cached_property
     def generator_by_name(self) -> Mapping[str, Generator]:
@@ -158,38 +153,40 @@ def word(graph: FiniteGraph, letters: str, src: str | None = None) -> Path:
     return graph.path(tuple(letters), src=src)
 
 
-@dataclass(frozen=True)
-class FreeFunctor:
+class FreeFunctor(namedtuple("FreeFunctor", "domain codomain object_map generator_map")):
     """A functor between free categories, given on objects and generators.
 
     ``generator_map`` sends each generator of the domain to a path of the
     codomain whose endpoints agree with the object map.
     """
 
-    domain: FiniteGraph
-    codomain: FiniteGraph
-    object_map: Mapping[str, str] = field(default_factory=dict)
-    generator_map: Mapping[str, Path] = field(default_factory=dict)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "object_map", dict(self.object_map))
-        object.__setattr__(self, "generator_map", dict(self.generator_map))
-        for o in self.domain.objects:
-            if o not in self.object_map:
+    def __new__(
+        cls,
+        domain: FiniteGraph,
+        codomain: FiniteGraph,
+        object_map: Mapping[str, str] = {},
+        generator_map: Mapping[str, Path] = {},
+    ) -> FreeFunctor:
+        object_map, generator_map = dict(object_map), dict(generator_map)
+        for o in domain.objects:
+            if o not in object_map:
                 raise InputError(f"object {o!r} missing from object map")
-            if not self.codomain.has_object(self.object_map[o]):
+            if not codomain.has_object(object_map[o]):
                 raise InputError(f"object {o!r} mapped outside the codomain")
-        for g in self.domain.generators:
-            img = self.generator_map.get(g.name)
+        for g in domain.generators:
+            img = generator_map.get(g.name)
             if img is None:
                 raise InputError(f"generator {g.name!r} missing from generator map")
-            if not self.codomain.contains_path(img):
+            if not codomain.contains_path(img):
                 raise InputError(f"image of generator {g.name!r} is not a codomain path")
-            if img.src != self.object_map[g.src] or img.dst != self.object_map[g.dst]:
+            if img.src != object_map[g.src] or img.dst != object_map[g.dst]:
                 raise InputError(
                     f"image of generator {g.name!r} has endpoints {img.src}->{img.dst}, "
-                    f"expected {self.object_map[g.src]}->{self.object_map[g.dst]}"
+                    f"expected {object_map[g.src]}->{object_map[g.dst]}"
                 )
+        return super().__new__(cls, domain, codomain, object_map, generator_map)
 
     __hash__ = None  # type: ignore[assignment]
 

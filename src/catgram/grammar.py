@@ -19,8 +19,8 @@ rule data, read off with ``_rules``, and build through the checked
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from collections import namedtuple
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import CompositionError, InputError
 from .freecat import (
@@ -35,17 +35,18 @@ from .species import DerivationTree, Leaf, Node, Species, derivable, walk
 from .spliced import GapType, SplicedArrow, check_operands
 
 
-@dataclass(frozen=True)
-class Grammar:
-    category: FiniteGraph
-    species: Species
-    start: str
-    color_gap: Mapping[str, GapType]
-    node_splice: Mapping[str, SplicedArrow]
+class Grammar(namedtuple("Grammar", "category species start color_gap node_splice")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "color_gap", dict(self.color_gap))
-        object.__setattr__(self, "node_splice", dict(self.node_splice))
+    def __new__(
+        cls,
+        category: FiniteGraph,
+        species: Species,
+        start: str,
+        color_gap: Mapping[str, GapType],
+        node_splice: Mapping[str, SplicedArrow],
+    ) -> Grammar:
+        return super().__new__(cls, category, species, start, dict(color_gap), dict(node_splice))
 
     def gap_of(self, color: str) -> GapType:
         return self.color_gap[color]
@@ -66,8 +67,9 @@ def grammar_from_rules(
 
     Each rule is ``(name, output, inputs, segments)`` with segments given as
     generator-name sequences; empty segments become identity paths at the
-    position forced by the gap types, and a segment with other endpoints
-    than the gap types force is an ``InputError``.
+    position forced by the gap types.  A segment with an unknown generator,
+    generators that do not compose, or other endpoints than the gap types
+    force is an ``InputError`` that names its rule and segment.
     """
     color_gap = {c: GapType(left, right) for c, (left, right) in nonterminals.items()}
     for c, gap in color_gap.items():
@@ -88,10 +90,12 @@ def grammar_from_rules(
         # the endpoints the gap types force on each segment
         ends = [outer.left, *(end for gap in gaps for end in (gap.left, gap.right)), outer.right]
         spans = list(zip(ends[::2], ends[1::2]))
-        paths = tuple(
-            category.path(tuple(gens), src=None if gens else src)
-            for gens, (src, _) in zip(segments, spans)
-        )
+        paths = []
+        for i, (gens, (src, _)) in enumerate(zip(segments, spans)):
+            try:
+                paths.append(category.path(tuple(gens), src=None if gens else src))
+            except (InputError, CompositionError) as exc:
+                raise InputError(f"rule {name!r}: segment {i}: {exc}") from exc
         for i, (seg, (src, dst)) in enumerate(zip(paths, spans)):
             if (seg.src, seg.dst) != (src, dst):
                 raise InputError(
@@ -99,7 +103,7 @@ def grammar_from_rules(
                     f"expected {src}->{dst}"
                 )
         nodes.append(Node(name, tuple(inputs), output))
-        node_splice[name] = SplicedArrow(paths)
+        node_splice[name] = SplicedArrow(tuple(paths))
     species = Species(colors=tuple(nonterminals), nodes=tuple(nodes))
     if start not in color_gap:
         raise InputError(f"start symbol {start!r} is not a declared nonterminal")
@@ -192,8 +196,7 @@ def eval_tree(grammar: Grammar, tree: DerivationTree) -> SplicedArrow:
 # property predicates
 
 
-@dataclass(frozen=True)
-class GrammarProperties:
+class GrammarProperties(NamedTuple):
     linear: bool
     left_linear: bool
     right_linear: bool

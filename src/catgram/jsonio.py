@@ -220,7 +220,7 @@ def grammar_from_json(data: Any, where: str = "grammar") -> Grammar:
     )
     try:
         return grammar_from_rules(category, start, nonterminals, rules)
-    except (InputError, CompositionError) as exc:
+    except InputError as exc:
         raise InputError(f"{where}: {exc}") from exc
 
 

@@ -37,8 +37,7 @@ trees of a size.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import InputError
 from .grammar import Grammar
@@ -51,8 +50,7 @@ from .freecat import Path
 Alternative = tuple[Node, tuple[ParseItem, ...]]
 
 
-@dataclass(frozen=True)
-class PackedForest:
+class PackedForest(NamedTuple):
     """The root item's alternatives, closed downwards: items children first
     unless ``cyclic``, when a derivation cycle (through empty-segment or
     unit chains) is reachable."""

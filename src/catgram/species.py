@@ -23,16 +23,14 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from collections import defaultdict
-from dataclasses import dataclass
+from collections import defaultdict, namedtuple
 from functools import cached_property
-from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence, TypeVar, Union
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar, Union
 
 from .errors import CompositionError, InputError
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(NamedTuple):
     """A generating operation: input colors in order, one output color."""
 
     name: str
@@ -44,22 +42,19 @@ class Node:
         return len(self.inputs)
 
 
-@dataclass(frozen=True)
-class Species:
-    colors: tuple[str, ...]
-    nodes: tuple[Node, ...] = ()
-
-    def __post_init__(self) -> None:
-        if len(set(self.colors)) != len(self.colors):
+class Species(namedtuple("Species", "colors nodes")):
+    def __new__(cls, colors: tuple[str, ...], nodes: tuple[Node, ...] = ()) -> Species:
+        if len(set(colors)) != len(colors):
             raise InputError("duplicate color names in species")
-        names = [n.name for n in self.nodes]
+        names = [n.name for n in nodes]
         if len(set(names)) != len(names):
             raise InputError("duplicate node names in species")
-        declared = set(self.colors)
-        for n in self.nodes:
+        declared = set(colors)
+        for n in nodes:
             for c in (n.output, *n.inputs):
                 if c not in declared:
                     raise InputError(f"node {n.name!r} references undeclared color {c!r}")
+        return super().__new__(cls, colors, nodes)
 
     def __hash__(self) -> int:
         return self._hash
@@ -87,15 +82,13 @@ class Species:
         return {c: tuple(ns) for c, ns in table.items()}
 
 
-@dataclass(frozen=True)
-class Leaf:
+class Leaf(NamedTuple):
     """A free input of an open tree; doubles as the identity operation."""
 
     color: str
 
 
-@dataclass(frozen=True, eq=False)
-class Apply:
+class Apply(namedtuple("Apply", "node children")):
     """A node applied to one subtree per input.
 
     Equality and hashing read the preorder of nodes and leaves in one walk,
@@ -103,21 +96,20 @@ class Apply:
     when their nodes and leaves agree position by position.
     """
 
-    node: Node
-    children: tuple["DerivationTree", ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.children) != self.node.arity:
+    def __new__(cls, node: Node, children: tuple[DerivationTree, ...] = ()) -> Apply:
+        if len(children) != node.arity:
             raise CompositionError(
-                f"node {self.node.name!r} has arity {self.node.arity}, "
-                f"got {len(self.children)} children"
+                f"node {node.name!r} has arity {node.arity}, got {len(children)} children"
             )
-        for expected, child in zip(self.node.inputs, self.children):
+        for expected, child in zip(node.inputs, children):
             got = root_color(child)
             if got != expected:
                 raise CompositionError(
-                    f"child of {self.node.name!r} has root color {got!r}, expected {expected!r}"
+                    f"child of {node.name!r} has root color {got!r}, expected {expected!r}"
                 )
+        return super().__new__(cls, node, children)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -130,7 +122,7 @@ class Apply:
         return hash(tuple(_shape(self)))
 
     def __repr__(self) -> str:
-        # the dataclass repr, written out along the contour
+        # the named-tuple repr, written out along the contour
         parts: list[str] = []
         for t, i in walk(self):
             if isinstance(t, Leaf):
@@ -238,19 +230,16 @@ def tree_substitute(tree: DerivationTree, index: int, sub: DerivationTree) -> De
     return grafted
 
 
-@dataclass(frozen=True)
-class SpeciesMap:
+class SpeciesMap(namedtuple("SpeciesMap", "source target color_map node_map")):
     """A map of species: a color renaming and a node renaming that are
     required to commute with the input/output coloring."""
 
-    source: Species
-    target: Species
-    color_map: Mapping[str, str]
-    node_map: Mapping[str, str]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "color_map", dict(self.color_map))
-        object.__setattr__(self, "node_map", dict(self.node_map))
+    def __new__(
+        cls, source: Species, target: Species, color_map: Mapping[str, str], node_map: Mapping[str, str]
+    ) -> SpeciesMap:
+        return super().__new__(cls, source, target, dict(color_map), dict(node_map))
 
     def apply_color(self, color: str) -> str:
         return self.color_map[color]

@@ -8,23 +8,21 @@ underlying category.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from collections import namedtuple
+from typing import NamedTuple, Sequence
 
 from .errors import CompositionError
 from .freecat import FiniteGraph, Path, enumerate_paths, identity_path, path_compose
 
 
-@dataclass(frozen=True)
-class GapType:
+class GapType(NamedTuple):
     """A color of the spliced-arrow operad: a pair of objects."""
 
     left: str
     right: str
 
 
-@dataclass(frozen=True)
-class SplicedArrow:
+class SplicedArrow(namedtuple("SplicedArrow", "segments")):
     """n+1 path segments around n gaps.
 
     Segment ``i`` runs from the right object of gap ``i-1`` to the left
@@ -33,11 +31,12 @@ class SplicedArrow:
     are their endpoints, so no mistyped operation can be built.
     """
 
-    segments: tuple[Path, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.segments:
+    def __new__(cls, segments: tuple[Path, ...]) -> SplicedArrow:
+        if not segments:
             raise CompositionError("a spliced arrow needs at least one segment")
+        return super().__new__(cls, segments)
 
     @property
     def outer(self) -> GapType:

@@ -21,6 +21,14 @@ def run_cli(*args, seed="0"):
     )
 
 
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # value types are named tuples; `dataclasses`, which imports `inspect`,
+    # took most of the command line's import time
+    code = "import sys, catgram.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (res.returncode, res.stdout, res.stderr) == (0, "[]\n", "")
+
+
 @pytest.fixture
 def files(tmp_path):
     paths = {}
@@ -254,6 +262,23 @@ def test_validate_rejects_a_duplicate_nonterminal(files):
     res = run_cli("validate", "-g", files["write"]("dup.json", data))
     assert (res.returncode, res.stdout) == (2, "")
     assert res.stderr == "error: grammar.nonterminals[2]: duplicate nonterminal 'E'\n"
+
+
+@pytest.mark.parametrize(
+    "rule,segment,gens,message",
+    [
+        (0, 1, ["$", "$"], "generators do not compose: expected source '⊤', got '$' : '*' -> '⊤'"),
+        (1, 0, ["z"], "unknown generator(s) ['z']"),
+    ],
+    ids=["compose", "unknown"],
+)
+def test_validate_names_the_rule_of_a_bad_segment(files, rule, segment, gens, message):
+    data = jsonio.grammar_to_json(G_END)
+    data["rules"][rule]["splice"][segment] = gens
+    name = data["rules"][rule]["name"]
+    res = run_cli("validate", "-g", files["write"]("bad_segment.json", data))
+    assert (res.returncode, res.stdout) == (2, "")
+    assert res.stderr == f"error: grammar: rule {name!r}: segment {segment}: {message}\n"
 
 
 def test_validate_without_input_exits_2():

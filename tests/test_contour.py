@@ -107,13 +107,13 @@ def test_contour_category_is_built_once_per_species(monkeypatch):
         (Node("pair", ("once", "once"), "once"), Node("lone", (), "once")),
     )
     built = []
-    post_init = FiniteGraph.__post_init__
+    new = FiniteGraph.__new__
 
-    def counting(graph):
-        built.append(graph)
-        post_init(graph)
+    def counting(cls, *args, **kwargs):
+        built.append(new(cls, *args, **kwargs))
+        return built[-1]
 
-    monkeypatch.setattr(FiniteGraph, "__post_init__", counting)
+    monkeypatch.setattr(FiniteGraph, "__new__", counting)
     misses = _contour_table.cache_info().misses
     trees = enumerate_closed_trees(species, "once", 13)
     assert len(trees) == 197

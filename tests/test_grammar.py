@@ -718,10 +718,16 @@ def test_spliced_concat_rejects_a_segment_that_is_no_path():
         (("A", "A"), ((), ("$",), ("$",)), "rule 'x': segment 1 has type *->⊤, expected *->*"),
         (("A",), (("a",), ("a",)), "rule 'x': segment 1 has type *->*, expected *->⊤"),
         # every path is built before any segment's type is checked
-        (("A",), (("$",), ("c",)), "unknown generator(s) ['c']"),
+        (("A",), (("$",), ("c",)), "rule 'x': segment 1: unknown generator(s) ['c']"),
         (("A",), (("a",),), "rule 'x' needs 2 segments, got 1"),
+        (
+            ("A",),
+            (("$", "$"), ()),
+            "rule 'x': segment 0: generators do not compose: "
+            "expected source '⊤', got '$' : '*' -> '⊤'",
+        ),
     ],
-    ids=["first", "middle", "last", "paths-first", "count"],
+    ids=["first", "middle", "last", "paths-first", "count", "compose"],
 )
 def test_grammar_from_rules_error_messages(inputs, segments, message):
     nonterminals = {"S": ("*", TOP), "A": ("*", "*")}

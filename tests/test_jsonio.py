@@ -260,9 +260,14 @@ def test_mutation_messages_are_pinned():
                 outcome = f"{type(exc).__name__}: {exc}"
             lines.append(f"{name} {label}\t{outcome}")
     # Pinned from the readers as they were before they shared one record
-    # reader, with one deliberate change: `initial` and `final` errors of an
-    # automaton used to carry the prefix twice (`automaton: automaton: ...`).
+    # reader, with two deliberate changes: `initial` and `final` errors of an
+    # automaton used to carry the prefix twice (`automaton: automaton: ...`),
+    # and a segment that is no path now names its rule and segment (16 lines).
     assert len(lines) == 1709
     assert "M_EVENA ('initial',) dropped\tInputError: automaton: missing field 'initial'" in lines
+    assert (
+        "G_AB ('rules', 0, 'splice', 1, 0) = 'x'\t"
+        "InputError: grammar: rule 'r1': segment 1: unknown generator(s) ['x']"
+    ) in lines
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == "596fc3895953d763795a930dd4154a6e1ba4d079fcacd5ea46f512ac82eb029d"
+    assert digest == "62f2b5e1137e84a099cc30d5f3aa4ad881d5b8cedbece42f0871f24af446974c"

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import time
 from collections import deque
@@ -229,7 +228,7 @@ def test_forest_alternative_order():
 
 
 def test_forest_is_its_root_alternatives_and_cycle_flag():
-    assert [f.name for f in dataclasses.fields(PackedForest)] == ["root", "alternatives", "cyclic"]
+    assert PackedForest._fields == ("root", "alternatives", "cyclic")
     forest = parse_forest(G_AMB, word(GRAPH_A, "aa"))
     c, m = G_AMB.species.nodes
     left, right, whole = ParseItem("S", 0, 1), ParseItem("S", 1, 2), ParseItem("S", 0, 2)
