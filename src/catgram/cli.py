@@ -64,19 +64,19 @@ def _single_char_generators(graph: FiniteGraph) -> bool:
 
 def _parse_word(grammar: Grammar, text: str) -> Path:
     """Words are bare strings when every generator is one character long;
-    otherwise a JSON array of generator names is required."""
-    gap = grammar.gap_of(grammar.start)
+    otherwise a JSON array of generator names is required.  A bare word is
+    read as the array of its letters, or as the identity at the left end of
+    the start's gap type when empty, so every fault is located at ``word``."""
     if text.startswith("[") or text.startswith("{"):
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise InputError(f"word: {exc.msg}") from exc
-        return jsonio.path_from_json(grammar.category, data, "word")
-    if not _single_char_generators(grammar.category):
+    elif not _single_char_generators(grammar.category):
         raise InputError("word: generators are not single characters; pass a JSON array")
-    if text == "":
-        return grammar.category.path((), src=gap.left)
-    return grammar.category.path(tuple(text))
+    else:
+        data = list(text) or {"src": grammar.gap_of(grammar.start).left}
+    return jsonio.path_from_json(grammar.category, data, "word")
 
 
 def _render_word(graph: FiniteGraph, p: Path) -> Any:

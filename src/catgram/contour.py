@@ -33,7 +33,9 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 from .errors import CompositionError, InputError
 from .automaton import Automaton, automaton_of
 from .freecat import FiniteGraph, FreeFunctor, Generator, Path
-from .grammar import Grammar, _rules, grammar_from_rules
+from .grammar import Grammar, _rules, functorial_image, grammar_from_rules
+from .oracle import enumerate_language
+from .product import intersect
 from .species import DerivationTree, Leaf, Node, Species, SpeciesMap, walk
 from .spliced import GapType, SplicedArrow
 
@@ -244,10 +246,6 @@ def cs_decompose(grammar: Grammar) -> CSDecomposition:
 def cs_check(grammar: Grammar, max_len: int) -> tuple[bool, tuple[Path, ...], tuple[Path, ...]]:
     """Bounded verification of the decomposition: compare the language with
     the image of the intersection, on all arrows up to ``max_len``."""
-    from .grammar import functorial_image
-    from .oracle import enumerate_language
-    from .product import intersect
-
     parts = cs_decompose(grammar)
     lhs = enumerate_language(grammar, max_len)
     recolored = intersect(parts.universal, parts.automaton)

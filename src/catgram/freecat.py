@@ -146,10 +146,6 @@ def path_compose(p: Path, q: Path) -> Path:
 
 def word(graph: FiniteGraph, letters: str, src: str | None = None) -> Path:
     """Read a path from a string of single-character generator names."""
-    if letters and src is None:
-        return graph.path(tuple(letters))
-    if src is None:
-        raise InputError("empty word needs an explicit source object")
     return graph.path(tuple(letters), src=src)
 
 

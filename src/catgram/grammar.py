@@ -355,14 +355,7 @@ def parse_classical_text(text: str) -> tuple[tuple[str, ...], tuple[str, ...], s
     if not raw:
         raise InputError("no productions found")
     nts = tuple(lhss)
-    letters: list[str] = []
-    for _, tokens in raw:
-        for t in tokens:
-            if t in nts:
-                continue
-            for ch in t:
-                if ch not in letters:
-                    letters.append(ch)
+    letters = {ch for _, tokens in raw for t in tokens if t not in nts for ch in t}
     return tuple(sorted(letters)), nts, nts[0], raw
 
 

@@ -3,15 +3,17 @@ functors and Dyck letters.
 
 Readers take JSON objects field by field through :func:`_record` and arrays
 element by element through :func:`_array`, which build each value's
-location, such as ``grammar.rules[1].inputs[0]``.  Malformed data raises
-:class:`~catgram.errors.InputError` naming the location of the first
-malformed value in reading order.  Writers emit plain dict/list structures;
-use :func:`dumps` for byte-stable text output."""
+location, such as ``grammar.rules[1].inputs[0]``; :func:`_located` builds
+the value from what was read and puts a builder's fault at the record's
+location.  Malformed data raises :class:`~catgram.errors.InputError` naming
+the location of the first malformed value in reading order.  Writers emit
+plain dict/list structures, a record's fields under its named tuple's field
+names; use :func:`dumps` for byte-stable text output."""
 
 from __future__ import annotations
 
 import json
-from typing import Any
+from typing import Any, Callable
 
 from .automaton import Automaton, State, Transition
 from .contour import DyckLetter
@@ -64,15 +66,22 @@ def _record(data: Any, where: str, **kinds: Any) -> list:
     return values
 
 
+def _located(where: str, build: Callable, *args: Any) -> Any:
+    """``build(*args)``, with an input or composition fault located at
+    ``where``."""
+    try:
+        return build(*args)
+    except (InputError, CompositionError) as exc:
+        raise InputError(f"{where}: {exc}") from exc
+
+
 # -- graphs and paths -------------------------------------------------------
 
 
 def graph_to_json(graph: FiniteGraph) -> dict:
     return {
         "objects": list(graph.objects),
-        "generators": [
-            {"name": g.name, "src": g.src, "dst": g.dst} for g in graph.generators
-        ],
+        "generators": [g._asdict() for g in graph.generators],
     }
 
 
@@ -82,10 +91,7 @@ def _generator(data: Any, where: str) -> Generator:
 
 def graph_from_json(data: Any, where: str = "graph") -> FiniteGraph:
     objects, gens = _record(data, where, objects=[str], generators=[_generator])
-    try:
-        return FiniteGraph(objects, gens)
-    except InputError as exc:
-        raise InputError(f"{where}: {exc}") from exc
+    return _located(where, FiniteGraph, objects, gens)
 
 
 def path_to_json(path: Path) -> Any:
@@ -106,10 +112,7 @@ def path_from_json(graph: FiniteGraph, data: Any, where: str = "path") -> Path:
             _expect(src, str, f"{where}.src")
     else:
         raise InputError(f"{where}: expected a generator array or an object with 'src'")
-    try:
-        return graph.path(gens, src=src)
-    except (InputError, CompositionError) as exc:
-        raise InputError(f"{where}: {exc}") from exc
+    return _located(where, graph.path, gens, src)
 
 
 # -- species and trees ------------------------------------------------------
@@ -118,10 +121,7 @@ def path_from_json(graph: FiniteGraph, data: Any, where: str = "path") -> Path:
 def species_to_json(species: Species) -> dict:
     return {
         "colors": list(species.colors),
-        "nodes": [
-            {"name": n.name, "inputs": list(n.inputs), "output": n.output}
-            for n in species.nodes
-        ],
+        "nodes": [{**n._asdict(), "inputs": list(n.inputs)} for n in species.nodes],
     }
 
 
@@ -131,10 +131,7 @@ def _node(data: Any, where: str) -> Node:
 
 def species_from_json(data: Any, where: str = "species") -> Species:
     colors, nodes = _record(data, where, colors=[str], nodes=[_node])
-    try:
-        return Species(colors, nodes)
-    except InputError as exc:
-        raise InputError(f"{where}: {exc}") from exc
+    return _located(where, Species, colors, nodes)
 
 
 def tree_to_json(tree: DerivationTree) -> dict:
@@ -160,10 +157,7 @@ def tree_from_json(species: Species, data: Any, where: str = "tree") -> Derivati
         lambda child, here: tree_from_json(species, child, here),
         f"{where}.children",
     )
-    try:
-        return Apply(node, children)
-    except CompositionError as exc:
-        raise InputError(f"{where}: {exc}") from exc
+    return _located(where, Apply, node, children)
 
 
 # -- grammars ---------------------------------------------------------------
@@ -218,10 +212,7 @@ def grammar_from_json(data: Any, where: str = "grammar") -> Grammar:
     category, nonterminals, rules, start = _record(
         data, where, category=graph_from_json, nonterminals=_nonterminals, rules=[_rule], start=str
     )
-    try:
-        return grammar_from_rules(category, start, nonterminals, rules)
-    except InputError as exc:
-        raise InputError(f"{where}: {exc}") from exc
+    return _located(where, grammar_from_rules, category, start, nonterminals, rules)
 
 
 # -- automata ---------------------------------------------------------------
@@ -230,11 +221,8 @@ def grammar_from_json(data: Any, where: str = "grammar") -> Grammar:
 def automaton_to_json(automaton: Automaton) -> dict:
     return {
         "base": graph_to_json(automaton.base),
-        "states": [{"name": s.name, "over": s.over} for s in automaton.states],
-        "transitions": [
-            {"name": t.name, "src": t.src, "dst": t.dst, "over": t.over}
-            for t in automaton.transitions
-        ],
+        "states": [s._asdict() for s in automaton.states],
+        "transitions": [t._asdict() for t in automaton.transitions],
         "initial": automaton.initial,
         "final": automaton.final,
     }
@@ -258,10 +246,7 @@ def automaton_from_json(data: Any, where: str = "automaton") -> Automaton:
         initial=str,
         final=str,
     )
-    try:
-        return Automaton(*fields)
-    except InputError as exc:
-        raise InputError(f"{where}: {exc}") from exc
+    return _located(where, Automaton, *fields)
 
 
 # -- functors and dyck letters ---------------------------------------------
@@ -277,7 +262,7 @@ def functor_to_json(functor: FreeFunctor) -> dict:
 
 
 def dyck_letters_to_json(letters: tuple[DyckLetter, ...]) -> list:
-    return [{"bracket": l.bracket, "node": l.node, "index": l.index} for l in letters]
+    return [letter._asdict() for letter in letters]
 
 
 def _letter(data: Any, where: str) -> DyckLetter:

@@ -352,30 +352,21 @@ def _pulled(grammar: Grammar, automaton: Automaton, trim_useless: bool, over_run
 
 
 def trim(grammar: Grammar) -> Grammar:
-    """Restrict a grammar to its useful colors; the language is unchanged.
+    """Restrict a grammar to its useful colors and the start, and to the
+    nodes whose colors are all useful; the language is unchanged.
 
-    When the start color itself is useless the result keeps only the start,
-    with no nodes: the empty-language grammar at the same gap type.
+    A useless start has no closed tree, so no color is useful and the result
+    keeps only the start, with no nodes: the empty-language grammar at the
+    same gap type.
     """
-    keep = set(useful_set(grammar))
-    if grammar.start not in keep:
-        return Grammar(
-            category=grammar.category,
-            species=Species((grammar.start,), ()),
-            start=grammar.start,
-            color_gap={grammar.start: grammar.gap_of(grammar.start)},
-            node_splice={},
-        )
-    colors = tuple(c for c in grammar.species.colors if c in keep)
+    useful = set(useful_set(grammar))
+    colors = tuple(c for c in grammar.species.colors if c in useful or c == grammar.start)
     nodes = tuple(
-        n
-        for n in grammar.species.nodes
-        if n.output in keep and all(c in keep for c in n.inputs)
+        n for n in grammar.species.nodes if n.output in useful and useful.issuperset(n.inputs)
     )
-    species = Species(colors, nodes)
     return Grammar(
         category=grammar.category,
-        species=species,
+        species=Species(colors, nodes),
         start=grammar.start,
         color_gap={c: grammar.color_gap[c] for c in colors},
         node_splice={n.name: grammar.node_splice[n.name] for n in nodes},

@@ -6,6 +6,7 @@ from unittest import mock
 from hypothesis import settings
 
 import catgram.product
+from catgram import CatgramError
 
 settings.register_profile("suite", derandomize=True, max_examples=60, deadline=None)
 # more examples for the differential tests, chosen with --hypothesis-profile=deep
@@ -36,3 +37,12 @@ def lifo(call, *args):
         result = call(*args)
     assert made, "the lifting kernel made no agenda"
     return result
+
+
+def outcome(call) -> str:
+    """What ``call()`` gives: the repr of its value, or the class name and
+    message of the catgram error it raises."""
+    try:
+        return repr(call())
+    except CatgramError as exc:
+        return f"{type(exc).__name__}: {exc}"

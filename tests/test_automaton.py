@@ -35,6 +35,7 @@ from catgram import (
 from catgram.contour import down, up
 from catgram.fixtures import GRAPH_AB, GRAPH_AB_END, M_EVENA, SPC_FIG3, fig3_tree
 from catgram.species import Apply, Leaf
+from conftest import outcome
 
 TOP = "⊤"
 
@@ -397,3 +398,61 @@ def test_automaton_validation():
             initial="e",
             final="t",
         )
+
+
+# -- branches no other test takes -------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        (
+            lambda: Automaton(GRAPH_AB, (State("q", "*"), State("q", "*")), (), "q", "q"),
+            "InputError: duplicate state names",
+        ),
+        (
+            lambda: Automaton(
+                GRAPH_AB, (State("q", "*"),), (Transition("t", "q", "q", "a"),) * 2, "q", "q"
+            ),
+            "InputError: duplicate transition names",
+        ),
+        (
+            lambda: import_classical_automaton("a", ["qf", "q"], [("qf", "a", "q")], "qf", ["q"]).final,
+            "\"qf'\"",
+        ),
+        (
+            lambda: enumerate_runs(M_EVENA, Path("*", "*", ("z",)), "e", "e"),
+            "InputError: word is not a path of the base category",
+        ),
+        (
+            lambda: enumerate_runs(M_EVENA, word(GRAPH_AB, "ab"), "e", "x"),
+            "InputError: unknown state",
+        ),
+        (
+            lambda: run_membership(M_EVENA, Path("*", "*", ("z",))),
+            "InputError: word is not a path of the base category",
+        ),
+        (
+            lambda: run_membership(
+                import_classical_automaton("a", ["q"], [], "q", ["q"]), identity_path(TOP)
+            ),
+            "False",
+        ),
+        (
+            lambda: interval_automaton(GRAPH_AB, Path("*", "*", ("z",))),
+            "InputError: arrow is not a path of the category",
+        ),
+    ],
+    ids=[
+        "duplicate-state",
+        "duplicate-transition",
+        "final-state-name-taken",
+        "runs-of-no-path",
+        "runs-to-unknown-state",
+        "membership-of-no-path",
+        "membership-from-another-object",
+        "interval-of-no-path",
+    ],
+)
+def test_rarely_taken_branches(call, expected):
+    assert outcome(call) == expected

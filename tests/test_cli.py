@@ -1,3 +1,6 @@
+import contextlib
+import hashlib
+import io
 import json
 import os
 import subprocess
@@ -70,8 +73,8 @@ def test_parse_non_member(files):
 
 def test_parse_unknown_generator_is_input_error(files):
     res = run_cli("parse", "-g", files["g_ab.json"], "-w", "xz")
-    assert res.returncode == 2
-    assert "error" in res.stderr
+    assert (res.returncode, res.stdout) == (2, "")
+    assert res.stderr == "error: word: unknown generator(s) ['x', 'z']\n"
 
 
 def test_parse_word_as_json_array(files):
@@ -408,3 +411,204 @@ def test_deep_parse_prints_text_but_not_json(files):
     res = run_cli("parse", "-g", path, "-w", "a" * 600)
     assert res.returncode == 2 and res.stdout == ""
     assert res.stderr.count("\n") == 1 and res.stderr.startswith("error: parse: ")
+
+
+# -- the in-process output matrix ------------------------------------------
+
+
+def run_in_process(argv):
+    """``cli.run(argv)`` in this process: (exit code, stdout, stderr)."""
+    from catgram import cli
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+# words that are paths of their grammar's category; a bare word that is not
+# one is a located error, pinned on its own below
+MATRIX_WORDS = {
+    "g_ab.json": ["", "a", "ab", "ba", "aabb", "abab", "aaabbb"],
+    "g_amb.json": ["", "a", "aa", "aaa", "aaaaa"],
+    "g_eps.json": ["", "a", "aaaa"],
+    "g_end.json": ["", "$", "ab", "ab$", "aabb$", "ba$"],
+    "g_tern.json": ["", "aabababb", "ab"],
+    "g_unit.json": ["", "a", "aa"],
+    "g_bin.json": ["", "ab", "aabb", "abb"],
+}
+
+MATRIX_JSON_WORDS = {
+    "g_ab.json": ['["a", "b"]', '{"src": "*"}', '{"gens": ["a", "b"], "src": "*"}', '["x"]', "[1]"]
+    + ['{"src": "nope"}', "{", '{"gens": ["a"], "src": "⊤"}', '{"gens": 3}', "[]", "{}"],
+    "g_end.json": ['["a", "b", "$"]', '{"gens": ["a", "$", "b"]}', '{"src": "⊤"}'],
+    "g_pull.json": ['["a_eo", "a_oe", "b_ee", "b_ee"]', '["a_eo", "b_oo", "a_oe", "b_ee"]']
+    + ['["a_eo", "b_ee"]', '{"src": "e"}'],
+    "g_univ.json": ['["(m,0)", "(c,0)", "(m,1)", "(c,0)", "(m,2)"]', '["(c,0)", "(c,0)"]', '["x"]'],
+}
+
+# the grammars over each category
+MATRIX_CATEGORIES = [
+    ("g_ab.json", "g_bin.json", "g_tern.json"),
+    ("g_amb.json", "g_eps.json", "g_unit.json"),
+    ("g_end.json",),
+]
+
+MATRIX_INTERSECT = [
+    ("g_ab.json", "m_evena.json"),
+    ("g_bin.json", "m_evena.json"),
+    ("g_tern.json", "m_evena.json"),
+    ("g_ab.json", "m_aabb.json"),
+    ("g_tern.json", "m_aabb.json"),
+    ("g_amb.json", "m_aaaa.json"),
+    ("g_eps.json", "m_aaaa.json"),
+    ("g_unit.json", "m_aaaa.json"),
+    ("g_amb.json", "m_evena.json"),
+    ("g_end.json", "m_evena.json"),
+]
+
+
+@pytest.fixture
+def matrix_files(files):
+    from catgram import cs_decompose, enumerate_closed_trees, pullback_grammar
+    from catgram.contour import dyck_translate
+    from catgram.fixtures import G_TERN, G_UNIT
+
+    write = files["write"]
+    write("g_eps.json", jsonio.grammar_to_json(G_EPS))
+    write("g_end.json", jsonio.grammar_to_json(G_END))
+    write("g_tern.json", jsonio.grammar_to_json(G_TERN))
+    write("g_unit.json", jsonio.grammar_to_json(G_UNIT))
+    write("g_pull.json", jsonio.grammar_to_json(pullback_grammar(G_AB, M_EVENA)))
+    write("g_univ.json", jsonio.grammar_to_json(cs_decompose(G_AMB).universal))
+    dup = jsonio.grammar_to_json(G_END)
+    dup["nonterminals"].append({"name": "E", "left": "*", "right": "*"})
+    write("g_dup.json", dup)
+    for name, text in (("m_aaaa.json", "aaaa"), ("m_aabb.json", "aabb")):
+        graph = GRAPH_A if set(text) == {"a"} else GRAPH_AB
+        write(name, jsonio.automaton_to_json(interval_automaton(graph, word(graph, text))))
+    # good and bad trees, contour words and letter sequences, by file name
+    kinds = {"tree": [], "contour": [], "letters": []}
+    for k, tree in enumerate([fig3_tree(), *enumerate_closed_trees(SPC_FIG3, "1", 3)[::3]]):
+        cw = contour_word(SPC_FIG3, tree)
+        letters = dyck_translate(SPC_FIG3, cw)
+        kinds["tree"].append(write(f"tree{k}.json", jsonio.tree_to_json(tree)))
+        kinds["contour"].append(write(f"contour{k}.json", jsonio.path_to_json(cw)))
+        kinds["letters"].append(write(f"letters{k}.json", jsonio.dyck_letters_to_json(letters)))
+    bad_trees = [
+        {"rule": "f", "children": 5},
+        {"rule": "z", "children": []},
+        {"rule": "f", "children": []},
+        {"leaf": "1"},
+        {"rule": "f", "children": [{"leaf": "1"}]},
+    ]
+    for k, tree in enumerate(bad_trees):
+        kinds["tree"].append(write(f"bad_tree{k}.json", tree))
+    bad_contours = [["(a,0)"], {"src": "1↑"}, ["(z,0)"], ["(b,0)", "(b,0)"], ["(c,0)", "(b,0)", "(c,2)"]]
+    for k, contour in enumerate(bad_contours):
+        kinds["contour"].append(write(f"bad_contour{k}.json", contour))
+    bad_letters = [
+        [],
+        [{"bracket": "[", "node": "b", "index": 0}],
+        [{"bracket": "[", "node": "b", "index": 0}, {"bracket": "[", "node": "b", "index": 0}],
+        [{"bracket": "(", "node": "b", "index": 0}],
+        [{"bracket": "[", "node": "z", "index": 0}, {"bracket": "]", "node": "z", "index": 0}],
+        [{"bracket": "[", "node": "a", "index": 0}, {"bracket": "[", "node": "a", "index": 0}],
+    ]
+    for k, letters in enumerate(bad_letters):
+        kinds["letters"].append(write(f"bad_letters{k}.json", letters))
+    with open(write("broken.json", {}), "w", encoding="utf-8") as handle:
+        handle.write("{not json")
+    files["kinds"] = {kind: [os.path.basename(p) for p in paths] for kind, paths in kinds.items()}
+    return files
+
+
+def matrix(files):
+    """Every subcommand over the fixture files, both formats, good and bad
+    input; bare words that are no path of their category are left out."""
+    grammars = sorted(MATRIX_WORDS) + ["g_pull.json", "g_univ.json"]
+    kinds = files["kinds"]
+    commands = []
+    for g, words in MATRIX_WORDS.items():
+        for w in words:
+            commands.append(("parse", "-g", g, "-w", w))
+        commands.append(("parse", "-g", g, "-w", words[-1], "--limit", "0"))
+        commands.append(("parse", "-g", g, "-w", words[-1], "--limit", "2"))
+    commands.append(("parse", "-g", "g_amb.json", "-w", "aaaa", "--limit", "-1"))
+    for g, words in MATRIX_JSON_WORDS.items():
+        commands += [("parse", "-g", g, "-w", w) for w in words]
+    commands += [("parse", "-g", g, "-w", "ab") for g in ("g_pull.json", "g_univ.json")]
+    for g in grammars:
+        commands += [("enumerate", "-g", g, "--max-len", str(n)) for n in (0, 2, 4)]
+        commands.append(("bilinearize", "-g", g))
+        commands.append(("validate", "-g", g))
+        commands.append(("cs-decompose", "-g", g, "--check-bound", "4"))
+    commands.append(("cs-decompose", "-g", "g_ab.json"))
+    commands.append(("cs-decompose", "-g", "g_ab.json", "--check-bound", "-1"))
+    commands.append(("enumerate", "-g", "g_ab.json", "--max-len", "-1"))
+    for m in ("m_evena.json", "m_aaaa.json", "m_aabb.json"):
+        commands += [("enumerate", "-m", m, "--max-len", str(n)) for n in (0, 3)]
+        commands.append(("validate", "-m", m))
+    commands += [
+        ("validate", "-s", "fig3_species.json"),
+        ("validate", "-g", "g_ab.json", "-m", "m_evena.json", "-s", "fig3_species.json"),
+        ("validate", "-g", "g_dup.json"),
+        ("validate", "-g", "broken.json"),
+        ("validate", "-m", "g_ab.json"),
+        ("validate", "-s", "m_evena.json"),
+        ("validate",),
+    ]
+    for group in MATRIX_CATEGORIES:
+        commands += [
+            ("check-equiv", "-g1", g1, "-g2", g2, "--max-len", n)
+            for g1 in group
+            for g2 in group
+            for n in ("0", "4")
+        ]
+    commands.append(("check-equiv", "-g1", "g_ab.json", "-g2", "g_amb.json", "--max-len", "4"))
+    for g, m in MATRIX_INTERSECT:
+        for emit in ("pullback", "image"):
+            for trim in ((), ("--no-trim",)):
+                commands.append(("intersect", "-g", g, "-m", m, "--emit", emit, *trim))
+    commands += [("contour", "-s", "fig3_species.json", "-t", t) for t in kinds["tree"]]
+    commands += [("dyck", "--encode", "-s", "fig3_species.json", "-i", c) for c in kinds["contour"]]
+    commands += [("dyck", "--decode", "-s", "fig3_species.json", "-i", x) for x in kinds["letters"]]
+    return [("--format", fmt, *cmd) for cmd in commands for fmt in ("json", "text")]
+
+
+# sha256 of every case's (argv, exit code, stdout, stderr), file paths
+# written as fixture names; it does not depend on the hash seed
+MATRIX_CASES = 540
+MATRIX_DIGEST = "5e01070869906d8e0ea142ce220c3b46294194c428f1791f44fa46f93c3d0fce"
+
+
+def test_cli_matrix_output_is_pinned(matrix_files):
+    names = {path: name for name, path in matrix_files.items() if isinstance(path, str)}
+    folder = os.path.dirname(matrix_files["g_ab.json"]) + os.sep
+    digest = hashlib.sha256()
+    cases = matrix(matrix_files)
+    for argv in cases:
+        code, out, err = run_in_process([matrix_files.get(a, a) for a in argv])
+        record = [[names.get(a, a) for a in argv], code, out, err.replace(folder, "")]
+        digest.update(json.dumps(record, ensure_ascii=False).encode() + b"\n")
+    assert (len(cases), digest.hexdigest()) == (MATRIX_CASES, MATRIX_DIGEST)
+
+
+# a bare word is read as the JSON array of its letters, so its faults are
+# located at ``word`` as those of a JSON word are
+@pytest.mark.parametrize(
+    "grammar, text, error",
+    [
+        ("g_ab.json", "xz", "unknown generator(s) ['x', 'z']"),
+        ("g_ab.json", "abx", "unknown generator(s) ['x']"),
+        ("g_ab.json", '"ab"', "unknown generator(s) ['\"', '\"']"),
+        ("g_amb.json", "ab", "unknown generator(s) ['b']"),
+        ("g_end.json", "a$b", "generators do not compose: expected source '⊤', got 'b' : '*' -> '*'"),
+        ("g_end.json", "$$", "generators do not compose: expected source '⊤', got '$' : '*' -> '⊤'"),
+        ("g_end.json", "ab$a", "generators do not compose: expected source '⊤', got 'a' : '*' -> '*'"),
+    ],
+)
+def test_bad_bare_word_is_located(matrix_files, grammar, text, error):
+    for fmt in ("json", "text"):
+        argv = ["--format", fmt, "parse", "-g", matrix_files[grammar], "-w", text]
+        assert run_in_process(argv) == (2, "", f"error: word: {error}\n")

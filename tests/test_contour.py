@@ -10,6 +10,7 @@ from catgram import (
     DyckLetter,
     FiniteGraph,
     InputError,
+    Leaf,
     Node,
     Path,
     Species,
@@ -59,6 +60,7 @@ from catgram.fixtures import (
     fig3_tree,
 )
 from catgram.contour import _contour_table
+from conftest import outcome
 from test_parser import RANDOM_WORD_BOUND, random_grammars
 
 UP = "↑"
@@ -686,3 +688,25 @@ def test_compose_functors_recolors_then_interprets():
         )
         with pytest.raises(CompositionError):
             compose_functors(interpret, recolor)
+
+
+# -- branches no other test takes -------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        (lambda: universal_grammar(SPC_FIG3, "2"), "InputError: unknown start color '2'"),
+        (
+            lambda: contour_word(SPC_FIG3, Leaf("1")),
+            "InputError: contour words are defined for closed trees",
+        ),
+        (
+            lambda: dyck_translate(SPC_FIG3, Path("1↑", "1↓", ("(z,0)",))),
+            "InputError: unknown corner '(z,0)'",
+        ),
+    ],
+    ids=["universal-unknown-start", "contour-of-a-leaf", "translate-unknown-corner"],
+)
+def test_rarely_taken_branches(call, expected):
+    assert outcome(call) == expected

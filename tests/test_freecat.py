@@ -21,7 +21,7 @@ from catgram import (
     path_compose,
     word,
 )
-from conftest import words
+from conftest import outcome, words
 
 AB = monoid_graph(("a", "b"))
 TWO = FiniteGraph(
@@ -346,3 +346,27 @@ def test_free_functor_rejects_an_image_with_other_endpoints():
         InputError, match="^image of generator 'a' has endpoints X->Y, expected X->X$"
     ):
         FreeFunctor(AB, TWO, {"*": "X"}, {"a": word(TWO, "u"), "b": identity_path("X")})
+
+
+# -- branches no other test takes -------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        (
+            lambda: AB.path(["a"], src="x"),
+            "InputError: path declared source 'x' but first generator starts at '*'",
+        ),
+        (
+            lambda: end_marked(monoid_graph(("a", "$"))),
+            "InputError: graph already uses the reserved end-marker names",
+        ),
+        (lambda: enumerate_paths(AB, "*", "*", -1), "InputError: max_len must be nonnegative"),
+        (lambda: enumerate_paths(AB, "*", "x", 1), "InputError: unknown endpoint object"),
+        (lambda: word(AB, ""), "InputError: empty path needs an explicit source object"),
+    ],
+    ids=["declared-source", "reserved-end-marker", "negative-length", "unknown-endpoint", "empty-word"],
+)
+def test_rarely_taken_branches(call, expected):
+    assert outcome(call) == expected

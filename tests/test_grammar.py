@@ -26,6 +26,7 @@ from catgram import (
     export_classical,
     functorial_image,
     grammar_from_rules,
+    identity_functor,
     identity_path,
     import_classical,
     monoid_graph,
@@ -55,7 +56,7 @@ from catgram.fixtures import (
 )
 from catgram.grammar import Grammar
 from catgram.species import Node, Species, fold
-from conftest import words
+from conftest import outcome, words
 from test_species import _open_trees
 from test_parser import (
     EXPR,
@@ -510,8 +511,6 @@ def test_functorial_image_collapses_letters():
 
 
 def test_functorial_image_identity():
-    from catgram import identity_functor
-
     assert functorial_image(G_AB, identity_functor(GRAPH_AB)) == G_AB
 
 
@@ -933,3 +932,57 @@ def test_spliced_concat_language_is_the_spliced_words_on_random_grammars(grammar
             expected.add(Path(outer.left, outer.right, gens))
     result = spliced_concat(op, grammars, category=GRAPH_PQ)
     assert set(enumerate_language(result, bound)) == expected
+
+
+# -- branches no other test takes -------------------------------------------
+
+
+def _cnf(*rules):
+    nonterminals = {"S": ("*", "*"), "A": ("*", "*")}
+    return properties(grammar_from_rules(GRAPH_AB, "S", nonterminals, rules)).cnf
+
+
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        (lambda: _cnf(("m", "S", ("A", "A"), (("a",), (), ()))), "False"),
+        (lambda: _cnf(("r0", "S", (), (("a", "b"),))), "False"),
+        (
+            lambda: import_classical("a", ["S"], "S", [("T", ["a"])]),
+            "InputError: production 0: unknown nonterminal 'T'",
+        ),
+        (
+            lambda: parse_classical_text("# comment\n\nS -> b a | a"),
+            "(('a', 'b'), ('S',), 'S', [('S', ['b', 'a']), ('S', ['a'])])",
+        ),
+        (lambda: parse_classical_text("S a"), "InputError: line 1: expected 'R -> ...'"),
+        (lambda: parse_classical_text(" -> a"), "InputError: line 1: missing left-hand side"),
+        (lambda: parse_classical_text("# none\n"), "InputError: no productions found"),
+        (
+            lambda: export_classical(G_END),
+            "InputError: classical export needs a one-object category",
+        ),
+        (
+            lambda: functorial_image(G_AB, identity_functor(GRAPH_A)),
+            "CompositionError: functor domain does not match the grammar's category",
+        ),
+        (
+            lambda: check_equiv_bounded(G_AB, G_AMB, 2),
+            "CompositionError: bounded equivalence needs grammars over one category",
+        ),
+    ],
+    ids=[
+        "cnf-binary-with-letters",
+        "cnf-two-letter-constant",
+        "classical-unknown-lhs",
+        "classical-text-skips-comments",
+        "classical-text-no-arrow",
+        "classical-text-no-lhs",
+        "classical-text-empty",
+        "classical-export-two-objects",
+        "image-along-another-domain",
+        "equivalence-across-categories",
+    ],
+)
+def test_rarely_taken_branches(call, expected):
+    assert outcome(call) == expected

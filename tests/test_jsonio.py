@@ -8,6 +8,7 @@ from catgram import Apply, InputError, Leaf, enumerate_closed_trees, enumerate_l
 from catgram.fixtures import G_AB, G_END, GRAPH_AB, M_EVENA, SPC_FIG3, fig3_tree
 from catgram import jsonio
 from catgram.contour import contour_word, dyck_translate
+from conftest import outcome
 from test_parser import random_grammars
 
 
@@ -271,3 +272,20 @@ def test_mutation_messages_are_pinned():
     ) in lines
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == "62f2b5e1137e84a099cc30d5f3aa4ad881d5b8cedbece42f0871f24af446974c"
+
+
+# -- branches no other test takes -------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        (
+            lambda: jsonio.tree_from_json(SPC_FIG3, {"leaf": "2"}),
+            "InputError: tree: unknown leaf color '2'",
+        ),
+    ],
+    ids=["unknown-leaf-color"],
+)
+def test_rarely_taken_branches(call, expected):
+    assert outcome(call) == expected

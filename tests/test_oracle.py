@@ -16,7 +16,7 @@ from catgram import (
 )
 from catgram import oracle
 from catgram.fixtures import G_AB, G_AMB, G_EPS, G_UNIT, GRAPH_AB, M_EVENA
-from conftest import words
+from conftest import outcome, words
 
 
 def test_language_of_g_ab():
@@ -119,3 +119,15 @@ def test_oracle_imports_only_data_types():
             module = "." * node.level + (node.module or "")
             imported |= {(module, alias.name) for alias in node.names}
     assert imported <= ORACLE_IMPORTS, imported - ORACLE_IMPORTS
+
+
+# -- branches no other test takes -------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "call, expected",
+    [(lambda: enumerate_language(G_AB, -1), "CatgramError: max_len must be nonnegative")],
+    ids=["negative-length"],
+)
+def test_rarely_taken_branches(call, expected):
+    assert outcome(call) == expected

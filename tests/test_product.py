@@ -14,6 +14,7 @@ from catgram import (
     InputError,
     Node,
     Path,
+    Species,
     SplicedArrow,
     State,
     Transition,
@@ -174,6 +175,20 @@ def test_trim_useless_start_keeps_lone_start():
     assert trimmed.species.colors == ("S",)
     assert trimmed.species.nodes == ()
     assert lang(trimmed, 6) == set()
+
+
+def test_trim_useless_start_drops_its_unit_node_and_every_other_color():
+    # A derives a, but nothing reaches it from S, whose one node is S -> S
+    g = grammar_from_rules(
+        GRAPH_AB,
+        "S",
+        {"A": ("*", "*"), "S": ("*", "*")},
+        [("a", "A", (), (("a",),)), ("u", "S", ("S",), ((), ()))],
+    )
+    trimmed = trim(g)
+    assert trimmed.species == Species(("S",), ())
+    assert trimmed.node_splice == {}
+    assert trimmed.color_gap == {"S": g.gap_of("S")}
 
 
 def test_pullback_node_count_audit():

@@ -22,6 +22,7 @@ from catgram import (
 )
 from catgram.species import derivable, tree_key
 from catgram.fixtures import G_AB, G_AMB
+from conftest import outcome
 
 AB_SPECIES = G_AB.species
 AMB_SPECIES = G_AMB.species
@@ -256,3 +257,33 @@ def test_derivable_counts_each_tail_occurrence():
     # a chain given in descending order: one sweep per link, one step each
     chain = [((k + 1,), k) for k in range(400)] + [((), 400)]
     assert derivable(chain) == _derivable_by_sweep(chain) == set(range(401))
+
+
+# -- branches no other test takes -------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        (
+            lambda: validate_species_map(
+                SpeciesMap(Species(("S",)), Species(("S",)), {"S": "T"}, {})
+            ),
+            "[\"color 'S' mapped to undeclared color 'T'\"]",
+        ),
+        (
+            lambda: validate_species_map(
+                SpeciesMap(AMB_SPECIES, AMB_SPECIES, {"S": "S"}, {"c": "c", "m": "z"})
+            ),
+            "[\"node 'm' mapped to undeclared node 'z'\"]",
+        ),
+        (
+            lambda: enumerate_closed_trees(AB_SPECIES, "S", 0),
+            "InputError: max_nodes must be at least 1",
+        ),
+        (lambda: enumerate_closed_trees(AB_SPECIES, "T", 1), "InputError: unknown color 'T'"),
+    ],
+    ids=["undeclared-color", "undeclared-node", "no-nodes", "unknown-color"],
+)
+def test_rarely_taken_branches(call, expected):
+    assert outcome(call) == expected

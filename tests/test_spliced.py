@@ -20,7 +20,7 @@ from catgram import (
     spliced_identity,
     word,
 )
-from conftest import words
+from conftest import outcome, words
 from test_parser import GRAPH_PQ
 
 AB = monoid_graph(("a", "b"))
@@ -298,3 +298,20 @@ def test_parallel_equals_iterated_partial_over_two_objects(data):
     assert parallel == iterated
     assert parallel.outer == f.outer
     assert parallel.gaps == tuple(gap for g in operands for gap in g.gaps)
+
+
+# -- branches no other test takes -------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        (
+            lambda: ACROSS.as_path(),
+            "CompositionError: only constants can be read back as arrows",
+        ),
+    ],
+    ids=["non-constant-as-path"],
+)
+def test_rarely_taken_branches(call, expected):
+    assert outcome(call) == expected
