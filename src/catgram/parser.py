@@ -41,7 +41,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 from .errors import InputError
 from .grammar import Grammar
-from .product import Alt, ParseItem, lift, reachable
+from .product import Alt, ParseItem, _acyclic, lift, reachable
 from .species import DerivationTree, Node, trees_by_size
 from .freecat import Path
 
@@ -114,6 +114,7 @@ def _recognize_and_parse(grammar: Grammar, w: Path) -> tuple[frozenset[str], Pac
     return frozenset(_whole(derived, len(w.gens))), _forest(grammar, w, derived)
 
 
+@_acyclic
 def _forest(grammar: Grammar, w: Path, derived: dict[ParseItem, list[Alt]]) -> PackedForest:
     """The items of ``derived`` below the start item over the whole path."""
     root = _whole(derived, len(w.gens)).get(grammar.start)

@@ -31,18 +31,28 @@ and each pulled color to its color's gap type, so the grammar for the
 intersection of the two languages is the same pulled species over the base
 category, each node carrying its base node's own splice.  The trimmed
 pullback anchors the kernel at the start item; the raw one lifts nothing.
-Both render each chosen ``(node, placements)`` the same way: the parts of
-every placement prefix (name, pulled inputs, runs) are made once and shared
-by the nodes that extend it, so a node costs one lookup and its last
-segment.
+Both render the chosen ``(node, placements)`` pairs the same way, in that
+sorted order, so the nodes whose first placements agree are adjacent: a
+stack holds the parts (name so far, pulled inputs, runs) of each placement
+prefix of the current node, and each node rebuilds only the parts past the
+prefix it shares with the node before it.  An intersection node needs no
+runs, so none are built for it.
+
+The kernel, the render, ``trim`` and the parser's forest run with the
+cyclic collector paused (``_acyclic``).  What they build are acyclic graphs
+of tuples, which reference counting frees, so a collection during the build
+could free nothing and would only re-scan the objects being built; the
+pause leaves no garbage for later, and the first collection after it scans
+what was built once.  It is process-wide while a builder runs.
 """
 
 from __future__ import annotations
 
 import functools
+import gc
 import itertools
 from collections import deque
-from typing import Hashable, Iterable, NamedTuple, Sequence
+from typing import Callable, Hashable, Iterable, NamedTuple, Sequence, TypeVar
 
 from .errors import CompositionError
 from .automaton import Automaton, runs_by_source
@@ -64,7 +74,30 @@ class ParseItem(NamedTuple):
 # (node index, placement index per segment, gap items)
 Alt = tuple[int, tuple[int, ...], tuple[ParseItem, ...]]
 
+F = TypeVar("F", bound=Callable)
 
+
+def _acyclic(build: F) -> F:
+    """``build`` run with the cyclic collector paused, for builders whose
+    results and scratch are acyclic: reference counting frees all of it,
+    so a collection could free nothing and would only re-scan what is being
+    built.  The pause is process-wide while ``build`` runs; the collector is
+    enabled again afterwards only if it was enabled on entry."""
+
+    @functools.wraps(build)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return build(*args, **kwargs)
+        gc.disable()
+        try:
+            return build(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused  # type: ignore[return-value]
+
+
+@_acyclic
 def lift(
     nodes: Sequence[Node],
     placements: Sequence[Sequence[Sequence[tuple]]],
@@ -261,6 +294,7 @@ def pullback_grammar(grammar: Grammar, automaton: Automaton, trim_useless: bool 
     return _pulled(grammar, automaton, trim_useless, over_runs=True)
 
 
+@_acyclic
 def _pulled(grammar: Grammar, automaton: Automaton, trim_useless: bool, over_runs: bool) -> Grammar:
     """The pulled species, with run splices over the state graph when
     ``over_runs`` and with each base node's own splice otherwise."""
@@ -309,25 +343,6 @@ def _pulled(grammar: Grammar, automaton: Automaton, trim_useless: bool, over_run
     # pullback color names by (src, color, dst), made once and shared by
     # every node that meets them
     names = functools.cache("({},{},{})".format)
-
-    def grow(n: int, head: tuple[int, ...], b: int) -> tuple:
-        """The parts of node ``n`` placed at ``head + (b,)``: its name so
-        far, pulled inputs and runs, first source, last target."""
-        name, inputs, runs, first, last = parts(n, head)
-        k = len(head)
-        src, dst, run, label = table[n][k][b]
-        if k:
-            inputs += (names(last, nodes[n].inputs[k - 1], src),)
-        else:
-            first = src
-        return name + "|" + label, inputs, runs + (run,), first, dst
-
-    # the parts of each placement prefix ``(n, head)``, made once and shared
-    # by every node whose first segments are placed alike
-    @functools.cache
-    def parts(n: int, head: tuple[int, ...]) -> tuple:
-        return grow(n, head[:-1], head[-1]) if head else (f"({nodes[n].name}", (), (), None, None)
-
     if over_runs:
         category = automaton.state_graph
         color_gap = {names(q, c, q2): GapType(q, q2) for c, q, q2 in items}
@@ -339,18 +354,50 @@ def _pulled(grammar: Grammar, automaton: Automaton, trim_useless: bool, over_run
 
     pulled_nodes: list[Node] = []
     node_splice: dict[str, SplicedArrow] = {}
+    # ``chosen`` is sorted, so the nodes whose first placements agree are
+    # adjacent.  ``prefix[j]`` holds the parts of the current node's first j
+    # placements: its name so far, pulled inputs, runs (over runs only) and
+    # last target.  A node whose head (every placement but the last) is the
+    # node before's costs its last segment; a new head rebuilds only the
+    # parts past those it shares with the head before it.
+    at = head = None
+    prefix: list[tuple] = []
     for n, idx in chosen:
-        name, inputs, runs, first, last = grow(n, idx[:-1], idx[-1])
-        name += ")"
-        node = nodes[n]
-        pulled_nodes.append(Node(name, inputs, names(first, node.output, last)))
-        node_splice[name] = SplicedArrow(runs) if over_runs else grammar.node_splice[node.name]
+        k = len(idx) - 1
+        if n != at or idx[:k] != head:
+            node, segs = nodes[n], table[n]
+            j = 0
+            if n != at:
+                prefix = [(f"({node.name}", (), (), None)]
+            else:
+                while idx[j] == head[j]:
+                    j += 1
+                del prefix[j + 1 :]
+            at, head = n, idx[:k]
+            for j in range(j, k):
+                stem, stem_inputs, stem_runs, last = prefix[j]
+                src, dst, run, label = segs[j][idx[j]]
+                if j:
+                    stem_inputs += (names(last, node.inputs[j - 1], src),)
+                if over_runs:
+                    stem_runs += (run,)
+                prefix.append((stem + "|" + label, stem_inputs, stem_runs, dst))
+            stem, stem_inputs, stem_runs, last = prefix[k]
+            first = segs[0][idx[0]][0]
+            tail, splice = segs[k], grammar.node_splice[node.name]
+        src, dst, run, label = tail[idx[k]]
+        name = stem + "|" + label + ")"
+        inputs = stem_inputs + (names(last, node.inputs[k - 1], src),) if k else ()
+        output = names(first if k else src, node.output, dst)
+        pulled_nodes.append(Node(name, inputs, output))
+        node_splice[name] = SplicedArrow(stem_runs + (run,)) if over_runs else splice
     colors = tuple(names(q, c, q2) for c, q, q2 in items)
     species = Species(colors=colors, nodes=tuple(pulled_nodes))
     start = names(automaton.initial, grammar.start, automaton.final)
     return Grammar(category, species, start, color_gap, node_splice)
 
 
+@_acyclic
 def trim(grammar: Grammar) -> Grammar:
     """Restrict a grammar to its useful colors and the start, and to the
     nodes whose colors are all useful; the language is unchanged.

@@ -42,18 +42,26 @@ class Node(NamedTuple):
         return len(self.inputs)
 
 
+# a node's name, inputs and output, read in C
+_name, _inputs, _output = map(operator.itemgetter, range(3))
+
+
 class Species(namedtuple("Species", "colors nodes")):
     def __new__(cls, colors: tuple[str, ...], nodes: tuple[Node, ...] = ()) -> Species:
-        if len(set(colors)) != len(colors):
-            raise InputError("duplicate color names in species")
-        names = [n.name for n in nodes]
-        if len(set(names)) != len(names):
-            raise InputError("duplicate node names in species")
         declared = set(colors)
-        for n in nodes:
-            for c in (n.output, *n.inputs):
-                if c not in declared:
-                    raise InputError(f"node {n.name!r} references undeclared color {c!r}")
+        if len(declared) != len(colors):
+            raise InputError("duplicate color names in species")
+        if len(set(map(_name, nodes))) != len(nodes):
+            raise InputError("duplicate node names in species")
+        if not (
+            declared.issuperset(map(_output, nodes))
+            and declared.issuperset(itertools.chain.from_iterable(map(_inputs, nodes)))
+        ):
+            # the first undeclared color, each node's output before its inputs
+            n, c = next(
+                (n, c) for n in nodes for c in (n.output, *n.inputs) if c not in declared
+            )
+            raise InputError(f"node {n.name!r} references undeclared color {c!r}")
         return super().__new__(cls, colors, nodes)
 
     def __hash__(self) -> int:

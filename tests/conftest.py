@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 from collections import deque
 from unittest import mock
 
@@ -37,6 +38,24 @@ def lifo(call, *args):
         result = call(*args)
     assert made, "the lifting kernel made no agenda"
     return result
+
+
+def no_cyclic_garbage(call, *args) -> None:
+    """Run ``call(*args)`` and drop its result; fails if the cyclic
+    collector then finds garbage.  The collector is off during the call, as
+    ``product._acyclic`` turns it off, so a cycle the call leaves is counted
+    here rather than freed by a collection the call happened to trigger;
+    and everything the call made is still in the youngest generation, so
+    collecting that generation alone finds every such cycle."""
+    gc.collect(0)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        call(*args)
+    finally:
+        if enabled:
+            gc.enable()
+    assert gc.collect(0) == 0, f"{call.__name__} left cyclic garbage"
 
 
 def outcome(call) -> str:

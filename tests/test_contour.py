@@ -60,7 +60,7 @@ from catgram.fixtures import (
     fig3_tree,
 )
 from catgram.contour import _contour_table
-from conftest import outcome
+from conftest import no_cyclic_garbage, outcome
 from test_parser import RANDOM_WORD_BOUND, random_grammars
 
 UP = "↑"
@@ -381,6 +381,12 @@ def test_cs_decomposition_bounded_equality(grammar, bound):
 def test_cs_decomposition_bounded_equality_on_random_grammars(grammar):
     equal, lhs, rhs = cs_check(grammar, RANDOM_WORD_BOUND)
     assert equal and lhs == rhs
+
+
+@pytest.mark.parametrize("grammar", [G_AB, G_AMB, G_END], ids=["g_ab", "g_amb", "g_end"])
+def test_cs_check_leaves_no_cyclic_garbage(grammar):
+    # its pullback, trim and intersection run with the cyclic collector paused
+    no_cyclic_garbage(cs_check, grammar, 6)
 
 
 def test_cs_decomposition_empty_language():

@@ -30,7 +30,7 @@ from catgram.oracle import enumerate_language
 from catgram.parser import PackedForest, ParseItem, _lift, _recognize_and_parse
 from catgram.product import reachable
 from catgram.species import Apply, node_count, tree_key, trees_by_size
-from conftest import lifo
+from conftest import lifo, no_cyclic_garbage
 
 # per-fixture tree bounds covering every word up to length 8:
 # G_AB derives a^k b^k from k+1 nodes, G_AMB derives a^n from 2n-1 nodes,
@@ -198,6 +198,24 @@ def test_ambiguous_chart_and_forest_sizes(n):
     forest = parse_forest(G_AMB, w)
     assert len(forest.alternatives) == n * (n + 1) // 2
     assert sum(len(a) for a in forest.alternatives.values()) == math.comb(n + 1, 3) + n
+
+
+@pytest.mark.parametrize(
+    "grammar, w",
+    [
+        (G_AB, word(GRAPH_AB, "aabb")),
+        (G_AB, word(GRAPH_AB, "aab")),
+        (G_AMB, word(GRAPH_A, "a" * 12)),
+        (G_EPS, GRAPH_A.path(("a",) * 5, src="*")),
+        (G_END, word(G_END.category, "ab$")),
+        (G_UNIT, word(GRAPH_A, "a")),  # a cyclic forest
+    ],
+    ids=["g_ab", "g_ab_reject", "g_amb", "g_eps", "g_end", "g_unit"],
+)
+def test_parsing_leaves_no_cyclic_garbage(grammar, w):
+    # the kernel and the forest are built with the cyclic collector paused
+    for call in (parse_chart, recognize, parse_forest, _recognize_and_parse):
+        no_cyclic_garbage(call, grammar, w)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 5, 17])

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import itertools
 import math
@@ -32,17 +33,20 @@ from catgram import (
     interval_automaton,
     jsonio,
     parse_classical_text,
+    parse_forest,
     pullback_grammar,
+    recognize,
     run_membership,
     trim,
     validate,
     word,
 )
+import catgram.parser
 import catgram.product
 from catgram.automaton import runs_by_source
 from catgram.product import lift
 from catgram.fixtures import G_AB, G_AMB, G_END, GRAPH_A, GRAPH_AB, M_EVENA
-from conftest import words
+from conftest import no_cyclic_garbage, words
 from test_parser import GRAPH_PQ, RANDOM_WORD_BOUND, random_grammars
 
 
@@ -444,6 +448,80 @@ def test_intersection_output_is_pinned(name):
 @pytest.mark.parametrize("name", sorted(PINNED_CASES))
 def test_anchored_pullback_equals_unanchored_on_pinned_cases(name):
     _check_anchored_pullback(*PINNED_CASES[name])
+
+
+# -- the cyclic collector -----------------------------------------------------
+#
+# ``lift``, ``_pulled``, ``trim`` and ``parser._forest`` run with the
+# collector paused, which is sound only while they leave no reference
+# cycles: a cycle made in a pause waits for the next collection.
+
+
+def _check_no_cyclic_garbage(grammar, automaton):
+    for trim_useless in (False, True):
+        no_cyclic_garbage(pullback_grammar, grammar, automaton, trim_useless)
+        no_cyclic_garbage(intersect, grammar, automaton, trim_useless)
+    no_cyclic_garbage(trim, pullback_grammar(grammar, automaton, trim_useless=False))
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CASES))
+def test_pullback_leaves_no_cyclic_garbage_on_pinned_cases(name):
+    _check_no_cyclic_garbage(*PINNED_CASES[name])
+
+
+@given(grammars_and_automata(max_inputs=3))
+def test_pullback_leaves_no_cyclic_garbage_on_random_automata(pair):
+    _check_no_cyclic_garbage(*pair)
+
+
+def test_builders_run_with_the_collector_paused():
+    # each builder calls the spied name while it runs: ``recognize`` reaches
+    # ``deque`` only through ``lift``, and ``parse_forest`` reaches
+    # ``reachable`` only through ``_forest``
+    seen = {}
+
+    def spy(module, attr):
+        real = getattr(module, attr)
+
+        def spied(*args):
+            seen.setdefault(attr, set()).add(gc.isenabled())
+            return real(*args)
+
+        return mock.patch.object(module, attr, spied)
+
+    w = word(GRAPH_A, "aaa")
+    with spy(catgram.product, "deque"), spy(catgram.product, "runs_by_source"), spy(
+        catgram.product, "useful_set"
+    ), spy(catgram.parser, "reachable"):
+        recognize(G_AMB, w)
+        parse_forest(G_AMB, w)
+        trim(pullback_grammar(G_AB, M_EVENA, trim_useless=False))
+    assert gc.isenabled()
+    assert seen == dict.fromkeys(["deque", "reachable", "runs_by_source", "useful_set"], {False})
+
+
+def test_builders_restore_the_collector():
+    w = word(GRAPH_A, "aaa")
+
+    def build_all():
+        recognize(G_AMB, w)
+        parse_forest(G_AMB, w)
+        trim(pullback_grammar(G_AB, M_EVENA, trim_useless=False))
+        intersect(G_AB, M_EVENA)
+        # raised inside ``_pulled``: the automaton is over another graph
+        with pytest.raises(CompositionError, match="share the base category"):
+            intersect(G_END, M_EVENA)
+
+    assert gc.isenabled()
+    build_all()
+    assert gc.isenabled()
+    # a caller's pause stays in force
+    gc.disable()
+    try:
+        build_all()
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12])

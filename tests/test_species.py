@@ -41,6 +41,25 @@ def test_species_rejects_bad_data():
         Species(colors=("S",), nodes=(Node("x", (), "S"), Node("x", (), "S")))
 
 
+@pytest.mark.parametrize(
+    "nodes, expected",
+    [
+        ((Node("x", ("T",), "S"),), "node 'x' references undeclared color 'T'"),
+        # a node's output is checked before its inputs, inputs in order
+        ((Node("x", ("T", "U"), "V"),), "node 'x' references undeclared color 'V'"),
+        ((Node("x", ("S", "U", "T"), "S"),), "node 'x' references undeclared color 'U'"),
+        # and nodes in declaration order
+        (
+            (Node("a", ("S",), "S"), Node("b", ("S", "T"), "S"), Node("c", (), "U")),
+            "node 'b' references undeclared color 'T'",
+        ),
+    ],
+    ids=["input", "output-first", "inputs-in-order", "nodes-in-order"],
+)
+def test_species_names_the_first_undeclared_color(nodes, expected):
+    assert outcome(lambda: Species(("S",), nodes)) == f"InputError: {expected}"
+
+
 def test_species_hash_is_the_hash_of_its_fields_and_is_not_pickled():
     species = Species(AMB_SPECIES.colors, AMB_SPECIES.nodes)
     assert species == AMB_SPECIES and species is not AMB_SPECIES
