@@ -455,17 +455,16 @@ def functorial_image(grammar: Grammar, functor: FreeFunctor) -> Grammar:
     if functor.domain != grammar.category:
         raise CompositionError("functor domain does not match the grammar's category")
 
-    # each distinct gap type and segment is mapped once, keyed by its fields;
-    # ``apply_functor`` still checks every distinct segment against the domain
+    # each distinct segment (checked by ``apply_functor``) and gap type is
+    # mapped once; an image is as long as its splice, so needs no check
     obj = functor.object_map
     gaps = functools.cache(lambda left, right: GapType(obj[left], obj[right]))
-    images = functools.cache(lambda src, dst, gens: apply_functor(functor, Path(src, dst, gens)))
-    node_splice = {}
-    for node in grammar.species.nodes:
-        segments = grammar.splice_of(node.name).segments
-        node_splice[node.name] = SplicedArrow(
-            tuple(images(seg.src, seg.dst, seg.gens) for seg in segments)
-        )
+    images = functools.cache(functools.partial(apply_functor, functor))
+    new, splices = tuple.__new__, grammar.node_splice
+    node_splice = {
+        node.name: new(SplicedArrow, (tuple(map(images, splices[node.name].segments)),))
+        for node in grammar.species.nodes
+    }
     return Grammar(
         category=functor.codomain,
         species=grammar.species,

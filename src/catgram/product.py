@@ -36,7 +36,8 @@ sorted order, so the nodes whose first placements agree are adjacent: a
 stack holds the parts (name so far, pulled inputs, runs) of each placement
 prefix of the current node, and each node rebuilds only the parts past the
 prefix it shares with the node before it.  An intersection node needs no
-runs, so none are built for it.
+runs, so none are built for it.  Pulled nodes and run splices are built
+by ``tuple.__new__``, with no constructor frame and no check lost.
 
 The kernel, the render, ``trim`` and the parser's forest run with the
 cyclic collector paused (``_acyclic``).  What they build are acyclic graphs
@@ -354,6 +355,9 @@ def _pulled(grammar: Grammar, automaton: Automaton, trim_useless: bool, over_run
 
     pulled_nodes: list[Node] = []
     node_splice: dict[str, SplicedArrow] = {}
+    # ``tuple.__new__`` skips no check: ``Node`` has none, and the one
+    # segment a ``SplicedArrow`` needs is always in ``stem_runs + (run,)``
+    new = tuple.__new__
     # ``chosen`` is sorted, so the nodes whose first placements agree are
     # adjacent.  ``prefix[j]`` holds the parts of the current node's first j
     # placements: its name so far, pulled inputs, runs (over runs only) and
@@ -389,8 +393,8 @@ def _pulled(grammar: Grammar, automaton: Automaton, trim_useless: bool, over_run
         name = stem + "|" + label + ")"
         inputs = stem_inputs + (names(last, node.inputs[k - 1], src),) if k else ()
         output = names(first if k else src, node.output, dst)
-        pulled_nodes.append(Node(name, inputs, output))
-        node_splice[name] = SplicedArrow(stem_runs + (run,)) if over_runs else splice
+        pulled_nodes.append(new(Node, (name, inputs, output)))
+        node_splice[name] = new(SplicedArrow, (stem_runs + (run,),)) if over_runs else splice
     colors = tuple(names(q, c, q2) for c, q, q2 in items)
     species = Species(colors=colors, nodes=tuple(pulled_nodes))
     start = names(automaton.initial, grammar.start, automaton.final)

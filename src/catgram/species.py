@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from collections import defaultdict, namedtuple
+from collections import namedtuple
 from functools import cached_property
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar, Union
 
@@ -324,19 +324,28 @@ def derivable(edges: Iterable[tuple[Sequence[V], V]]) -> set[V]:
     """The least set of vertices closed under "a head holds once every tail
     holds", for ``(tails, head)`` edges.
 
-    A worklist: each edge counts its tails not yet held, once per
-    occurrence, and fires when the count reaches zero, so the work is linear
-    in the total size of the edges.
+    A worklist filled in one pass, so ``edges`` may be a one-shot iterable:
+    an edge with no tails puts its head on the worklist, and every other
+    edge keeps its head and a count of its tails not yet held, once per
+    occurrence, and fires when the count reaches zero, so the work is
+    linear in the total size of the edges.
     """
-    edges = list(edges)
-    waiting: defaultdict[V, list[int]] = defaultdict(list)  # edges by tail
     todo: list[V] = []
-    for e, (tails, head) in enumerate(edges):
-        for tail in tails:
-            waiting[tail].append(e)
+    heads: list[V] = []
+    missing: list[int] = []
+    waiting: dict[V, list[int]] = {}  # edges with tails, by tail
+    for tails, head in edges:
         if not tails:
             todo.append(head)
-    missing = [len(tails) for tails, _ in edges]
+            continue
+        e = len(heads)
+        heads.append(head)
+        missing.append(len(tails))
+        for tail in tails:
+            if tail in waiting:
+                waiting[tail].append(e)
+            else:
+                waiting[tail] = [e]
     held: set[V] = set()
     while todo:
         vertex = todo.pop()
@@ -346,7 +355,7 @@ def derivable(edges: Iterable[tuple[Sequence[V], V]]) -> set[V]:
         for e in waiting.get(vertex, ()):
             missing[e] -= 1
             if not missing[e]:
-                todo.append(edges[e][1])
+                todo.append(heads[e])
     return held
 
 

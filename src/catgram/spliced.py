@@ -36,7 +36,7 @@ class SplicedArrow(namedtuple("SplicedArrow", "segments")):
     def __new__(cls, segments: tuple[Path, ...]) -> SplicedArrow:
         if not segments:
             raise CompositionError("a spliced arrow needs at least one segment")
-        return super().__new__(cls, segments)
+        return tuple.__new__(cls, (segments,))
 
     @property
     def outer(self) -> GapType:

@@ -450,6 +450,38 @@ def test_anchored_pullback_equals_unanchored_on_pinned_cases(name):
     _check_anchored_pullback(*PINNED_CASES[name])
 
 
+# -- exact value types ---------------------------------------------------------
+#
+# Equality cannot tell a plain tuple from a named tuple, so the tests above
+# would pass if a builder made plain tuples; ``_pulled`` and
+# ``functorial_image`` build their values with ``tuple.__new__``.
+
+
+def _check_exact_types(grammar, automaton):
+    built = []
+    for trim_useless in (False, True):
+        pulled = pullback_grammar(grammar, automaton, trim_useless)
+        built += [
+            pulled,
+            intersect(grammar, automaton, trim_useless),
+            functorial_image(pulled, automaton.functor),
+        ]
+    built.append(trim(built[0]))
+    for g in built:
+        assert all(type(n) is Node for n in g.species.nodes)
+        assert all(type(s) is SplicedArrow for s in g.node_splice.values())
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CASES))
+def test_pulled_values_have_exact_types_on_pinned_cases(name):
+    _check_exact_types(*PINNED_CASES[name])
+
+
+@given(grammars_and_automata(max_inputs=3))
+def test_pulled_values_have_exact_types_on_random_automata(pair):
+    _check_exact_types(*pair)
+
+
 # -- the cyclic collector -----------------------------------------------------
 #
 # ``lift``, ``_pulled``, ``trim`` and ``parser._forest`` run with the
