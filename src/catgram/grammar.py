@@ -31,7 +31,7 @@ from .freecat import (
     apply_functor,
     monoid_graph,
 )
-from .species import DerivationTree, Leaf, Node, Species, derivable, walk
+from .species import DerivationTree, Leaf, Node, Species, _inputs, _output, derivable, walk
 from .spliced import GapType, SplicedArrow, check_operands
 
 
@@ -226,7 +226,7 @@ def useful_set(grammar: Grammar) -> tuple[str, ...]:
     siblings are productive makes the node's output productive too.
     """
     nodes = grammar.species.nodes
-    productive = derivable((node.inputs, node.output) for node in nodes)
+    productive = derivable(zip(map(_inputs, nodes), map(_output, nodes)))
     reachable = derivable(
         [((), grammar.start)]
         + [
@@ -465,13 +465,9 @@ def functorial_image(grammar: Grammar, functor: FreeFunctor) -> Grammar:
         node.name: new(SplicedArrow, (tuple(map(images, splices[node.name].segments)),))
         for node in grammar.species.nodes
     }
-    return Grammar(
-        category=functor.codomain,
-        species=grammar.species,
-        start=grammar.start,
-        color_gap={c: gaps(g.left, g.right) for c, g in grammar.color_gap.items()},
-        node_splice=node_splice,
-    )
+    # the image keeps its species, and both tables are new
+    color_gap = {c: gaps(g.left, g.right) for c, g in grammar.color_gap.items()}
+    return new(Grammar, (functor.codomain, grammar.species, grammar.start, color_gap, node_splice))
 
 
 def bilinearize(grammar: Grammar) -> Grammar:

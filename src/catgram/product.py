@@ -31,13 +31,25 @@ and each pulled color to its color's gap type, so the grammar for the
 intersection of the two languages is the same pulled species over the base
 category, each node carrying its base node's own splice.  The trimmed
 pullback anchors the kernel at the start item; the raw one lifts nothing.
-Both render the chosen ``(node, placements)`` pairs the same way, in that
-sorted order, so the nodes whose first placements agree are adjacent: a
-stack holds the parts (name so far, pulled inputs, runs) of each placement
-prefix of the current node, and each node rebuilds only the parts past the
-prefix it shares with the node before it.  An intersection node needs no
-runs, so none are built for it.  Pulled nodes and run splices are built
-by ``tuple.__new__``, with no constructor frame and no check lost.
+Both render head groups the same way, in sorted ``(node, placements)``
+order, where a node's head is every placement but the last: the raw
+product walks each node's heads and, under each, the last segment's
+placements; the trimmed one groups the chosen alternatives by head.  A
+head's parts (name so far, pulled inputs, runs) are built once, and each
+node costs one name concatenation (run labels carry their separator) and
+two pulled color names.  An intersection node needs no runs, so none are
+built for it.
+
+Pulled nodes, run splices, and the ``Species`` and ``Grammar`` around them
+are built by ``tuple.__new__``, with no constructor frame and no check
+lost.  The pulled colors are distinct ``(state, color, state)`` triples and
+the nodes distinct ``(node, placements)`` pairs, so their names are
+distinct unless two render alike, which the sizes of the two name tables
+show.  When every splice has its node's gap types (one pass over the base
+nodes), every run endpoint lies over them, so each pulled input and output
+is one of the triples.  If either test fails, the constructors run and
+name the fault.  ``trim`` keeps a subset of a valid species and
+``functorial_image`` keeps its species, so both assemble the same way.
 
 The kernel, the render, ``trim`` and the parser's forest run with the
 cyclic collector paused (``_acyclic``).  What they build are acyclic graphs
@@ -246,29 +258,32 @@ def reachable(
     """The items below a derived ``root`` in the order a depth-first search
     leaves them (children first unless a cycle is reachable), each with its
     alternatives sorted by node index, then placement indexes; and whether a
-    derivation cycle is reachable."""
+    derivation cycle is reachable.  The alternatives are sorted in place."""
     out: dict[ParseItem, list[Alt]] = {}
-    path: set[ParseItem] = set()  # entered and not yet left
+    # True from entering an item until leaving it, then False
+    entered: dict[ParseItem, bool] = {}
     cyclic = False
     # (item, None) enters an item and (item, alts) leaves it
     stack: list[tuple[ParseItem, list[Alt] | None]] = [(root, None)]
     while stack:
         item, alts = stack.pop()
         if alts is not None:
-            path.discard(item)
+            entered[item] = False
             out[item] = alts
             continue
-        if item in out:
+        if item in entered:
             continue
-        alts = sorted(derived[item])
-        path.add(item)
+        entered[item] = True
+        alts = derived[item]
+        alts.sort()
         stack.append((item, alts))
         for alt in alts:
             for child in alt[2]:
-                if child in path:
-                    cyclic = True
-                elif child not in out:
+                on_path = entered.get(child)
+                if on_path is None:
                     stack.append((child, None))
+                elif on_path:
+                    cyclic = True
     return out, cyclic
 
 
@@ -278,10 +293,6 @@ def _group(placements: Sequence[tuple], end: int) -> dict[Hashable, list[int]]:
     for a, placement in enumerate(placements):
         table.setdefault(placement[end], []).append(a)
     return table
-
-
-def _run_label(run: Path) -> str:
-    return f"{run.src}>{'.'.join(run.gens) if run.gens else 'e'}>{run.dst}"
 
 
 def pullback_grammar(grammar: Grammar, automaton: Automaton, trim_useless: bool = True) -> Grammar:
@@ -310,12 +321,18 @@ def _pulled(grammar: Grammar, automaton: Automaton, trim_useless: bool, over_run
 
     state_names = [s.name for s in automaton.states]
 
-    def placements(seg: Path) -> list[tuple[str, str, Path, str]]:
+    def placements(seg: Path) -> list[tuple[str, str, tuple[Path], str, str]]:
         # the source state of each run is a free endpoint choice; only its
         # underlying object is constrained.  Each run's label is made here,
-        # once, however many nodes use the run.
+        # once, however many nodes use the run: with its separator inside a
+        # name, and with the closing parenthesis too as a name's last label
         runs = runs_by_source(automaton, seg)
-        return [(r.src, r.dst, r, _run_label(r)) for q in state_names for r in runs[q]]
+        placed = []
+        for q in state_names:
+            for r in runs[q]:
+                label = f"|{r.src}>{'.'.join(r.gens) or 'e'}>{r.dst}"
+                placed.append((r.src, r.dst, (r,), label, label + ")"))
+        return placed
 
     nodes = grammar.species.nodes
     table = [[placements(seg) for seg in grammar.splice_of(node.name).segments] for node in nodes]
@@ -328,17 +345,33 @@ def _pulled(grammar: Grammar, automaton: Automaton, trim_useless: bool, over_run
         for q2 in state_names
         if over[q2] == gap.right
     ]
+    # head groups ``(n, head, tails)``: node n's placements of every segment
+    # but the last, and the last segment's placements that complete them,
+    # in sorted order
     if trim_useless:
         root = (grammar.start, automaton.initial, automaton.final)
         derived = lift(nodes, table, roots=[root])
         useful = reachable(derived, root)[0] if root in derived else {root: []}
         items = [item for item in items if item in useful]
-        chosen = sorted(alt[:2] for alts in useful.values() for alt in alts)
+        # the last placement indexes of the chosen alternatives, by node and
+        # head placement indexes
+        heads: dict[tuple[int, tuple[int, ...]], list[int]] = {}
+        for alts in useful.values():
+            for n, idx, _ in alts:
+                heads.setdefault((n, idx[:-1]), []).append(idx[-1])
+        groups = (
+            (
+                n,
+                tuple(map(list.__getitem__, table[n], head)),
+                list(map(table[n][-1].__getitem__, sorted(tails))),
+            )
+            for (n, head), tails in sorted(heads.items())
+        )
     else:
-        chosen = (
-            (n, idx)
+        groups = (
+            (n, head, segs[-1])
             for n, segs in enumerate(table)
-            for idx in itertools.product(*(range(len(seg)) for seg in segs))
+            for head in itertools.product(*segs[:-1])
         )
 
     # pullback color names by (src, color, dst), made once and shared by
@@ -356,49 +389,49 @@ def _pulled(grammar: Grammar, automaton: Automaton, trim_useless: bool, over_run
     pulled_nodes: list[Node] = []
     node_splice: dict[str, SplicedArrow] = {}
     # ``tuple.__new__`` skips no check: ``Node`` has none, and the one
-    # segment a ``SplicedArrow`` needs is always in ``stem_runs + (run,)``
-    new = tuple.__new__
-    # ``chosen`` is sorted, so the nodes whose first placements agree are
-    # adjacent.  ``prefix[j]`` holds the parts of the current node's first j
-    # placements: its name so far, pulled inputs, runs (over runs only) and
-    # last target.  A node whose head (every placement but the last) is the
-    # node before's costs its last segment; a new head rebuilds only the
-    # parts past those it shares with the head before it.
-    at = head = None
-    prefix: list[tuple] = []
-    for n, idx in chosen:
-        k = len(idx) - 1
-        if n != at or idx[:k] != head:
-            node, segs = nodes[n], table[n]
-            j = 0
-            if n != at:
-                prefix = [(f"({node.name}", (), (), None)]
-            else:
-                while idx[j] == head[j]:
-                    j += 1
-                del prefix[j + 1 :]
-            at, head = n, idx[:k]
-            for j in range(j, k):
-                stem, stem_inputs, stem_runs, last = prefix[j]
-                src, dst, run, label = segs[j][idx[j]]
-                if j:
-                    stem_inputs += (names(last, node.inputs[j - 1], src),)
-                if over_runs:
-                    stem_runs += (run,)
-                prefix.append((stem + "|" + label, stem_inputs, stem_runs, dst))
-            stem, stem_inputs, stem_runs, last = prefix[k]
-            first = segs[0][idx[0]][0]
-            tail, splice = segs[k], grammar.node_splice[node.name]
-        src, dst, run, label = tail[idx[k]]
-        name = stem + "|" + label + ")"
-        inputs = stem_inputs + (names(last, node.inputs[k - 1], src),) if k else ()
-        output = names(first if k else src, node.output, dst)
-        pulled_nodes.append(new(Node, (name, inputs, output)))
-        node_splice[name] = new(SplicedArrow, (stem_runs + (run,),)) if over_runs else splice
-    colors = tuple(names(q, c, q2) for c, q, q2 in items)
-    species = Species(colors=colors, nodes=tuple(pulled_nodes))
+    # segment a ``SplicedArrow`` needs is always in ``stem_runs + runs``
+    new, append = tuple.__new__, pulled_nodes.append
+    for n, head, tails in groups:
+        # the parts every node of this head shares: its name so far, pulled
+        # inputs, runs (over runs only), first source and last target
+        node = nodes[n]
+        stem = "(" + node.name + "".join([placed[3] for placed in head])
+        stem_inputs = tuple(
+            [names(a[1], color, b[0]) for a, color, b in zip(head, node.inputs, head[1:])]
+        )
+        stem_runs = tuple([placed[2][0] for placed in head]) if over_runs else ()
+        output, splice = node.output, grammar.node_splice[node.name]
+        if head:
+            first, last, gap = head[0][0], head[-1][1], node.inputs[-1]
+        for src, dst, runs, _, label in tails:
+            name = stem + label
+            inputs = stem_inputs + (names(last, gap, src),) if head else ()
+            append(new(Node, (name, inputs, names(first if head else src, output, dst))))
+            node_splice[name] = new(SplicedArrow, (stem_runs + runs,)) if over_runs else splice
     start = names(automaton.initial, grammar.start, automaton.final)
-    return Grammar(category, species, start, color_gap, node_splice)
+    # the colors are distinct triples and the nodes distinct ``(node,
+    # placements)`` pairs, so their names are distinct unless two render
+    # alike, which the two tables' sizes show; and when each splice has its
+    # node's gap types, every run endpoint lies over them, so each pulled
+    # input and output is one of the triples.  Then the constructors' checks
+    # cannot fail and are skipped; otherwise they name the fault.
+    pulled = tuple(pulled_nodes)
+    if len(color_gap) == len(items) and len(node_splice) == len(pulled) and _well_typed(grammar):
+        species = new(Species, (tuple(color_gap), pulled))
+        return new(Grammar, (category, species, start, color_gap, node_splice))
+    colors = tuple(names(q, c, q2) for c, q, q2 in items)
+    return Grammar(category, Species(colors, pulled), start, color_gap, node_splice)
+
+
+def _well_typed(grammar: Grammar) -> bool:
+    """Whether each node's splice has the gap types of its output and
+    inputs."""
+    gap = grammar.color_gap
+    return all(
+        (splice.outer, *splice.gaps) == (gap[node.output], *map(gap.__getitem__, node.inputs))
+        for node in grammar.species.nodes
+        for splice in (grammar.node_splice[node.name],)
+    )
 
 
 @_acyclic
@@ -415,13 +448,13 @@ def trim(grammar: Grammar) -> Grammar:
     nodes = tuple(
         n for n in grammar.species.nodes if n.output in useful and useful.issuperset(n.inputs)
     )
-    return Grammar(
-        category=grammar.category,
-        species=Species(colors, nodes),
-        start=grammar.start,
-        color_gap={c: grammar.color_gap[c] for c in colors},
-        node_splice={n.name: grammar.node_splice[n.name] for n in nodes},
-    )
+    # a subset of a valid species that keeps every color of its nodes needs
+    # no re-check, and the two tables are new
+    new = tuple.__new__
+    species = new(Species, (colors, nodes))
+    color_gap = {c: grammar.color_gap[c] for c in colors}
+    node_splice = {n.name: grammar.node_splice[n.name] for n in nodes}
+    return new(Grammar, (grammar.category, species, grammar.start, color_gap, node_splice))
 
 
 def intersect(grammar: Grammar, automaton: Automaton, trim_useless: bool = True) -> Grammar:

@@ -21,6 +21,7 @@ from catgram import (
     Transition,
     apply_functor,
     automaton_of,
+    bilinearize,
     enumerate_language,
     enumerate_paths,
     enumerate_regular_language,
@@ -45,8 +46,8 @@ import catgram.parser
 import catgram.product
 from catgram.automaton import runs_by_source
 from catgram.product import lift
-from catgram.fixtures import G_AB, G_AMB, G_END, GRAPH_A, GRAPH_AB, M_EVENA
-from conftest import no_cyclic_garbage, words
+from catgram.fixtures import G_AB, G_AMB, G_END, G_TERN, GRAPH_A, GRAPH_AB, M_EVENA
+from conftest import no_cyclic_garbage, outcome, words
 from test_parser import GRAPH_PQ, RANDOM_WORD_BOUND, random_grammars
 
 
@@ -193,6 +194,7 @@ def test_trim_useless_start_drops_its_unit_node_and_every_other_color():
     assert trimmed.species == Species(("S",), ())
     assert trimmed.node_splice == {}
     assert trimmed.color_gap == {"S": g.gap_of("S")}
+    _check_assembled(trimmed)
 
 
 def test_pullback_node_count_audit():
@@ -363,15 +365,18 @@ def _naive_pulled(grammar, automaton, over_runs, trim_useless):
     return nodes, splices
 
 
-@given(grammars_and_automata(max_inputs=3))
-def test_pulled_nodes_agree_with_a_naive_product(pair):
-    grammar, automaton = pair
+def _check_naive(grammar, automaton):
     for build, over_runs in ((pullback_grammar, True), (intersect, False)):
         for trim_useless in (False, True):
             got = build(grammar, automaton, trim_useless)
             nodes, splices = _naive_pulled(grammar, automaton, over_runs, trim_useless)
             assert list(got.species.nodes) == nodes
             assert got.node_splice == splices
+
+
+@given(grammars_and_automata(max_inputs=3))
+def test_pulled_nodes_agree_with_a_naive_product(pair):
+    _check_naive(*pair)
 
 
 # -- pinned output ------------------------------------------------------------
@@ -392,6 +397,28 @@ X_MOD2 = Automaton(
     initial="0",
     final="0",
 )
+
+
+def _counter(graph, k, counted):
+    """States 0..k-1 over the one object: ``counted`` steps i -> i+1 mod k,
+    every other letter loops."""
+    return Automaton(
+        base=graph,
+        states=tuple(State(str(i), "*") for i in range(k)),
+        transitions=tuple(
+            Transition(f"{g.name}{i}", str(i), str((i + 1) % k if g.name == counted else i), g.name)
+            for g in graph.generators
+            for i in range(k)
+        ),
+        initial="0",
+        final="0",
+    )
+
+
+# a ternary node, so heads of three placements share a prefix with the head
+# before; bilinearized, two nullary nodes share the empty head and binary
+# nodes can repeat the head of the node before
+A_MOD4 = _counter(GRAPH_AB, 4, "a")
 PINNED_CASES = {
     **{
         f"g_amb_interval_a{n}": (G_AMB, interval_automaton(GRAPH_A, word(GRAPH_A, "a" * n)))
@@ -405,6 +432,8 @@ PINNED_CASES = {
         ),
     ),
     "expr_x_mod2": (EXPR, X_MOD2),
+    "g_tern_a_mod4": (G_TERN, A_MOD4),
+    "g_tern_bilinear_a_mod4": (bilinearize(G_TERN), A_MOD4),
 }
 
 
@@ -433,6 +462,8 @@ PINNED_DIGESTS = {
     "g_amb_interval_a7": ("65e55fa0176f85d3", "76a8b5fd7d764f53", "9d9a8f984b4f4c41", "621942e2e559101f"),
     "g_amb_interval_a8": ("6b6ec29f465fa101", "0e7bfa321d96cab7", "13a6451e0bcc322c", "4a91204082e146aa"),
     "g_end_classical": ("795403606aaa80bf", "646b214c4e0bba06", "c94589a23037d2ad", "f7954ed6e334a4ad"),
+    "g_tern_a_mod4": ("bda5fc68d622cffd", "5a61a42a29a214bb", "94995625577ec90c", "432ddebae21da8dc"),
+    "g_tern_bilinear_a_mod4": ("f6f1aed41479d8af", "9cd1b870e360736f", "9e7a21b8200193ac", "e6169a85c8035b24"),
 }
 
 
@@ -448,6 +479,11 @@ def test_intersection_output_is_pinned(name):
 @pytest.mark.parametrize("name", sorted(PINNED_CASES))
 def test_anchored_pullback_equals_unanchored_on_pinned_cases(name):
     _check_anchored_pullback(*PINNED_CASES[name])
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CASES))
+def test_pulled_nodes_agree_with_a_naive_product_on_pinned_cases(name):
+    _check_naive(*PINNED_CASES[name])
 
 
 # -- exact value types ---------------------------------------------------------
@@ -470,6 +506,7 @@ def _check_exact_types(grammar, automaton):
     for g in built:
         assert all(type(n) is Node for n in g.species.nodes)
         assert all(type(s) is SplicedArrow for s in g.node_splice.values())
+        _check_assembled(g)
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_CASES))
@@ -480,6 +517,76 @@ def test_pulled_values_have_exact_types_on_pinned_cases(name):
 @given(grammars_and_automata(max_inputs=3))
 def test_pulled_values_have_exact_types_on_random_automata(pair):
     _check_exact_types(*pair)
+
+
+# -- assembled without the constructors' checks -------------------------------
+#
+# ``_pulled``, ``trim`` and ``functorial_image`` also make their ``Species``
+# and ``Grammar`` with ``tuple.__new__``.  ``_check_exact_types`` asserts
+# that the constructors accept each one and rebuild it equal, so skipping
+# their checks lost none; the cases below would fail those checks.
+
+
+def _check_assembled(g):
+    assert type(g) is Grammar and type(g.species) is Species
+    assert Species(g.species.colors, g.species.nodes) == g.species
+    assert Grammar(*g) == g
+
+
+# two nodes rendered alike: m's placements spell the other node's name
+_NAMES_ALIKE = grammar_from_rules(
+    GRAPH_AB,
+    "S",
+    {"S": ("*", "*")},
+    [("m", "S", ("S",), (("a",), ("b",))), ("m|q>la>q", "S", (), (("b",),))],
+)
+# two triples rendered alike: (p,A,S,p) is both ("p,A", S, p) and (p, "A,S", p)
+_TRIPLES_ALIKE = grammar_from_rules(
+    GRAPH_AB,
+    "S",
+    {"S": ("*", "*"), "A,S": ("*", "*")},
+    [("c", "S", (), (("a",),)), ("d", "A,S", (), (("b",),))],
+)
+_COMMA_STATE = Automaton(
+    base=GRAPH_AB,
+    states=(State("p", "*"), State("p,A", "*")),
+    transitions=(Transition("la", "p", "p", "a"), Transition("lb", "p", "p", "b")),
+    initial="p",
+    final="p",
+)
+# ill-typed: r0's one segment ends over the end marker's object, not E's
+_ILL_TYPED = Grammar(
+    G_END.category,
+    G_END.species,
+    G_END.start,
+    G_END.color_gap,
+    {**G_END.node_splice, "r0": SplicedArrow((G_END.category.path(("a", "b", "$")),))},
+)
+_ONE_STATE = import_classical_automaton("ab", ["p"], [("p", "a", "p"), ("p", "b", "p")], "p", ["p"])
+
+
+@pytest.mark.parametrize(
+    "grammar, automaton, outcomes",
+    [
+        (_NAMES_ALIKE, ALL_LOOP, ["InputError: duplicate node names in species"] * 4),
+        (_TRIPLES_ALIKE, _COMMA_STATE, ["InputError: duplicate color names in species", "1"] * 2),
+        (
+            _ILL_TYPED,
+            _ONE_STATE,
+            ["InputError: node '(r0|p>t0.t1.end0>qf)' references undeclared color '(p,E,qf)'", "0"] * 2,
+        ),
+    ],
+    ids=["node-names-alike", "color-names-alike", "ill-typed-splice"],
+)
+def test_pulled_grammars_keep_the_constructors_checks(grammar, automaton, outcomes):
+    # raw then trimmed pullback, raw then trimmed intersection: a fault the
+    # constructors would name is still named, and the rest still build
+    got = [
+        outcome(lambda: len(build(grammar, automaton, trim_useless).species.nodes))
+        for build in (pullback_grammar, intersect)
+        for trim_useless in (False, True)
+    ]
+    assert got == outcomes
 
 
 # -- the cyclic collector -----------------------------------------------------
