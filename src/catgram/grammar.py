@@ -154,6 +154,13 @@ def validate(grammar: Grammar) -> list[str]:
     return problems
 
 
+def _reject_invalid(grammar: Grammar) -> None:
+    """Raise ``validate``'s first message as an ``InputError``, if any."""
+    problems = validate(grammar)
+    if problems:
+        raise InputError(problems[0])
+
+
 def eval_tree(grammar: Grammar, tree: DerivationTree) -> SplicedArrow:
     """Evaluate a derivation tree to a spliced arrow, homomorphically.
 
@@ -387,9 +394,7 @@ def _rules(
     species order: node names end in ``tag``, and colors are renamed by
     ``color``, which by default appends ``tag`` too.  A grammar that
     ``validate`` faults is rejected with its first message."""
-    problems = validate(grammar)
-    if problems:
-        raise InputError(problems[0])
+    _reject_invalid(grammar)
     color = color or (lambda c: c + tag)
     gaps = grammar.color_gap
     nonterminals = {color(c): (gaps[c].left, gaps[c].right) for c in grammar.species.colors}

@@ -23,15 +23,17 @@ item or alternative below a root is dropped.
 A packed forest shares subderivations: each item carries its local
 alternatives, ``(node, child items)`` pairs, and unfolding the forest from
 the root item reproduces exactly the closed derivation trees of the word.
-It is the kernel's own output: the items ``product.reachable`` finds below
-the root, children first unless a cycle is reachable, alternatives in node
-declaration order then gap spans ascending, each item the one ``ParseItem``
-object the kernel derived.  A forest is a hypergraph like a species, with
-items as vertices and alternatives as edges: parse counts and size bounds
-fold over its items in key order, and enumeration is
-``species.trees_by_size`` on those edges within those bounds, cut at the
-caller's limit: its cost is bounded by the limit, not by the number of
-trees of a size.
+It is the kernel's own output below the root, each item the one
+``ParseItem`` object the kernel derived, walked once by ``_forest``: items
+in the order a depth-first search leaves them, so children first unless a
+cycle is reachable.  Forest order is pinned, so the forest alone sorts
+each item's alternatives (node declaration order, then gap spans
+ascending), into a new list; the kernel's output is left as found.  A
+forest is a hypergraph like a species, with items as vertices and
+alternatives as edges: parse counts and size bounds fold over its items in
+key order, and enumeration is ``species.trees_by_size`` on those edges
+within those bounds, cut at the caller's limit: its cost is bounded by the
+limit, not by the number of trees of a size.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 from .errors import InputError
 from .grammar import Grammar
-from .product import Alt, ParseItem, _acyclic, lift, reachable
+from .product import Alt, ParseItem, _acyclic, lift
 from .species import DerivationTree, Node, trees_by_size
 from .freecat import Path
 
@@ -116,15 +118,37 @@ def _recognize_and_parse(grammar: Grammar, w: Path) -> tuple[frozenset[str], Pac
 
 @_acyclic
 def _forest(grammar: Grammar, w: Path, derived: dict[ParseItem, list[Alt]]) -> PackedForest:
-    """The items of ``derived`` below the start item over the whole path."""
+    """The items of ``derived`` below the start item over the whole path, in
+    the order a depth-first search leaves them, each with its alternatives
+    sorted by node index, then placement indexes, into a new list."""
     root = _whole(derived, len(w.gens)).get(grammar.start)
     if root is None:
         return PackedForest(None, {}, False)
-    reach, cyclic = reachable(derived, root)
     nodes = grammar.species.nodes
-    alternatives = {
-        item: tuple([(nodes[n], kids) for n, _, kids in alts]) for item, alts in reach.items()
-    }
+    alternatives: dict[ParseItem, tuple[Alternative, ...]] = {}
+    # True from entering an item until leaving it, then False
+    entered: dict[ParseItem, bool] = {}
+    cyclic = False
+    # (item, None) enters an item and (item, alts) leaves it
+    stack: list[tuple[ParseItem, list[Alt] | None]] = [(root, None)]
+    while stack:
+        item, alts = stack.pop()
+        if alts is not None:
+            entered[item] = False
+            alternatives[item] = tuple([(nodes[n], kids) for n, _, kids in alts])
+            continue
+        if item in entered:
+            continue
+        entered[item] = True
+        alts = sorted(derived[item])
+        stack.append((item, alts))
+        for _, _, kids in alts:
+            for child in kids:
+                on_path = entered.get(child)
+                if on_path is None:
+                    stack.append((child, None))
+                elif on_path:
+                    cyclic = True
     return PackedForest(root, alternatives, cyclic)
 
 

@@ -18,8 +18,12 @@ roots can use; the items below each root, their alternatives and their
 cycles are those of the unanchored fixed point.
 
 Each item is one ``ParseItem`` object from its first derivation on, and
-alternatives hold those objects as gap items, so the items ``reachable``
-from a root already are its packed forest (Billot & Lang 1989).
+alternatives hold those objects as gap items, so the kernel's output below
+a root already is its packed forest (Billot & Lang 1989).  Each reader
+walks that output for its own purpose and leaves it as found.  The parser's
+forest keeps a pinned order, so it alone sorts each item's alternatives,
+into new lists; the trimmed pullback collects the items its root reaches
+with a plain worklist, since it sorts its own head groups.
 
 The pullback grammar lives over the automaton's state graph.  Its colors are
 triples of a source state, a nonterminal and a target state whose gap type
@@ -32,24 +36,20 @@ intersection of the two languages is the same pulled species over the base
 category, each node carrying its base node's own splice.  The trimmed
 pullback anchors the kernel at the start item; the raw one lifts nothing.
 Both render head groups the same way, in sorted ``(node, placements)``
-order, where a node's head is every placement but the last: the raw
-product walks each node's heads and, under each, the last segment's
-placements; the trimmed one groups the chosen alternatives by head.  A
-head's parts (name so far, pulled inputs, runs) are built once, and each
-node costs one name concatenation (run labels carry their separator) and
-two pulled color names.  An intersection node needs no runs, so none are
-built for it.
+order, where a node's head is every placement but the last, so a head's
+parts (name so far, pulled inputs, runs) are built once.
 
-Pulled nodes, run splices, and the ``Species`` and ``Grammar`` around them
-are built by ``tuple.__new__``, with no constructor frame and no check
-lost.  The pulled colors are distinct ``(state, color, state)`` triples and
-the nodes distinct ``(node, placements)`` pairs, so their names are
-distinct unless two render alike, which the sizes of the two name tables
-show.  When every splice has its node's gap types (one pass over the base
-nodes), every run endpoint lies over them, so each pulled input and output
-is one of the triples.  If either test fails, the constructors run and
-name the fault.  ``trim`` keeps a subset of a valid species and
-``functorial_image`` keeps its species, so both assemble the same way.
+``_pulled`` first rejects a grammar that ``validate`` faults, with its first
+message.  In a valid grammar every splice has its node's gap types, so
+every run endpoint lies over them and each pulled input and output is one
+of the pulled ``(state, color, state)`` triples.  The triples are distinct
+and so are the ``(node, placements)`` pairs, so their names are distinct
+unless two render alike, which the sizes of the two name tables show and
+which raises what ``Species`` would.  So pulled nodes, run splices, and
+the ``Species`` and ``Grammar`` around them are built one way, by
+``tuple.__new__``, with no constructor frame and no check lost.  ``trim``
+keeps a subset of a valid species and ``functorial_image`` keeps its
+species, so both assemble the same way.
 
 The kernel, the render, ``trim`` and the parser's forest run with the
 cyclic collector paused (``_acyclic``).  What they build are acyclic graphs
@@ -67,10 +67,10 @@ import itertools
 from collections import deque
 from typing import Callable, Hashable, Iterable, NamedTuple, Sequence, TypeVar
 
-from .errors import CompositionError
+from .errors import CompositionError, InputError
 from .automaton import Automaton, runs_by_source
 from .freecat import Path
-from .grammar import Grammar, useful_set
+from .grammar import Grammar, _reject_invalid, useful_set
 from .species import Node, Species, derivable
 from .spliced import GapType, SplicedArrow
 
@@ -128,7 +128,8 @@ def lift(
     made a ``ParseItem`` when first derived, and gap items are those objects.
 
     Every item below a root, and every alternative of one, passes the
-    anchors, so ``reachable`` from a root gives the same forest either way.
+    anchors, so what a root reaches is the same either way.  Readers walk
+    the result without changing it.
     """
     if roots is not None:
         (start_anywhere, may_start), (end_anywhere, may_end) = _anchors(nodes, placements, roots)
@@ -252,41 +253,6 @@ def _anchored(
     return anywhere, derivable(edges)
 
 
-def reachable(
-    derived: dict[ParseItem, list[Alt]], root: ParseItem
-) -> tuple[dict[ParseItem, list[Alt]], bool]:
-    """The items below a derived ``root`` in the order a depth-first search
-    leaves them (children first unless a cycle is reachable), each with its
-    alternatives sorted by node index, then placement indexes; and whether a
-    derivation cycle is reachable.  The alternatives are sorted in place."""
-    out: dict[ParseItem, list[Alt]] = {}
-    # True from entering an item until leaving it, then False
-    entered: dict[ParseItem, bool] = {}
-    cyclic = False
-    # (item, None) enters an item and (item, alts) leaves it
-    stack: list[tuple[ParseItem, list[Alt] | None]] = [(root, None)]
-    while stack:
-        item, alts = stack.pop()
-        if alts is not None:
-            entered[item] = False
-            out[item] = alts
-            continue
-        if item in entered:
-            continue
-        entered[item] = True
-        alts = derived[item]
-        alts.sort()
-        stack.append((item, alts))
-        for alt in alts:
-            for child in alt[2]:
-                on_path = entered.get(child)
-                if on_path is None:
-                    stack.append((child, None))
-                elif on_path:
-                    cyclic = True
-    return out, cyclic
-
-
 def _group(placements: Sequence[tuple], end: int) -> dict[Hashable, list[int]]:
     """Placement indexes keyed by their start (``end=0``) or end (``end=1``)."""
     table: dict[Hashable, list[int]] = {}
@@ -312,6 +278,7 @@ def _pulled(grammar: Grammar, automaton: Automaton, trim_useless: bool, over_run
     ``over_runs`` and with each base node's own splice otherwise."""
     if grammar.category != automaton.base:
         raise CompositionError("grammar and automaton must share the base category")
+    _reject_invalid(grammar)
     start_gap = grammar.gap_of(grammar.start)
     over = automaton.state_over
     if (start_gap.left, start_gap.right) != (over[automaton.initial], over[automaton.final]):
@@ -351,14 +318,19 @@ def _pulled(grammar: Grammar, automaton: Automaton, trim_useless: bool, over_run
     if trim_useless:
         root = (grammar.start, automaton.initial, automaton.final)
         derived = lift(nodes, table, roots=[root])
-        useful = reachable(derived, root)[0] if root in derived else {root: []}
-        items = [item for item in items if item in useful]
-        # the last placement indexes of the chosen alternatives, by node and
-        # head placement indexes
+        # the items the root reaches, and the last placement indexes of
+        # their alternatives by node and head placement indexes, in no order
+        useful = {root}
+        todo = [root] if root in derived else []
         heads: dict[tuple[int, tuple[int, ...]], list[int]] = {}
-        for alts in useful.values():
-            for n, idx, _ in alts:
+        while todo:
+            for n, idx, kids in derived[todo.pop()]:
                 heads.setdefault((n, idx[:-1]), []).append(idx[-1])
+                for kid in kids:
+                    if kid not in useful:
+                        useful.add(kid)
+                        todo.append(kid)
+        items = [item for item in items if item in useful]
         groups = (
             (
                 n,
@@ -408,30 +380,16 @@ def _pulled(grammar: Grammar, automaton: Automaton, trim_useless: bool, over_run
             inputs = stem_inputs + (names(last, gap, src),) if head else ()
             append(new(Node, (name, inputs, names(first if head else src, output, dst))))
             node_splice[name] = new(SplicedArrow, (stem_runs + runs,)) if over_runs else splice
-    start = names(automaton.initial, grammar.start, automaton.final)
     # the colors are distinct triples and the nodes distinct ``(node,
     # placements)`` pairs, so their names are distinct unless two render
-    # alike, which the two tables' sizes show; and when each splice has its
-    # node's gap types, every run endpoint lies over them, so each pulled
-    # input and output is one of the triples.  Then the constructors' checks
-    # cannot fail and are skipped; otherwise they name the fault.
-    pulled = tuple(pulled_nodes)
-    if len(color_gap) == len(items) and len(node_splice) == len(pulled) and _well_typed(grammar):
-        species = new(Species, (tuple(color_gap), pulled))
-        return new(Grammar, (category, species, start, color_gap, node_splice))
-    colors = tuple(names(q, c, q2) for c, q, q2 in items)
-    return Grammar(category, Species(colors, pulled), start, color_gap, node_splice)
-
-
-def _well_typed(grammar: Grammar) -> bool:
-    """Whether each node's splice has the gap types of its output and
-    inputs."""
-    gap = grammar.color_gap
-    return all(
-        (splice.outer, *splice.gaps) == (gap[node.output], *map(gap.__getitem__, node.inputs))
-        for node in grammar.species.nodes
-        for splice in (grammar.node_splice[node.name],)
-    )
+    # alike, which the two tables' sizes show
+    if len(color_gap) != len(items):
+        raise InputError("duplicate color names in species")
+    if len(node_splice) != len(pulled_nodes):
+        raise InputError("duplicate node names in species")
+    species = new(Species, (tuple(color_gap), tuple(pulled_nodes)))
+    start = names(automaton.initial, grammar.start, automaton.final)
+    return new(Grammar, (category, species, start, color_gap, node_splice))
 
 
 @_acyclic

@@ -291,6 +291,16 @@ def test_validate_without_input_exits_2():
     assert res.stderr == "error: validate: nothing to check; pass -g, -m or -s\n"
 
 
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_unreadable_input_file_exits_2(tmp_path, kind):
+    path = tmp_path / "g.json"
+    if kind == "directory":
+        path.mkdir()
+    code, out, err = run_in_process(["validate", "-g", str(path)])
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.startswith(f"error: {path}: [Errno ")
+
+
 def test_text_format(files):
     res = run_cli("--format", "text", "parse", "-g", files["g_ab.json"], "-w", "aabb")
     assert res.returncode == 0

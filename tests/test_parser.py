@@ -27,8 +27,7 @@ from catgram.fixtures import G_AB, G_AMB, G_END, G_EPS, G_TERN, G_UNIT, GRAPH_A,
 from catgram.freecat import FiniteGraph, Generator
 from catgram.grammar import Grammar, grammar_from_rules, import_classical, parse_classical_text
 from catgram.oracle import enumerate_language
-from catgram.parser import PackedForest, ParseItem, _lift, _recognize_and_parse
-from catgram.product import reachable
+from catgram.parser import PackedForest, ParseItem, _forest, _lift, _recognize_and_parse
 from catgram.species import Apply, node_count, tree_key, trees_by_size
 from conftest import lifo, no_cyclic_garbage
 
@@ -480,16 +479,11 @@ def _check_anchored_against_unanchored(grammar, w):
     assert recognize(grammar, w) == whole
     colors, forest = _recognize_and_parse(grammar, w)
     assert colors == whole
+    want = _forest(grammar, w, derived)
+    assert want.is_empty == (grammar.start not in whole)
     for forest in (forest, parse_forest(grammar, w)):
-        if grammar.start not in whole:
-            assert forest.is_empty
-            continue
-        reach, cyclic = reachable(derived, (grammar.start, 0, n))
-        nodes = grammar.species.nodes
-        want = [(item, [(nodes[k], kids) for k, _, kids in alts]) for item, alts in reach.items()]
-        got = [(item, list(alts)) for item, alts in forest.alternatives.items()]
-        assert got == want, w
-        assert forest.cyclic == cyclic, w
+        assert (forest.root, forest.cyclic) == (want.root, want.cyclic), w
+        assert list(forest.alternatives.items()) == list(want.alternatives.items()), w
 
 
 def _every_path(category, max_len):

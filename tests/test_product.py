@@ -45,6 +45,7 @@ from catgram import (
 import catgram.parser
 import catgram.product
 from catgram.automaton import runs_by_source
+from catgram.parser import _recognize_and_parse
 from catgram.product import lift
 from catgram.fixtures import G_AB, G_AMB, G_END, G_TERN, GRAPH_A, GRAPH_AB, M_EVENA
 from conftest import no_cyclic_garbage, outcome, words
@@ -296,7 +297,7 @@ def _unanchored_lift(nodes, placements, roots=None):
 
 def _check_anchored_pullback(grammar, automaton):
     """The trimmed pullback and intersection read off the anchored kernel
-    equal those read off the unanchored one by ``reachable``."""
+    equal those read off the unanchored one."""
     anchored = (pullback_grammar(grammar, automaton), intersect(grammar, automaton))
     with mock.patch.object(catgram.product, "lift", _unanchored_lift):
         assert (pullback_grammar(grammar, automaton), intersect(grammar, automaton)) == anchored
@@ -524,7 +525,9 @@ def test_pulled_values_have_exact_types_on_random_automata(pair):
 # ``_pulled``, ``trim`` and ``functorial_image`` also make their ``Species``
 # and ``Grammar`` with ``tuple.__new__``.  ``_check_exact_types`` asserts
 # that the constructors accept each one and rebuild it equal, so skipping
-# their checks lost none; the cases below would fail those checks.
+# their checks lost none.  ``_pulled`` refuses the cases below itself: an
+# input that ``validate`` faults with its first message, and two names
+# rendered alike with the message ``Species`` gives.
 
 
 def _check_assembled(g):
@@ -562,6 +565,16 @@ _ILL_TYPED = Grammar(
     G_END.color_gap,
     {**G_END.node_splice, "r0": SplicedArrow((G_END.category.path(("a", "b", "$")),))},
 )
+_UNDECLARED_START = Grammar(
+    G_END.category, G_END.species, "Z", G_END.color_gap, G_END.node_splice
+)
+_MISSING_SPLICE = Grammar(
+    G_END.category,
+    G_END.species,
+    G_END.start,
+    G_END.color_gap,
+    {name: splice for name, splice in G_END.node_splice.items() if name != "r0"},
+)
 _ONE_STATE = import_classical_automaton("ab", ["p"], [("p", "a", "p"), ("p", "b", "p")], "p", ["p"])
 
 
@@ -573,20 +586,66 @@ _ONE_STATE = import_classical_automaton("ab", ["p"], [("p", "a", "p"), ("p", "b"
         (
             _ILL_TYPED,
             _ONE_STATE,
-            ["InputError: node '(r0|p>t0.t1.end0>qf)' references undeclared color '(p,E,qf)'", "0"] * 2,
+            ["InputError: node 'r0': outer type (*,⊤) differs from gap type (*,*) of 'E'"] * 4,
         ),
+        (
+            _UNDECLARED_START,
+            _ONE_STATE,
+            ["InputError: start symbol 'Z' is not a declared color"] * 4,
+        ),
+        (_MISSING_SPLICE, _ONE_STATE, ["InputError: node 'r0' has no spliced arrow"] * 4),
     ],
-    ids=["node-names-alike", "color-names-alike", "ill-typed-splice"],
+    ids=[
+        "node-names-alike",
+        "color-names-alike",
+        "ill-typed-splice",
+        "undeclared-start",
+        "missing-splice",
+    ],
 )
 def test_pulled_grammars_keep_the_constructors_checks(grammar, automaton, outcomes):
-    # raw then trimmed pullback, raw then trimmed intersection: a fault the
-    # constructors would name is still named, and the rest still build
+    # raw then trimmed pullback, raw then trimmed intersection: a fault is
+    # named the same way by each, and the rest still build
     got = [
         outcome(lambda: len(build(grammar, automaton, trim_useless).species.nodes))
         for build in (pullback_grammar, intersect)
         for trim_useless in (False, True)
     ]
     assert got == outcomes
+
+
+# -- readers of the kernel's output -------------------------------------------
+#
+# The parser's forest and the trimmed pullback each walk ``lift``'s result
+# for themselves, and only the forest sorts alternatives, into new lists:
+# no reader changes what the kernel returned.
+
+_A7 = word(GRAPH_A, "a" * 7)
+_READERS = {
+    "parse_forest": lambda: parse_forest(G_AMB, _A7),
+    "recognize_and_parse": lambda: _recognize_and_parse(G_AMB, _A7),
+    "pullback_grammar": lambda: pullback_grammar(G_AMB, interval_automaton(GRAPH_A, _A7)),
+    "intersect": lambda: intersect(G_AMB, interval_automaton(GRAPH_A, _A7)),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(_READERS))
+def test_readers_leave_the_kernels_output_unchanged(reader):
+    lifted = []
+
+    def spied(*args, **kwargs):
+        derived = lift(*args, **kwargs)
+        lifted.append((derived, {item: list(alts) for item, alts in derived.items()}))
+        return derived
+
+    with mock.patch.object(catgram.product, "lift", spied), mock.patch.object(
+        catgram.parser, "lift", spied
+    ):
+        _READERS[reader]()
+    ((derived, found),) = lifted
+    # the kernel finds some items' alternatives out of sorted order
+    assert any(alts != sorted(alts) for alts in found.values())
+    assert derived == found
 
 
 # -- the cyclic collector -----------------------------------------------------
@@ -616,7 +675,7 @@ def test_pullback_leaves_no_cyclic_garbage_on_random_automata(pair):
 def test_builders_run_with_the_collector_paused():
     # each builder calls the spied name while it runs: ``recognize`` reaches
     # ``deque`` only through ``lift``, and ``parse_forest`` reaches
-    # ``reachable`` only through ``_forest``
+    # ``PackedForest`` only through ``_forest``
     seen = {}
 
     def spy(module, attr):
@@ -631,12 +690,12 @@ def test_builders_run_with_the_collector_paused():
     w = word(GRAPH_A, "aaa")
     with spy(catgram.product, "deque"), spy(catgram.product, "runs_by_source"), spy(
         catgram.product, "useful_set"
-    ), spy(catgram.parser, "reachable"):
+    ), spy(catgram.parser, "PackedForest"):
         recognize(G_AMB, w)
         parse_forest(G_AMB, w)
         trim(pullback_grammar(G_AB, M_EVENA, trim_useless=False))
     assert gc.isenabled()
-    assert seen == dict.fromkeys(["deque", "reachable", "runs_by_source", "useful_set"], {False})
+    assert seen == dict.fromkeys(["PackedForest", "deque", "runs_by_source", "useful_set"], {False})
 
 
 def test_builders_restore_the_collector():
