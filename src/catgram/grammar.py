@@ -461,17 +461,22 @@ def functorial_image(grammar: Grammar, functor: FreeFunctor) -> Grammar:
         raise CompositionError("functor domain does not match the grammar's category")
 
     # each distinct segment (checked by ``apply_functor``) and gap type is
-    # mapped once; an image is as long as its splice, so needs no check
+    # mapped once; an image is as long as its splice, so needs no check.  A
+    # missing entry is reported as ``validate`` words it
     obj = functor.object_map
     gaps = functools.cache(lambda left, right: GapType(obj[left], obj[right]))
     images = functools.cache(functools.partial(apply_functor, functor))
     new, splices = tuple.__new__, grammar.node_splice
-    node_splice = {
-        node.name: new(SplicedArrow, (tuple(map(images, splices[node.name].segments)),))
-        for node in grammar.species.nodes
-    }
-    # the image keeps its species, and both tables are new
-    color_gap = {c: gaps(g.left, g.right) for c, g in grammar.color_gap.items()}
+    try:
+        node_splice = {
+            node.name: new(SplicedArrow, (tuple(map(images, splices[node.name].segments)),))
+            for node in grammar.species.nodes
+        }
+        # the image keeps its species, and both tables are new
+        color_gap = {c: gaps(g.left, g.right) for c, g in grammar.color_gap.items()}
+    except KeyError:
+        _reject_invalid(grammar)
+        raise
     return new(Grammar, (functor.codomain, grammar.species, grammar.start, color_gap, node_splice))
 
 

@@ -15,8 +15,6 @@ oracle can confront them as independent evidence.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 from .automaton import Automaton
 from .errors import CatgramError
 from .freecat import Path, enumerate_paths
@@ -31,19 +29,20 @@ def _splice_words(splice: SplicedArrow, children: tuple[Path, ...]) -> Path:
     return Path(splice.segments[0].src, splice.segments[-1].dst, gens)
 
 
-def _combos(
-    pools: list[list[Path]], budget: int
-) -> Iterator[tuple[Path, ...]]:
-    """Tuples drawn from the pools whose total length fits the budget."""
-    if not pools:
-        yield ()
-        return
-    for head in pools[0]:
-        room = budget - len(head.gens)
-        if room < 0:
-            continue
-        for tail in _combos(pools[1:], room):
-            yield (head,) + tail
+def _combos(pools: list[list[Path]], budget: int) -> list[tuple[Path, ...]]:
+    """Tuples drawn from the pools whose total length fits the budget, first
+    pool slowest, each pool in its own order."""
+    # every fitting prefix with the budget it leaves, one pool at a time
+    combos: list[tuple[tuple[Path, ...], int]] = [((), budget)]
+    for pool in pools:
+        grown = []
+        for combo, room in combos:
+            for w in pool:
+                n = len(w.gens)
+                if n <= room:
+                    grown.append((combo + (w,), room - n))
+        combos = grown
+    return [combo for combo, _ in combos]
 
 
 def enumerate_language(grammar: Grammar, max_len: int, max_sweeps: int | None = None) -> tuple[Path, ...]:

@@ -13,12 +13,11 @@ also builds the trimmed pullback along an automaton.  It records every
 alternative as it derives it, so the chart and the forest come out of one
 pass, and its item set does not depend on the agenda order.
 
-``parse_chart`` is the unanchored least fixed point: every item of the
-word.  ``parse_forest`` anchors the kernel at the start color over the
-whole word, and ``recognize`` at every color over it: the kernel then
-drops each item that no root can use, because it starts where no first
-segment of a usable node ends, or ends where no last segment starts.  No
-item or alternative below a root is dropped.
+``parse_chart`` lifts the whole placement table: every item of the word.
+``parse_forest`` cuts the table to the start color's anchors over the
+whole word, and ``recognize`` to every color's, so the kernel's one mode
+derives no item that starts where no first segment of a usable node ends,
+or ends where no last segment starts; nothing below a root is lost.
 
 A packed forest shares subderivations: each item carries its local
 alternatives, ``(node, child items)`` pairs, and unfolding the forest from
@@ -43,7 +42,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 from .errors import InputError
 from .grammar import Grammar
-from .product import Alt, ParseItem, _acyclic, lift
+from .product import Alt, ParseItem, _acyclic, _anchors, lift
 from .species import DerivationTree, Node, trees_by_size
 from .freecat import Path
 
@@ -71,7 +70,7 @@ def _lift(
 ) -> dict[ParseItem, list[Alt]]:
     """The kernel run along the positions of ``w``: a segment sits wherever
     its generators occur, an identity segment wherever its object does.
-    With ``roots``, anchored at those colors over the whole path."""
+    With ``roots``, over the table cut to those colors over the whole path."""
     if not grammar.category.contains_path(w):
         raise InputError("target is not a path of the grammar's category")
     gens = w.gens
@@ -84,8 +83,9 @@ def _lift(
 
     nodes = grammar.species.nodes
     table = [[placements(seg) for seg in grammar.splice_of(node.name).segments] for node in nodes]
-    whole = None if roots is None else [(color, 0, len(gens)) for color in roots]
-    return lift(nodes, table, whole)
+    if roots is not None:
+        table = _anchors(nodes, table, [(color, 0, len(gens)) for color in roots])
+    return lift(nodes, table)
 
 
 def parse_chart(grammar: Grammar, w: Path) -> frozenset[ParseItem]:

@@ -10,12 +10,10 @@ only with itself and the items popped before it, through a ``(color, start)
 -> ends`` and a ``(color, end) -> starts`` index, so every alternative is
 found exactly once and the fixed point needs no span order.
 
-Given roots, the kernel first computes their anchors, the spliced-arrow
-form of top-down prediction (Earley deduction; Graham, Harrison & Ruzzo
-1980): where an item below a root can start and end.  It drops every item
-outside them, before making it an object, so it derives only what the
-roots can use; the items below each root, their alternatives and their
-cycles are those of the unanchored fixed point.
+The kernel has one mode.  Anchoring, top-down prediction read on spliced
+arrows (Graham, Harrison & Ruzzo 1980), cuts its placement table to where
+items below some roots can start and end (``_anchors``), so the kernel
+derives only what the roots can use, and all of what lies below them.
 
 Each item is one ``ParseItem`` object from its first derivation on, and
 alternatives hold those objects as gap items, so the kernel's output below
@@ -34,10 +32,10 @@ lists.  The pullback square maps each run down to the segment it lies over
 and each pulled color to its color's gap type, so the grammar for the
 intersection of the two languages is the same pulled species over the base
 category, each node carrying its base node's own splice.  The trimmed
-pullback anchors the kernel at the start item; the raw one lifts nothing.
-Both render head groups the same way, in sorted ``(node, placements)``
-order, where a node's head is every placement but the last, so a head's
-parts (name so far, pulled inputs, runs) are built once.
+pullback lifts and renders the table cut at the start item; the raw one
+lifts nothing.  Both render head groups alike, in sorted ``(node,
+placements)`` order, where a node's head is every placement but the last,
+so a head's parts (name so far, pulled inputs, runs) are built once.
 
 ``_pulled`` first rejects a grammar that ``validate`` faults, with its first
 message.  In a valid grammar every splice has its node's gap types, so
@@ -86,6 +84,8 @@ class ParseItem(NamedTuple):
 
 # (node index, placement index per segment, gap items)
 Alt = tuple[int, tuple[int, ...], tuple[ParseItem, ...]]
+# per node, per segment, where it can sit: ``(p, q, *tags)``
+Table = Sequence[Sequence[Sequence[tuple]]]
 
 F = TypeVar("F", bound=Callable)
 
@@ -111,14 +111,9 @@ def _acyclic(build: F) -> F:
 
 
 @_acyclic
-def lift(
-    nodes: Sequence[Node],
-    placements: Sequence[Sequence[Sequence[tuple]]],
-    roots: Iterable[tuple] | None = None,
-) -> dict[ParseItem, list[Alt]]:
+def lift(nodes: Sequence[Node], placements: Table) -> dict[ParseItem, list[Alt]]:
     """The least set of items closed under the nodes, each with every way it
-    is derived; with ``roots``, only those items that pass the roots'
-    anchors (see ``_anchors``).
+    is derived, over whatever placement table it is given.
 
     ``placements[n][s]`` lists where segment ``s`` of node ``n`` can sit, as
     ``(p, q, *tags)``.  Node ``n`` derives ``(output, P0.p, Pk.q)`` from
@@ -127,12 +122,9 @@ def lift(
     placement indexes, gap items)`` in the order they were found; an item is
     made a ``ParseItem`` when first derived, and gap items are those objects.
 
-    Every item below a root, and every alternative of one, passes the
-    anchors, so what a root reaches is the same either way.  Readers walk
-    the result without changing it.
+    A table cut by ``_anchors`` derives only what its roots can use.
+    Readers walk the result without changing it.
     """
-    if roots is not None:
-        (start_anywhere, may_start), (end_anywhere, may_end) = _anchors(nodes, placements, roots)
     by_start = [[_group(seg, 0) for seg in segs] for segs in placements]
     by_end = [[_group(seg, 1) for seg in segs] for segs in placements]
     uses: dict[str, list[tuple[int, int]]] = {}
@@ -157,11 +149,6 @@ def lift(
         for item, alt in found:
             alts = derived.get(item)
             if alts is None:
-                if roots is not None and not (
-                    (item[0] in start_anywhere or item[:2] in may_start)
-                    and (item[0] in end_anywhere or (item[0], item[2]) in may_end)
-                ):
-                    continue
                 item = ParseItem._make(item)
                 alts = derived[item] = []
                 agenda.append(item)
@@ -204,14 +191,13 @@ def lift(
     return derived
 
 
-def _anchors(
-    nodes: Sequence[Node],
-    placements: Sequence[Sequence[Sequence[tuple]]],
-    roots: Iterable[tuple],
-) -> tuple[tuple[set[str], set[tuple[str, Hashable]]], ...]:
-    """Where an item below one of the ``(color, p, q)`` roots can start and
-    where it can end: for each end, the colors that may sit anywhere and
-    the ``(color, position)`` pairs that may.
+def _anchors(nodes: Sequence[Node], placements: Table, roots: Iterable[tuple]) -> Table:
+    """The placement table cut to the anchors of the ``(color, p, q)``
+    roots, where an item below one of them can start and end: a node keeps
+    the placements of its first segment that start where its output may
+    start, and of its last segment that end where its output may end, so a
+    nullary node's one segment is cut at both ends.  Middle segments are
+    shared as they are, and kept placements keep their order.
 
     Ends are the least sets with each root's end at its color, and, for a
     node whose last segment sits at ``(p, q)`` with ``q`` an end of its
@@ -223,17 +209,25 @@ def _anchors(
     """
     roots = list(roots)
     inner = [(node, segs) for node, segs in zip(nodes, placements) if node.inputs]
-    starts = _anchored(
+    start_anywhere, may_start = _anchored(
         [(c, p) for c, p, _ in roots],
         {c for node, _ in inner for c in node.inputs[1:]},
         [(node.output, node.inputs[0], segs[0], 0, 1) for node, segs in inner],
     )
-    ends = _anchored(
+    end_anywhere, may_end = _anchored(
         [(c, q) for c, _, q in roots],
         {c for node, _ in inner for c in node.inputs[:-1]},
         [(node.output, node.inputs[-1], segs[-1], 1, 0) for node, segs in inner],
     )
-    return starts, ends
+    table = []
+    for node, segs in zip(nodes, placements):
+        segs, color = list(segs), node.output
+        if color not in start_anywhere:
+            segs[0] = [placed for placed in segs[0] if (color, placed[0]) in may_start]
+        if color not in end_anywhere:
+            segs[-1] = [placed for placed in segs[-1] if (color, placed[1]) in may_end]
+        table.append(segs)
+    return table
 
 
 def _anchored(
@@ -317,7 +311,8 @@ def _pulled(grammar: Grammar, automaton: Automaton, trim_useless: bool, over_run
     # in sorted order
     if trim_useless:
         root = (grammar.start, automaton.initial, automaton.final)
-        derived = lift(nodes, table, roots=[root])
+        table = _anchors(nodes, table, [root])
+        derived = lift(nodes, table)
         # the items the root reaches, and the last placement indexes of
         # their alternatives by node and head placement indexes, in no order
         useful = {root}
@@ -407,11 +402,16 @@ def trim(grammar: Grammar) -> Grammar:
         n for n in grammar.species.nodes if n.output in useful and useful.issuperset(n.inputs)
     )
     # a subset of a valid species that keeps every color of its nodes needs
-    # no re-check, and the two tables are new
+    # no re-check, and the two tables are new; a missing entry is reported
+    # as ``validate`` words it
     new = tuple.__new__
     species = new(Species, (colors, nodes))
-    color_gap = {c: grammar.color_gap[c] for c in colors}
-    node_splice = {n.name: grammar.node_splice[n.name] for n in nodes}
+    try:
+        color_gap = {c: grammar.color_gap[c] for c in colors}
+        node_splice = {n.name: grammar.node_splice[n.name] for n in nodes}
+    except KeyError:
+        _reject_invalid(grammar)
+        raise
     return new(Grammar, (grammar.category, species, grammar.start, color_gap, node_splice))
 
 

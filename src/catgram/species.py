@@ -422,19 +422,24 @@ def trees_by_size(
     return trees
 
 
-def _splits(total: int, sizes: list[tuple[float, float]]) -> Iterator[tuple[int, ...]]:
+def _splits(total: int, sizes: list[tuple[float, float]]) -> list[tuple[int, ...]]:
     """Ways to write ``total`` as an ordered sum with the ``t``-th part in
-    ``sizes[t]`` (inclusive bounds), first part ascending."""
-    if not sizes:
-        if total == 0:
-            yield ()
-        return
-    lo, hi = sizes[0]
-    rest = sizes[1:]
-    first = max(lo, total - sum(b for _, b in rest))
-    stop = min(hi, total - sum(a for a, _ in rest))
-    if first > stop:  # also when some part has no trees (bounds inf..0)
-        return
-    for part in range(first, stop + 1):  # type: ignore[arg-type]
-        for tail in _splits(total - part, rest):
-            yield (part,) + tail
+    ``sizes[t]`` (inclusive bounds), in lexicographic order."""
+    # least and greatest sums of the parts from t on
+    lows, highs = [0] * (len(sizes) + 1), [0] * (len(sizes) + 1)
+    for t in reversed(range(len(sizes))):
+        lows[t], highs[t] = lows[t + 1] + sizes[t][0], highs[t + 1] + sizes[t][1]
+    # every prefix the later parts can complete, with what it leaves them,
+    # one part at a time
+    splits: list[tuple[tuple[int, ...], float]] = [((), total)]
+    for t, (lo, hi) in enumerate(sizes):
+        grown = []
+        for parts, left in splits:
+            first, last = max(lo, left - highs[t + 1]), min(hi, left - lows[t + 1])
+            if first <= last:  # not when some part has no trees (bounds inf..0)
+                grown += [
+                    (parts + (part,), left - part)
+                    for part in range(first, last + 1)  # type: ignore[arg-type]
+                ]
+        splits = grown
+    return [parts for parts, left in splits if left == 0]

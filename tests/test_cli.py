@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from catgram import Automaton, State, Transition, bilinearize, interval_automaton, word
-from catgram import jsonio
+from catgram import grammar_from_rules, jsonio
 from catgram.contour import contour_word
 from catgram.fixtures import G_AB, G_AMB, G_END, G_EPS, GRAPH_A, GRAPH_AB, M_EVENA, SPC_FIG3, fig3_tree
 
@@ -421,6 +421,25 @@ def test_deep_parse_prints_text_but_not_json(files):
     res = run_cli("parse", "-g", path, "-w", "a" * 600)
     assert res.returncode == 2 and res.stdout == ""
     assert res.stderr.count("\n") == 1 and res.stderr.startswith("error: parse: ")
+
+
+def test_wide_node_enumerates_and_parses(files):
+    # T -> S^1100, S -> ε: one node with more inputs than the recursion limit
+    k = 1100
+    wide = grammar_from_rules(
+        GRAPH_A,
+        "T",
+        {"T": ("*", "*"), "S": ("*", "*")},
+        [("t", "T", ("S",) * k, ((),) * (k + 1)), ("z", "S", (), ((),))],
+    )
+    path = files["write"]("wide.json", jsonio.grammar_to_json(wide))
+    res = run_cli("enumerate", "-g", path, "--max-len", "0")
+    assert (res.returncode, json.loads(res.stdout)) == (0, {"words": [""]})
+    res = run_cli("parse", "-g", path, "-w", "")
+    assert res.returncode == 0
+    payload = json.loads(res.stdout)
+    assert (payload["member"], payload["count"]) == (True, 1)
+    assert payload["parses"] == [{"rule": "t", "children": [{"rule": "z", "children": []}] * k}]
 
 
 # -- the in-process output matrix ------------------------------------------

@@ -1,6 +1,7 @@
 import math
 import time
 from collections import deque
+from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -27,7 +28,9 @@ from catgram.fixtures import G_AB, G_AMB, G_END, G_EPS, G_TERN, G_UNIT, GRAPH_A,
 from catgram.freecat import FiniteGraph, Generator
 from catgram.grammar import Grammar, grammar_from_rules, import_classical, parse_classical_text
 from catgram.oracle import enumerate_language
+import catgram.parser
 from catgram.parser import PackedForest, ParseItem, _forest, _lift, _recognize_and_parse
+from catgram.product import lift
 from catgram.species import Apply, node_count, tree_key, trees_by_size
 from conftest import lifo, no_cyclic_garbage
 
@@ -513,17 +516,38 @@ G_EPS_LEFT = grammar_from_rules(
 )
 
 
+def _lifted(grammar, w, roots=None):
+    """The number of placements in the table the kernel is given, and what
+    it derives from them."""
+    tables = []
+
+    def spied(nodes, table):
+        tables.append(table)
+        return lift(nodes, table)
+
+    with mock.patch.object(catgram.parser, "lift", spied):
+        derived = _lift(grammar, w, roots)
+    (table,) = tables
+    return sum(len(seg) for segs in table for seg in segs), derived
+
+
 @pytest.mark.parametrize("n", [0, 1, 2, 5, 17, 60])
 def test_anchored_lift_counters(n):
     w = GRAPH_A.path(("a",) * n, src="*")
     chart = (n + 1) * (n + 2) // 2
     for grammar in (G_EPS, G_EPS_LEFT):
-        assert len(_lift(grammar, w, roots=("S",))) == n + 1
+        # the cut keeps every place of a, and one of each outer empty segment
+        placed, derived = _lifted(grammar, w, roots=("S",))
+        assert (placed, len(derived)) == (n + 2, n + 1)
+        placed, derived = _lifted(grammar, w)
+        assert (placed, len(derived)) == (3 * n + 2, chart)
         assert len(parse_chart(grammar, w)) == chart
         assert count_parses(parse_forest(grammar, w)) == 1
     if n:
-        # every span of G_AMB is below the root, so nothing is dropped
-        for derived in (_lift(G_AMB, w), _lift(G_AMB, w, roots=("S",))):
+        # every span of G_AMB is below the root, so nothing is cut
+        for roots in (None, ("S",)):
+            placed, derived = _lifted(G_AMB, w, roots)
+            assert placed == 4 * n + 3
             assert len(derived) == n * (n + 1) // 2
             assert sum(map(len, derived.values())) == math.comb(n + 1, 3) + n
 

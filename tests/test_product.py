@@ -290,16 +290,17 @@ def test_pulled_and_transported_grammars_validate_on_random_automata(pair):
         assert validate(g) == []
 
 
-def _unanchored_lift(nodes, placements, roots=None):
-    """The kernel with its roots ignored: the whole least fixed point."""
-    return lift(nodes, placements)
+def _uncut(nodes, placements, roots):
+    """The placement table as given: the kernel then lifts the whole least
+    fixed point."""
+    return placements
 
 
 def _check_anchored_pullback(grammar, automaton):
-    """The trimmed pullback and intersection read off the anchored kernel
-    equal those read off the unanchored one."""
+    """The trimmed pullback and intersection lifted from the cut placement
+    table equal those lifted from the whole one."""
     anchored = (pullback_grammar(grammar, automaton), intersect(grammar, automaton))
-    with mock.patch.object(catgram.product, "lift", _unanchored_lift):
+    with mock.patch.object(catgram.product, "_anchors", _uncut):
         assert (pullback_grammar(grammar, automaton), intersect(grammar, automaton)) == anchored
 
 
@@ -612,6 +613,16 @@ def test_pulled_grammars_keep_the_constructors_checks(grammar, automaton, outcom
         for trim_useless in (False, True)
     ]
     assert got == outcomes
+
+
+def test_trim_and_image_name_a_missing_splice():
+    # both skip validation until a lookup fails, then report it as
+    # ``validate`` words it
+    got = [
+        outcome(lambda: build(_MISSING_SPLICE))
+        for build in (trim, lambda g: functorial_image(g, identity_functor(g.category)))
+    ]
+    assert got == ["InputError: node 'r0' has no spliced arrow"] * 2
 
 
 # -- readers of the kernel's output -------------------------------------------

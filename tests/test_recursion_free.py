@@ -2,6 +2,7 @@
 
 import ast
 import itertools
+import math
 import pathlib
 import random
 
@@ -19,8 +20,10 @@ from catgram import (
     word,
 )
 from catgram.fixtures import G_AB, G_AMB, G_END, G_EPS, G_TERN, G_UNIT
+from catgram.freecat import Path
 from catgram.jsonio import tree_to_json
-from catgram.species import Apply, Leaf, Node, fold, preorder_names
+from catgram.oracle import _combos
+from catgram.species import Apply, Leaf, Node, _splits, fold, preorder_names
 from test_species import _open_trees
 
 N = 5000
@@ -155,6 +158,42 @@ def test_nullable_chain_enumerates():
     assert eval_tree(G_EPS, tree).as_path() == w
 
 
+def test_wide_splits_and_combos():
+    # one part per input of a node with 1100 inputs
+    k = 1100
+    assert list(_splits(k, [(1, math.inf)] * k)) == [(1,) * k]
+    sizes = [(0, 1)] + [(0, 0)] * (k - 2) + [(0, 1)]
+    assert list(_splits(1, sizes)) == [(0,) * (k - 1) + (1,), (1,) + (0,) * (k - 1)]
+    empty, a = Path("*", "*", ()), Path("*", "*", ("a",))
+    assert list(_combos([[a, empty]] * k, 0)) == [(empty,) * k]
+    pools = [[empty, a]] + [[empty]] * (k - 2) + [[empty, a]]
+    assert list(_combos(pools, 1)) == [
+        (empty,) * k,
+        (empty,) * (k - 1) + (a,),
+        (a,) + (empty,) * (k - 1),
+    ]
+
+
+def test_splits_and_combos_against_products():
+    # every tuple of the product of the parts' ranges, or of the pools, that
+    # fits, in the product's order
+    rng = random.Random(5)
+    for _ in range(300):
+        sizes = [(lo, lo + rng.randint(-1, 3)) for lo in rng.choices(range(3), k=rng.randint(0, 4))]
+        sizes += rng.sample([(math.inf, 0), (1, math.inf)], rng.randint(0, 1))
+        total = rng.randint(0, 10)
+        ranges = [range(min(lo, total + 1), min(hi, total) + 1) for lo, hi in sizes]
+        want = [split for split in itertools.product(*ranges) if sum(split) == total]
+        assert list(_splits(total, sizes)) == want, (total, sizes)
+        pools = [
+            [Path("*", "*", ("a",) * rng.randint(0, 3)) for _ in range(rng.randint(0, 3))]
+            for _ in range(rng.randint(0, 4))
+        ]
+        budget = rng.randint(0, 6)
+        want = [c for c in itertools.product(*pools) if sum(len(w.gens) for w in c) <= budget]
+        assert list(_combos(pools, budget)) == want
+
+
 def _self_referencing_functions(source: pathlib.Path) -> list[str]:
     """Functions whose body names themselves (``f`` or ``self.f``)."""
     found = []
@@ -189,8 +228,6 @@ def test_only_shallow_recursion_remains():
     found = [f for path in sorted(package.glob("*.py")) for f in _self_referencing_functions(path)]
     assert sorted(found) == [
         "jsonio.tree_from_json",  # json.load limits the nesting first
-        "oracle._combos",  # depth is a node's arity
-        "species._splits",  # depth is a node's arity
     ]
 
 
