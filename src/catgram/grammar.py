@@ -19,6 +19,7 @@ rule data, read off with ``_rules``, and build through the checked
 from __future__ import annotations
 
 import functools
+import itertools
 from collections import namedtuple
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -215,7 +216,7 @@ class GrammarProperties(NamedTuple):
 
 def nullable_set(grammar: Grammar) -> tuple[str, ...]:
     """Colors deriving an identity arrow, as a least fixed point."""
-    nullable = derivable(
+    nullable, _ = derivable(
         (node.inputs, node.output)
         for node in grammar.species.nodes
         if all(seg.is_identity for seg in grammar.splice_of(node.name).segments)
@@ -225,25 +226,30 @@ def nullable_set(grammar: Grammar) -> tuple[str, ...]:
 
 def useful_set(grammar: Grammar) -> tuple[str, ...]:
     """Colors with a closed tree below them and a one-holed context up to the
-    start color.
+    start color, read off ``_usable``."""
+    productive, _, reachable = _usable(grammar)
+    return tuple(c for c in grammar.species.colors if c in productive and c in reachable)
 
-    The context search walks the node graph down from the start, through
-    nodes whose inputs are all productive: the rest of the context must be
-    completable to a closed tree, and a productive color below a node whose
-    siblings are productive makes the node's output productive too.
+
+def _usable(grammar: Grammar) -> tuple[set[str], list[Node], set[str]]:
+    """The productive colors, the usable nodes (those whose inputs are all
+    productive: the productivity pass's fired edges) in declaration order,
+    and the colors reachable from the start through usable nodes.
+
+    The context search walks down only through usable nodes: the rest of
+    a context must be completable to a closed tree, and a productive color
+    below a node whose siblings are productive makes the node's output
+    productive too.  So the useful colors are the productive reachable
+    ones, and a usable node with a reachable output has useful colors only.
     """
     nodes = grammar.species.nodes
-    productive = derivable(zip(map(_inputs, nodes), map(_output, nodes)))
-    reachable = derivable(
+    productive, fired = derivable(zip(map(_inputs, nodes), map(_output, nodes)))
+    usable = list(itertools.compress(nodes, fired))
+    reachable, _ = derivable(
         [((), grammar.start)]
-        + [
-            ((node.output,), c)
-            for node in nodes
-            if productive.issuperset(node.inputs)
-            for c in node.inputs
-        ]
+        + [((node.output,), c) for node in usable for c in node.inputs]
     )
-    return tuple(c for c in grammar.species.colors if c in productive and c in reachable)
+    return productive, usable, reachable
 
 
 def properties(grammar: Grammar) -> GrammarProperties:

@@ -8,7 +8,9 @@ item ``(color, p, q)`` holds when some node's segment placements chain
 through derived gap items from ``p`` to ``q``.  Each popped item is joined
 only with itself and the items popped before it, through a ``(color, start)
 -> ends`` and a ``(color, end) -> starts`` index, so every alternative is
-found exactly once and the fixed point needs no span order.
+found exactly once and the fixed point needs no span order.  For each gap
+the popped item fills, the side left of it is extended first: it cannot
+hold the popped item yet, so a use that item cannot complete stops there.
 
 The kernel has one mode.  Anchoring, top-down prediction read on spliced
 arrows (Graham, Harrison & Ruzzo 1980), cuts its placement table to where
@@ -35,7 +37,11 @@ category, each node carrying its base node's own splice.  The trimmed
 pullback lifts and renders the table cut at the start item; the raw one
 lifts nothing.  Both render head groups alike, in sorted ``(node,
 placements)`` order, where a node's head is every placement but the last,
-so a head's parts (name so far, pulled inputs, runs) are built once.
+so a head's parts (name so far, pulled inputs, runs) are built once.  A
+group carries the indexes of its last segment's placements, and the names
+that depend on them are read by index from lists made once per node and
+state, on first use: per ``(node, last state of the head)`` the pulled last
+inputs, and per ``(node, first state)`` the pulled outputs.
 
 ``_pulled`` first rejects a grammar that ``validate`` faults, with its first
 message.  In a valid grammar every splice has its node's gap types, so
@@ -47,7 +53,9 @@ which raises what ``Species`` would.  So pulled nodes, run splices, and
 the ``Species`` and ``Grammar`` around them are built one way, by
 ``tuple.__new__``, with no constructor frame and no check lost.  ``trim``
 keeps a subset of a valid species and ``functorial_image`` keeps its
-species, so both assemble the same way.
+species, so both assemble the same way.  ``trim`` reads the usable nodes
+(inputs all productive) off the productivity pass's fired edges and keeps
+those whose output is reachable through them, in one pass over the nodes.
 
 The kernel, the render, ``trim`` and the parser's forest run with the
 cyclic collector paused (``_acyclic``).  What they build are acyclic graphs
@@ -68,8 +76,8 @@ from typing import Callable, Hashable, Iterable, NamedTuple, Sequence, TypeVar
 from .errors import CompositionError, InputError
 from .automaton import Automaton, runs_by_source
 from .freecat import Path
-from .grammar import Grammar, _reject_invalid, useful_set
-from .species import Node, Species, derivable
+from .grammar import Grammar, _reject_invalid, _usable
+from .species import Node, Species, _name, _output, derivable
 from .spliced import GapType, SplicedArrow
 
 
@@ -160,20 +168,15 @@ def lift(nodes: Sequence[Node], placements: Table) -> dict[ParseItem, list[Alt]]
         color, p, q = popped
         ends.setdefault((color, p), []).append(popped)
         for n, m in uses.get(color, ()):
-            segs, inputs = placements[n], nodes[n].inputs
-            # partial placements right of the gap: (end, indexes, gap items)
-            rights = [(segs[m + 1][b][1], (b,), ()) for b in by_start[n][m + 1].get(q, ())]
-            for g in range(m + 1, len(inputs)):
-                c, seg, at = inputs[g], segs[g + 1], by_start[n][g + 1]
-                rights = [
-                    (seg[b][1], idx + (b,), kids + (kid,))
-                    for y, idx, kids in rights
-                    for kid in ends.get((c, y), ())
-                    for b in at.get(kid[2], ())
-                ]
-            if not rights:
+            # the placements beside the popped item, on both sides; the left
+            # side is extended first, since it cannot hold the popped item
+            # (not in ``starts`` yet) and so often ends the use early
+            at_left, at_right = by_end[n][m].get(p), by_start[n][m + 1].get(q)
+            if not (at_left and at_right):
                 continue
-            lefts = [(segs[m][a][0], (a,), (popped,)) for a in by_end[n][m].get(p, ())]
+            segs, inputs = placements[n], nodes[n].inputs
+            # partial placements left of the gap: (start, indexes, gap items)
+            lefts = [(segs[m][a][0], (a,), (popped,)) for a in at_left]
             for g in range(m - 1, -1, -1):
                 c, seg, at = inputs[g], segs[g], by_end[n][g]
                 lefts = [
@@ -182,6 +185,22 @@ def lift(nodes: Sequence[Node], placements: Table) -> dict[ParseItem, list[Alt]]
                     for kid in starts.get((c, x), ())
                     for a in at.get(kid[1], ())
                 ]
+                if not lefts:
+                    break
+            if not lefts:
+                continue
+            # partial placements right of the gap: (end, indexes, gap items)
+            rights = [(segs[m + 1][b][1], (b,), ()) for b in at_right]
+            for g in range(m + 1, len(inputs)):
+                c, seg, at = inputs[g], segs[g + 1], by_start[n][g + 1]
+                rights = [
+                    (seg[b][1], idx + (b,), kids + (kid,))
+                    for y, idx, kids in rights
+                    for kid in ends.get((c, y), ())
+                    for b in at.get(kid[2], ())
+                ]
+                if not rights:
+                    break
             found += [
                 ((nodes[n].output, left, right), (n, lidx + ridx, lkids + rkids))
                 for left, lidx, lkids in lefts
@@ -244,7 +263,7 @@ def _anchored(
             edges += [((), (color, placement[y])) for placement in seg]
         else:
             edges += [(((out, placement[x]),), (color, placement[y])) for placement in seg]
-    return anywhere, derivable(edges)
+    return anywhere, derivable(edges)[0]
 
 
 def _group(placements: Sequence[tuple], end: int) -> dict[Hashable, list[int]]:
@@ -307,8 +326,8 @@ def _pulled(grammar: Grammar, automaton: Automaton, trim_useless: bool, over_run
         if over[q2] == gap.right
     ]
     # head groups ``(n, head, tails)``: node n's placements of every segment
-    # but the last, and the last segment's placements that complete them,
-    # in sorted order
+    # but the last, and the indexes of the last segment's placements that
+    # complete them, in sorted order
     if trim_useless:
         root = (grammar.start, automaton.initial, automaton.final)
         table = _anchors(nodes, table, [root])
@@ -327,16 +346,12 @@ def _pulled(grammar: Grammar, automaton: Automaton, trim_useless: bool, over_run
                         todo.append(kid)
         items = [item for item in items if item in useful]
         groups = (
-            (
-                n,
-                tuple(map(list.__getitem__, table[n], head)),
-                list(map(table[n][-1].__getitem__, sorted(tails))),
-            )
+            (n, tuple(map(list.__getitem__, table[n], head)), sorted(tails))
             for (n, head), tails in sorted(heads.items())
         )
     else:
         groups = (
-            (n, head, segs[-1])
+            (n, head, range(len(segs[-1])))
             for n, segs in enumerate(table)
             for head in itertools.product(*segs[:-1])
         )
@@ -353,6 +368,12 @@ def _pulled(grammar: Grammar, automaton: Automaton, trim_useless: bool, over_run
         category = grammar.category
         color_gap = {names(q, c, q2): grammar.gap_of(c) for c, q, q2 in items}
 
+    # by (node, state), over the node's last segment's placements: the
+    # pulled last inputs, as 1-tuples, of heads ending at the state, and the
+    # pulled outputs of heads starting there (of the placement itself, for
+    # a nullary node, keyed by ``None``); each list is made on first use
+    last_inputs: dict[tuple[int, str], list[tuple[str]]] = {}
+    outputs: dict[tuple[int, str | None], list[str]] = {}
     pulled_nodes: list[Node] = []
     node_splice: dict[str, SplicedArrow] = {}
     # ``tuple.__new__`` skips no check: ``Node`` has none, and the one
@@ -360,20 +381,32 @@ def _pulled(grammar: Grammar, automaton: Automaton, trim_useless: bool, over_run
     new, append = tuple.__new__, pulled_nodes.append
     for n, head, tails in groups:
         # the parts every node of this head shares: its name so far, pulled
-        # inputs, runs (over runs only), first source and last target
-        node = nodes[n]
+        # inputs, runs (over runs only), and its rows of the name tables
+        node, seg = nodes[n], table[n][-1]
         stem = "(" + node.name + "".join([placed[3] for placed in head])
         stem_inputs = tuple(
             [names(a[1], color, b[0]) for a, color, b in zip(head, node.inputs, head[1:])]
         )
         stem_runs = tuple([placed[2][0] for placed in head]) if over_runs else ()
-        output, splice = node.output, grammar.node_splice[node.name]
+        splice = grammar.node_splice[node.name]
+        first = head[0][0] if head else None
+        outs = outputs.get((n, first))
+        if outs is None:
+            outs = outputs[n, first] = [
+                names(src if first is None else first, node.output, dst) for src, dst, *_ in seg
+            ]
         if head:
-            first, last, gap = head[0][0], head[-1][1], node.inputs[-1]
-        for src, dst, runs, _, label in tails:
+            last = head[-1][1]
+            ins = last_inputs.get((n, last))
+            if ins is None:
+                gap = node.inputs[-1]
+                ins = last_inputs[n, last] = [(names(last, gap, src),) for src, *_ in seg]
+        else:
+            ins = [()] * len(seg)
+        for b in tails:
+            _, _, runs, _, label = seg[b]
             name = stem + label
-            inputs = stem_inputs + (names(last, gap, src),) if head else ()
-            append(new(Node, (name, inputs, names(first if head else src, output, dst))))
+            append(new(Node, (name, stem_inputs + ins[b], outs[b])))
             node_splice[name] = new(SplicedArrow, (stem_runs + runs,)) if over_runs else splice
     # the colors are distinct triples and the nodes distinct ``(node,
     # placements)`` pairs, so their names are distinct unless two render
@@ -392,27 +425,34 @@ def trim(grammar: Grammar) -> Grammar:
     """Restrict a grammar to its useful colors and the start, and to the
     nodes whose colors are all useful; the language is unchanged.
 
-    A useless start has no closed tree, so no color is useful and the result
-    keeps only the start, with no nodes: the empty-language grammar at the
-    same gap type.
+    One productivity pass gives the usable nodes, those whose inputs are
+    all productive, in declaration order, and one reachability pass through
+    them the reachable colors (``_usable``).  A node is kept when it is
+    usable and its output reachable: its output is then productive, and its
+    inputs productive and reachable, so this is the filter above without a
+    second pass over every node.  A useless start has no closed tree, so no
+    color is useful and the result keeps only the start, with no nodes: the
+    empty-language grammar at the same gap type.
     """
-    useful = set(useful_set(grammar))
-    colors = tuple(c for c in grammar.species.colors if c in useful or c == grammar.start)
-    nodes = tuple(
-        n for n in grammar.species.nodes if n.output in useful and useful.issuperset(n.inputs)
+    productive, usable, reachable = _usable(grammar)
+    start = grammar.start
+    colors = tuple(
+        c for c in grammar.species.colors if c in reachable and c in productive or c == start
     )
+    nodes = tuple(itertools.compress(usable, map(reachable.__contains__, map(_output, usable))))
     # a subset of a valid species that keeps every color of its nodes needs
     # no re-check, and the two tables are new; a missing entry is reported
     # as ``validate`` words it
     new = tuple.__new__
     species = new(Species, (colors, nodes))
+    names = list(map(_name, nodes))
     try:
-        color_gap = {c: grammar.color_gap[c] for c in colors}
-        node_splice = {n.name: grammar.node_splice[n.name] for n in nodes}
+        color_gap = dict(zip(colors, map(grammar.color_gap.__getitem__, colors)))
+        node_splice = dict(zip(names, map(grammar.node_splice.__getitem__, names)))
     except KeyError:
         _reject_invalid(grammar)
         raise
-    return new(Grammar, (grammar.category, species, grammar.start, color_gap, node_splice))
+    return new(Grammar, (grammar.category, species, start, color_gap, node_splice))
 
 
 def intersect(grammar: Grammar, automaton: Automaton, trim_useless: bool = True) -> Grammar:

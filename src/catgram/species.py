@@ -12,10 +12,11 @@ A species is also a hypergraph: colors are vertices and each node is an
 edge from its inputs to its output.  A packed forest is the same kind of
 object, with items as vertices and alternatives as edges.  The last section
 holds the fixed points both share: ``derivable`` (the vertices with a
-closed tree below them, read off any edge list in linear time; it also
-gives the lifting kernel's anchors) and ``trees_by_size`` (the
-first trees at a vertex with exactly k nodes, in canonical order, at a cost
-bounded by how many are asked for).
+closed tree below them and the edges that fire, read off any edge list in
+linear time; it also gives the lifting kernel's anchors and ``trim``'s
+usable nodes) and ``trees_by_size`` (the first trees at a vertex with
+exactly k nodes, in canonical order, at a cost bounded by how many are
+asked for).
 """
 
 from __future__ import annotations
@@ -320,43 +321,56 @@ def enumerate_closed_trees(species: Species, color: str, max_nodes: int) -> tupl
 V = TypeVar("V", bound=Hashable)
 
 
-def derivable(edges: Iterable[tuple[Sequence[V], V]]) -> set[V]:
+def derivable(edges: Iterable[tuple[Sequence[V], V]]) -> tuple[set[V], list[bool]]:
     """The least set of vertices closed under "a head holds once every tail
-    holds", for ``(tails, head)`` edges.
+    holds", for ``(tails, head)`` edges, and which edges fired: by position
+    in ``edges``, whether every tail of the edge holds.
 
-    A worklist filled in one pass, so ``edges`` may be a one-shot iterable:
-    an edge with no tails puts its head on the worklist, and every other
-    edge keeps its head and a count of its tails not yet held, once per
-    occurrence, and fires when the count reaches zero, so the work is
-    linear in the total size of the edges.
+    A worklist over the edges, read once, so ``edges`` may be a one-shot
+    iterable: an edge with no tails fires at once, and every other edge
+    waits on one tail not yet held at a time.  When that tail comes to
+    hold, the edge scans on from it past the tails that hold and waits on
+    the next, or fires at the end; each edge scans its tails once, so the
+    work is linear in the total size of the edges.
     """
-    todo: list[V] = []
+    tails_of: list[Sequence[V]] = []
     heads: list[V] = []
-    missing: list[int] = []
-    waiting: dict[V, list[int]] = {}  # edges with tails, by tail
+    todo: list[V] = []
+    waiting: dict[V, list[int]] = {}  # edges by the tail they wait on
     for tails, head in edges:
-        if not tails:
-            todo.append(head)
-            continue
-        e = len(heads)
-        heads.append(head)
-        missing.append(len(tails))
-        for tail in tails:
-            if tail in waiting:
-                waiting[tail].append(e)
+        if tails:
+            e = len(heads)
+            if tails[0] in waiting:
+                waiting[tails[0]].append(e)
             else:
-                waiting[tail] = [e]
+                waiting[tails[0]] = [e]
+        else:
+            todo.append(head)
+        tails_of.append(tails)
+        heads.append(head)
+    fired = [not tails for tails in tails_of]
+    at = [0] * len(heads)  # the index of the tail each edge waits on
     held: set[V] = set()
     while todo:
         vertex = todo.pop()
         if vertex in held:
             continue
         held.add(vertex)
-        for e in waiting.get(vertex, ()):
-            missing[e] -= 1
-            if not missing[e]:
+        for e in waiting.pop(vertex, ()):
+            tails = tails_of[e]
+            k = at[e] + 1
+            while k < len(tails) and tails[k] in held:
+                k += 1
+            if k == len(tails):
+                fired[e] = True
                 todo.append(heads[e])
-    return held
+            else:
+                at[e] = k
+                if tails[k] in waiting:
+                    waiting[tails[k]].append(e)
+                else:
+                    waiting[tails[k]] = [e]
+    return held, fired
 
 
 def trees_by_size(

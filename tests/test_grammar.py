@@ -38,6 +38,7 @@ from catgram import (
     spliced_compose_parallel,
     spliced_concat,
     spliced_identity,
+    trim,
     union,
     useful_set,
     validate,
@@ -425,6 +426,22 @@ def test_nullable_and_useful_sets_agree_with_oracles(grammar):
         empty = enumerate_language(_at_start(grammar, color), 0)
         assert (color in nullable) == (identity in empty), color
     assert set(useful_set(grammar)) == _useful_by_open_trees(grammar)
+
+
+@given(random_grammars_with_dead_colors())
+def test_trim_agrees_with_the_open_tree_oracle(grammar):
+    # the useful colors in declared order and the start; the nodes whose
+    # colors are all useful; both tables cut to them, in the same order
+    useful = _useful_by_open_trees(grammar)
+    colors = [c for c in grammar.species.colors if c in useful or c == grammar.start]
+    nodes = [n for n in grammar.species.nodes if useful.issuperset((n.output, *n.inputs))]
+    trimmed = trim(grammar)
+    assert trimmed.species == Species(tuple(colors), tuple(nodes))
+    assert (trimmed.category, trimmed.start) == (grammar.category, grammar.start)
+    assert list(trimmed.color_gap.items()) == [(c, grammar.color_gap[c]) for c in colors]
+    assert list(trimmed.node_splice.items()) == [
+        (n.name, grammar.node_splice[n.name]) for n in nodes
+    ]
 
 
 def test_union_of_same_language():

@@ -700,13 +700,13 @@ def test_builders_run_with_the_collector_paused():
 
     w = word(GRAPH_A, "aaa")
     with spy(catgram.product, "deque"), spy(catgram.product, "runs_by_source"), spy(
-        catgram.product, "useful_set"
+        catgram.product, "_usable"
     ), spy(catgram.parser, "PackedForest"):
         recognize(G_AMB, w)
         parse_forest(G_AMB, w)
         trim(pullback_grammar(G_AB, M_EVENA, trim_useless=False))
     assert gc.isenabled()
-    assert seen == dict.fromkeys(["PackedForest", "deque", "runs_by_source", "useful_set"], {False})
+    assert seen == dict.fromkeys(["PackedForest", "_usable", "deque", "runs_by_source"], {False})
 
 
 def test_builders_restore_the_collector():

@@ -1,7 +1,7 @@
 import pickle
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from catgram import (
     Apply,
@@ -247,7 +247,8 @@ def test_root_and_closed_queries():
 
 
 def _derivable_by_sweep(edges):
-    """The reference fixed point: sweep every edge until nothing changes."""
+    """The reference fixed point: sweep every edge until nothing changes.
+    The edges that fire are those whose tails all hold."""
     held = set()
     changed = True
     while changed:
@@ -256,13 +257,21 @@ def _derivable_by_sweep(edges):
             if head not in held and all(t in held for t in tails):
                 held.add(head)
                 changed = True
-    return held
+    return held, [all(t in held for t in tails) for tails, _ in edges]
 
 
 VERTICES = st.integers(0, 7)
+# a wide edge into -1 whose distinct tails 0..9 come to hold in reverse
+# order, down a chain from 9: it waits on tail 0 to the last, then scans
+# past the other nine at once, and a second wide edge, with its tails in
+# the order they hold, is woken once by each
+WIDE = [((k + 1,), k) for k in range(9)] + [((), 9), (tuple(range(10)), -1)]
+WIDE += [(tuple(range(9, -1, -1)), -2)]
 
 
 @given(st.lists(st.tuples(st.lists(VERTICES, max_size=4), VERTICES), max_size=16))
+@example(WIDE)
+@example(WIDE[:-2] + [((0, 10), -1)])  # its last tail never holds
 def test_derivable_agrees_with_the_sweep(edges):
     # empty tails start the closure; tails repeat within an edge and across
     # edges, and a head is often a tail of its own edge
@@ -273,12 +282,15 @@ def test_derivable_agrees_with_the_sweep(edges):
 
 
 def test_derivable_counts_each_tail_occurrence():
-    assert derivable([((), 1), ((1, 1), 2), ((2, 3, 2), 4)]) == {1, 2}
-    assert derivable([((), 1), ((1, 1), 2), ((2, 2), 3), ((3,), 3)]) == {1, 2, 3}
-    assert derivable([((0,), 0)]) == set()
+    assert derivable([((), 1), ((1, 1), 2), ((2, 3, 2), 4)]) == ({1, 2}, [True, True, False])
+    assert derivable([((), 1), ((1, 1), 2), ((2, 2), 3), ((3,), 3)]) == (
+        {1, 2, 3},
+        [True, True, True, True],
+    )
+    assert derivable([((0,), 0)]) == (set(), [False])
     # a chain given in descending order: one sweep per link, one step each
     chain = [((k + 1,), k) for k in range(400)] + [((), 400)]
-    assert derivable(chain) == _derivable_by_sweep(chain) == set(range(401))
+    assert derivable(chain) == _derivable_by_sweep(chain) == (set(range(401)), [True] * 401)
 
 
 # -- branches no other test takes -------------------------------------------
