@@ -267,10 +267,11 @@ class SpeciesMap(namedtuple("SpeciesMap", "source target color_map node_map")):
 def validate_species_map(phi: SpeciesMap) -> list[str]:
     """Check the commuting-square condition; returns one message per defect."""
     problems: list[str] = []
+    declared = set(phi.target.colors)
     for c in phi.source.colors:
         if c not in phi.color_map:
             problems.append(f"color {c!r} missing from color map")
-        elif phi.color_map[c] not in set(phi.target.colors):
+        elif phi.color_map[c] not in declared:
             problems.append(f"color {c!r} mapped to undeclared color {phi.color_map[c]!r}")
     for n in phi.source.nodes:
         if n.name not in phi.node_map:

@@ -10,7 +10,8 @@ import catgram.product
 from catgram import CatgramError
 
 settings.register_profile("suite", derandomize=True, max_examples=60, deadline=None)
-# more examples for the differential tests, chosen with --hypothesis-profile=deep
+# more examples for the differential tests marked deep, chosen with
+# -m deep --hypothesis-profile=deep
 settings.register_profile("deep", derandomize=True, max_examples=500, deadline=None)
 settings.load_profile("suite")
 

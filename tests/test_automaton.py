@@ -37,6 +37,8 @@ from catgram.fixtures import GRAPH_AB, GRAPH_AB_END, M_EVENA, SPC_FIG3, fig3_tre
 from catgram.species import Apply, Leaf
 from conftest import outcome
 
+pytestmark = pytest.mark.deep  # all of it runs under the deep profile in CI
+
 TOP = "⊤"
 
 

@@ -63,6 +63,8 @@ from catgram.contour import _contour_table
 from conftest import no_cyclic_garbage, outcome
 from test_parser import RANDOM_WORD_BOUND, random_grammars
 
+pytestmark = pytest.mark.deep  # all of it runs under the deep profile in CI
+
 UP = "↑"
 DOWN = "↓"
 

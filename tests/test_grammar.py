@@ -418,6 +418,7 @@ def random_grammars_with_dead_colors(draw):
     )
 
 
+@pytest.mark.deep
 @given(random_grammars_with_dead_colors())
 def test_nullable_and_useful_sets_agree_with_oracles(grammar):
     nullable = nullable_set(grammar)
@@ -428,6 +429,7 @@ def test_nullable_and_useful_sets_agree_with_oracles(grammar):
     assert set(useful_set(grammar)) == _useful_by_open_trees(grammar)
 
 
+@pytest.mark.deep
 @given(random_grammars_with_dead_colors())
 def test_trim_agrees_with_the_open_tree_oracle(grammar):
     # the useful colors in declared order and the start; the nodes whose
@@ -677,6 +679,7 @@ def test_check_equiv_bounded_agrees_with_recognizing_on_random_grammars(g1, g2, 
         _same_as_reference(g1, other, RANDOM_WORD_BOUND)
 
 
+@pytest.mark.deep
 @given(random_grammars(max_inputs=4))
 def test_bilinearize_keeps_languages_and_parse_counts_on_random_grammars(grammar):
     binned = bilinearize(grammar)
@@ -915,6 +918,7 @@ def test_bilinearize_rejects_an_interface_color_that_is_taken():
         bilinearize(taken)
 
 
+@pytest.mark.deep
 @given(random_grammars(), random_grammars(), st.data())
 def test_union_language_is_the_union_on_random_grammars(g1, g2, data):
     gap = g1.gap_of(g1.start)
@@ -929,6 +933,7 @@ def test_union_language_is_the_union_on_random_grammars(g1, g2, data):
     assert set(enumerate_language(union(g1, g2), bound)) == expected
 
 
+@pytest.mark.deep
 @given(st.lists(random_grammars(), max_size=2), st.data())
 def test_spliced_concat_language_is_the_spliced_words_on_random_grammars(grammars, data):
     objects = st.sampled_from(GRAPH_PQ.objects)

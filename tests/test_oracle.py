@@ -98,13 +98,11 @@ def test_regular_language_of_interval():
 # pullback) would make its agreement with them no evidence at all.
 ORACLE_IMPORTS = {
     ("__future__", "annotations"),
-    ("typing", "Iterator"),
     (".automaton", "Automaton"),
     (".errors", "CatgramError"),
     (".freecat", "Path"),
     (".freecat", "enumerate_paths"),
     (".grammar", "Grammar"),
-    (".spliced", "SplicedArrow"),
 }
 
 

@@ -346,6 +346,7 @@ def _at_start(grammar, color):
     )
 
 
+@pytest.mark.deep
 @given(random_grammars())
 def test_parser_agrees_with_oracles_on_random_grammars(grammar):
     for color in grammar.species.colors:
@@ -498,12 +499,14 @@ def _every_path(category, max_len):
     ]
 
 
+@pytest.mark.deep
 @given(random_grammars(max_inputs=3))
 def test_anchored_parsing_equals_unanchored_on_random_grammars(grammar):
     for w in _every_path(grammar.category, RANDOM_WORD_BOUND):
         _check_anchored_against_unanchored(grammar, w)
 
 
+@pytest.mark.deep
 @pytest.mark.parametrize("grammar", [G_AB, G_AMB, G_EPS, G_END, G_TERN, G_UNIT])
 def test_anchored_parsing_equals_unanchored_on_fixtures(grammar):
     for w in _every_path(grammar.category, 6):
@@ -531,6 +534,7 @@ def _lifted(grammar, w, roots=None):
     return sum(len(seg) for segs in table for seg in segs), derived
 
 
+@pytest.mark.deep
 @pytest.mark.parametrize("n", [0, 1, 2, 5, 17, 60])
 def test_anchored_lift_counters(n):
     w = GRAPH_A.path(("a",) * n, src="*")

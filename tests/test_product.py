@@ -51,6 +51,8 @@ from catgram.fixtures import G_AB, G_AMB, G_END, G_TERN, GRAPH_A, GRAPH_AB, M_EV
 from conftest import no_cyclic_garbage, outcome, words
 from test_parser import GRAPH_PQ, RANDOM_WORD_BOUND, random_grammars
 
+pytestmark = pytest.mark.deep  # all of it runs under the deep profile in CI
+
 
 def lang(g, n):
     return words(enumerate_language(g, n))
@@ -272,6 +274,16 @@ def test_intersection_agrees_with_oracles_on_random_automata(pair):
         w for w in enumerate_language(grammar, RANDOM_WORD_BOUND) if run_membership(automaton, w)
     )
     assert enumerate_language(intersect(grammar, automaton), RANDOM_WORD_BOUND) == want
+
+
+@given(grammars_and_automata(), st.integers(0, 5))
+def test_regular_oracle_agrees_with_membership_on_random_automata(pair, n):
+    # run enumeration pushed down against subset simulation on every path
+    _, automaton = pair
+    over = automaton.state_over
+    paths = enumerate_paths(automaton.base, over[automaton.initial], over[automaton.final], n)
+    want = tuple(w for w in paths if run_membership(automaton, w))
+    assert enumerate_regular_language(automaton, n) == want
 
 
 @given(grammars_and_automata(max_inputs=3))

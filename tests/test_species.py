@@ -269,6 +269,7 @@ WIDE = [((k + 1,), k) for k in range(9)] + [((), 9), (tuple(range(10)), -1)]
 WIDE += [(tuple(range(9, -1, -1)), -2)]
 
 
+@pytest.mark.deep
 @given(st.lists(st.tuples(st.lists(VERTICES, max_size=4), VERTICES), max_size=16))
 @example(WIDE)
 @example(WIDE[:-2] + [((0, 10), -1)])  # its last tail never holds
@@ -281,6 +282,7 @@ def test_derivable_agrees_with_the_sweep(edges):
     assert derivable(iter(edges)) == want
 
 
+@pytest.mark.deep
 def test_derivable_counts_each_tail_occurrence():
     assert derivable([((), 1), ((1, 1), 2), ((2, 3, 2), 4)]) == ({1, 2}, [True, True, False])
     assert derivable([((), 1), ((1, 1), 2), ((2, 2), 3), ((3,), 3)]) == (

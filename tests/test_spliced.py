@@ -23,6 +23,8 @@ from catgram import (
 from conftest import outcome, words
 from test_parser import GRAPH_PQ
 
+pytestmark = pytest.mark.deep  # all of it runs under the deep profile in CI
+
 AB = monoid_graph(("a", "b"))
 STAR_GAP = GapType("*", "*")
 END_GAP = GapType("*", "⊤")
