@@ -11,6 +11,9 @@ that fail (a counterexample or a failed bounded check), 2 for malformed
 input and for JSON (a deep tree read or written) nested too deeply for the
 recursion limit; every exit 2 prints one ``error:`` line.  ``validate``
 exits 0 or 2: a file that loads is a valid grammar, automaton or species.
+
+Each command imports its layer (parser, product, oracle or contour) in its
+body, so a process loads only the modules its command runs.
 """
 
 from __future__ import annotations
@@ -23,21 +26,9 @@ from typing import Any
 
 from . import jsonio
 from .automaton import Automaton
-from .contour import (
-    brackets,
-    contour_category,
-    contour_word,
-    cs_check,
-    cs_decompose,
-    dyck_decode,
-    dyck_translate,
-)
 from .errors import CatgramError, InputError
 from .freecat import FiniteGraph, Path
 from .grammar import Grammar, bilinearize, check_equiv_bounded
-from .oracle import enumerate_language, enumerate_regular_language
-from .parser import _recognize_and_parse, count_parses, enumerate_parses
-from .product import intersect, pullback_grammar
 
 
 def _load_json(path: str) -> Any:
@@ -108,8 +99,12 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_parse(args: argparse.Namespace) -> int:
+    from .parser import _recognize_and_parse, count_parses, enumerate_parses
+
     grammar = _load_grammar(args.grammar)
     w = _parse_word(grammar, args.word)
+    if args.limit < 0:
+        raise InputError("limit must be nonnegative")
     colors, forest = _recognize_and_parse(grammar, w)
     count = count_parses(forest)
     payload = {
@@ -120,8 +115,6 @@ def _cmd_parse(args: argparse.Namespace) -> int:
     # text output prints no trees, so only JSON output enumerates them
     if args.format == "json":
         payload["parses"] = [jsonio.tree_to_json(t) for t in enumerate_parses(forest, args.limit)]
-    elif args.limit < 0:
-        raise InputError("limit must be nonnegative")
     lines = [
         f"member: {payload['member']}",
         f"nonterminals: {' '.join(payload['nonterminals']) or '-'}",
@@ -132,6 +125,8 @@ def _cmd_parse(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
+    from .oracle import enumerate_language, enumerate_regular_language
+
     if args.grammar:
         grammar = _load_grammar(args.grammar)
         words = enumerate_language(grammar, args.max_len)
@@ -147,6 +142,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_intersect(args: argparse.Namespace) -> int:
+    from .product import intersect, pullback_grammar
+
     grammar = _load_grammar(args.grammar)
     automaton = _load_automaton(args.automaton)
     trim_useless = not args.no_trim
@@ -165,6 +162,8 @@ def _cmd_bilinearize(args: argparse.Namespace) -> int:
 
 
 def _cmd_contour(args: argparse.Namespace) -> int:
+    from .contour import contour_word
+
     species = jsonio.species_from_json(_load_json(args.species))
     tree = jsonio.tree_from_json(species, _load_json(args.tree))
     cw = contour_word(species, tree)
@@ -173,6 +172,8 @@ def _cmd_contour(args: argparse.Namespace) -> int:
 
 
 def _cmd_dyck(args: argparse.Namespace) -> int:
+    from .contour import brackets, contour_category, dyck_decode, dyck_translate
+
     species = jsonio.species_from_json(_load_json(args.species))
     data = _load_json(args.input)
     if args.encode:
@@ -188,6 +189,8 @@ def _cmd_dyck(args: argparse.Namespace) -> int:
 
 
 def _cmd_cs_decompose(args: argparse.Namespace) -> int:
+    from .contour import cs_check, cs_decompose
+
     if args.check_bound is not None and args.check_bound < 0:
         raise InputError("--check-bound must be nonnegative")
     grammar = _load_grammar(args.grammar)

@@ -34,8 +34,6 @@ from .errors import CompositionError, InputError
 from .automaton import Automaton, automaton_of
 from .freecat import FiniteGraph, FreeFunctor, Generator, Path
 from .grammar import Grammar, _rules, functorial_image, grammar_from_rules
-from .oracle import enumerate_language
-from .product import intersect
 from .species import DerivationTree, Leaf, Node, Species, SpeciesMap, walk
 from .spliced import GapType, SplicedArrow
 
@@ -246,6 +244,9 @@ def cs_decompose(grammar: Grammar) -> CSDecomposition:
 def cs_check(grammar: Grammar, max_len: int) -> tuple[bool, tuple[Path, ...], tuple[Path, ...]]:
     """Bounded verification of the decomposition: compare the language with
     the image of the intersection, on all arrows up to ``max_len``."""
+    from .oracle import enumerate_language
+    from .product import intersect
+
     parts = cs_decompose(grammar)
     lhs = enumerate_language(grammar, max_len)
     recolored = intersect(parts.universal, parts.automaton)

@@ -13,14 +13,16 @@ names; use :func:`dumps` for byte-stable text output."""
 from __future__ import annotations
 
 import json
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 from .automaton import Automaton, State, Transition
-from .contour import DyckLetter
 from .errors import CompositionError, InputError
 from .freecat import FiniteGraph, FreeFunctor, Generator, Path
 from .grammar import Grammar, grammar_from_rules
 from .species import Apply, DerivationTree, Leaf, Node, Species, fold
+
+if TYPE_CHECKING:  # the contour layer loads on first use
+    from .contour import DyckLetter
 
 
 def dumps(data: Any) -> str:
@@ -265,13 +267,14 @@ def dyck_letters_to_json(letters: tuple[DyckLetter, ...]) -> list:
     return [letter._asdict() for letter in letters]
 
 
-def _letter(data: Any, where: str) -> DyckLetter:
-    (bracket,) = _record(data, where, bracket=str)
-    if bracket not in ("[", "]"):
-        raise InputError(f"{where}: bracket must be '[' or ']'")
-    index, node = _record(data, where, index=int, node=str)
-    return DyckLetter(bracket, node, index)
-
-
 def dyck_letters_from_json(data: Any, where: str = "letters") -> tuple[DyckLetter, ...]:
-    return _array(data, _letter, where)
+    from .contour import DyckLetter
+
+    def letter(data: Any, where: str) -> DyckLetter:
+        (bracket,) = _record(data, where, bracket=str)
+        if bracket not in ("[", "]"):
+            raise InputError(f"{where}: bracket must be '[' or ']'")
+        index, node = _record(data, where, index=int, node=str)
+        return DyckLetter(bracket, node, index)
+
+    return _array(data, letter, where)

@@ -32,6 +32,61 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     assert (res.returncode, res.stdout, res.stderr) == (0, "[]\n", "")
 
 
+# runs ``catgram`` on its arguments, if any, in this fresh process and prints
+# the exit code and the package modules the process loaded
+_RUN_AND_LIST_MODULES = """
+import contextlib, io, sys
+import catgram
+code = None
+if sys.argv[1:]:
+    from catgram import cli
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.run(sys.argv[1:])
+print(code, *sorted(m for m in sys.modules if m.startswith("catgram.")))
+"""
+# what every command loads: the command line, the JSON layer and its imports
+_CORE = "automaton cli errors freecat grammar jsonio species spliced"
+
+
+@pytest.mark.parametrize(
+    "args, code, layers",
+    [
+        ((), None, None),
+        (("validate", "-g", "g_ab.json"), 0, ""),
+        (("validate",), 2, ""),
+        (("bilinearize", "-g", "g_ab.json"), 0, ""),
+        (("bilinearize", "-g", "missing.json"), 2, ""),
+        (("parse", "-g", "g_ab.json", "-w", "aabb"), 0, "parser product"),
+        (("parse", "-g", "g_ab.json", "-w", "xz"), 2, "parser product"),
+        (("enumerate", "-g", "g_amb.json", "--max-len", "4"), 0, "oracle"),
+        (("enumerate", "-m", "m_evena.json", "--max-len", "-1"), 2, "oracle"),
+        (("check-equiv", "-g1", "g_ab.json", "-g2", "g_bin.json", "--max-len", "4"), 0, "oracle"),
+        (("check-equiv", "-g1", "g_ab.json", "-g2", "g_bin.json", "--max-len", "-1"), 2, "oracle"),
+        (("intersect", "-g", "g_ab.json", "-m", "m_evena.json"), 0, "product"),
+        (("intersect", "-g", "g_ab.json", "-m", "missing.json"), 2, "product"),
+        (("contour", "-s", "fig3_species.json", "-t", "fig3_tree.json"), 0, "contour"),
+        (("contour", "-s", "fig3_species.json", "-t", "g_ab.json"), 2, "contour"),
+        (("dyck", "--encode", "-s", "fig3_species.json", "-i", "contour.json"), 0, "contour"),
+        (("dyck", "--decode", "-s", "fig3_species.json", "-i", "g_ab.json"), 2, "contour"),
+        # the bounded check pulls back along the automaton and runs the oracle
+        (("cs-decompose", "-g", "g_ab.json", "--check-bound", "4"), 0, "contour oracle product"),
+        (("cs-decompose", "-g", "g_ab.json", "--check-bound", "-1"), 2, "contour"),
+    ],
+    ids=lambda v: " ".join(v) or "bare-import" if isinstance(v, tuple) else None,
+)
+def test_each_command_loads_only_its_layers(files, args, code, layers):
+    files["write"]("contour.json", jsonio.path_to_json(contour_word(SPC_FIG3, fig3_tree())))
+    folder = os.path.dirname(files["g_ab.json"])
+    argv = [os.path.join(folder, a) if a.endswith(".json") else a for a in args]
+    res = subprocess.run(
+        [sys.executable, "-c", _RUN_AND_LIST_MODULES, *argv], capture_output=True, text=True
+    )
+    # a bare package import loads no submodule
+    expected = sorted(f"catgram.{m}" for m in f"{_CORE} {layers}".split()) if args else []
+    assert (res.returncode, res.stderr) == (0, "")
+    assert res.stdout.split() == [str(code), *expected]
+
+
 @pytest.fixture
 def files(tmp_path):
     paths = {}
@@ -330,12 +385,13 @@ def test_text_format_of_a_json_payload_is_its_json(files, capsys, command):
 
 
 def test_text_parse_enumerates_no_trees(files, monkeypatch, capsys):
+    import catgram.parser
     from catgram import cli
 
     def no_trees(forest, limit):
         raise AssertionError("text output enumerated parse trees")
 
-    monkeypatch.setattr(cli, "enumerate_parses", no_trees)
+    monkeypatch.setattr(catgram.parser, "enumerate_parses", no_trees)
     parse = ["parse", "-g", files["g_amb.json"], "-w", "aaaa"]
     assert cli.run(["--format", "text", *parse, "--limit", "20000"]) == 0
     assert capsys.readouterr().out == "member: True\nnonterminals: S\ncount: 5\n"
@@ -345,6 +401,24 @@ def test_text_parse_enumerates_no_trees(files, monkeypatch, capsys):
         assert cli.run(["--format", fmt, *parse, "--limit", "-1"]) == 2
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", "error: limit must be nonnegative\n")
+
+
+def test_negative_parse_limit_is_refused_before_lifting(files, monkeypatch, capsys):
+    import catgram.parser
+    from catgram import cli
+
+    def no_lifting(grammar, w):
+        raise AssertionError("a negative limit reached the lifting kernel")
+
+    monkeypatch.setattr(catgram.parser, "_recognize_and_parse", no_lifting)
+    parse = ["parse", "-g", files["g_amb.json"], "-w", "a" * 60, "--limit", "-1"]
+    for fmt in ("text", "json"):
+        assert cli.run(["--format", fmt, *parse]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: limit must be nonnegative\n")
+    # a bad word still comes first
+    assert cli.run([*parse[:3], "-w", "xz", "--limit", "-1"]) == 2
+    assert capsys.readouterr().err == "error: word: unknown generator(s) ['x', 'z']\n"
 
 
 def test_outputs_are_byte_reproducible(files):

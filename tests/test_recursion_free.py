@@ -252,4 +252,4 @@ def test_only_the_cli_and_the_package_import_the_parser():
         for path in sorted(package.glob("*.py"))
         if "catgram.parser" in _imported_modules(path)
     ]
-    assert importers == ["__init__.py", "cli.py"]
+    assert importers == ["cli.py"]
