@@ -191,16 +191,6 @@ def runs_by_source(automaton: Automaton, w: Path) -> Mapping[str, tuple[Path, ..
     return out
 
 
-def enumerate_runs(automaton: Automaton, w: Path, src: str, dst: str) -> tuple[Path, ...]:
-    """Every lift of ``w`` to a run ``src -> dst``, in declaration order of
-    the transitions taken."""
-    if not automaton.base.contains_path(w):
-        raise InputError("word is not a path of the base category")
-    if src not in automaton.state_over or dst not in automaton.state_over:
-        raise InputError("unknown state")
-    return tuple(r for r in runs_by_source(automaton, w)[src] if r.dst == dst)
-
-
 def run_membership(automaton: Automaton, w: Path) -> bool:
     """Whether some run over ``w`` goes from the initial to the final state."""
     if not automaton.base.contains_path(w):

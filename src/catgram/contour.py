@@ -209,15 +209,6 @@ def chromatic_factorization(grammar: Grammar) -> tuple[Grammar, SpeciesMap]:
     return chromatic, collapse
 
 
-def colors_automaton(grammar: Grammar) -> Automaton:
-    """The finite automaton on oriented colors over the chromatic contour
-    category, read off the contour functor of the chromatic collapse; its
-    runs recolor chromatic contours back to the original species.  All
-    oriented colors are kept as states, reachable or not."""
-    _, collapse = chromatic_factorization(grammar)
-    return automaton_of(contour_functor(collapse), up(grammar.start), down(grammar.start))
-
-
 class CSDecomposition(NamedTuple):
     """The three components exhibiting a language as an image of a chromatic
     tree contour language intersected with a regular language."""
@@ -233,7 +224,8 @@ def cs_decompose(grammar: Grammar) -> CSDecomposition:
     chromatic, collapse = chromatic_factorization(grammar)
     return CSDecomposition(
         universal=universal_grammar(chromatic.species, chromatic.start),
-        # the colors automaton, read off the collapse already at hand
+        # the colors automaton, read off the collapse at hand: its runs recolor
+        # chromatic contours back to the species; every oriented color is a state
         automaton=automaton_of(contour_functor(collapse), up(grammar.start), down(grammar.start)),
         interpretation=contour_interpretation(chromatic),
         chromatic=chromatic,

@@ -243,24 +243,6 @@ def end_marked(graph: FiniteGraph) -> FiniteGraph:
     )
 
 
-def ordinal_sum(first: FiniteGraph, second: FiniteGraph) -> FiniteGraph:
-    """Disjoint union of two graphs plus one fresh connecting generator
-    ``e(A,B) : A -> B`` for every object A of the first and B of the second;
-    each name of the second that is taken gets ``#2`` until it is free."""
-
-    def fresh(name: str, taken: set[str]) -> str:
-        while name in taken:
-            name += "#2"
-        taken.add(name)
-        return name
-
-    taken_objects, taken_gens = set(first.objects), {g.name for g in first.generators}
-    obj = {o: fresh(o, taken_objects) for o in second.objects}
-    gens = [Generator(fresh(g.name, taken_gens), obj[g.src], obj[g.dst]) for g in second.generators]
-    gens += [Generator(f"e({a},{b})", a, b) for a in first.objects for b in obj.values()]
-    return FiniteGraph(first.objects + tuple(obj.values()), first.generators + tuple(gens))
-
-
 def enumerate_paths(graph: FiniteGraph, src: str, dst: str, max_len: int) -> tuple[Path, ...]:
     """All paths ``src -> dst`` with at most ``max_len`` generators.
 

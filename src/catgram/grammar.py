@@ -6,14 +6,14 @@ matching shape.  Closed derivation trees evaluate to constants, i.e. arrows;
 the language of the grammar is the set of arrows derived at the start color.
 
 The module also provides the classical import/export over a one-object
-category, the property predicates (linearity, normal forms, nullable and
-useful nonterminals), the closure constructions (union, spliced
-concatenation, functorial image), bilinearization, and a bounded language
-equivalence check, which diffs the two grammars' bounded languages as
-``catgram.oracle`` computes them (least fixed points on word sets).  Union,
-spliced concatenation, bilinearization and the chromatic collapse rewrite
-rule data, read off with ``_rules``, and build through the checked
-``grammar_from_rules``; the functorial image maps each splice's segments.
+category, the nullable and useful nonterminals, the closure constructions
+(union, spliced concatenation, functorial image), bilinearization, and a
+bounded language equivalence check, which diffs the two grammars' bounded
+languages as ``catgram.oracle`` computes them (least fixed points on word
+sets).  Union, spliced concatenation, bilinearization and the chromatic
+collapse rewrite rule data, read off with ``_rules``, and build through the
+checked ``grammar_from_rules``; the functorial image maps each splice's
+segments.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 import itertools
 from collections import namedtuple
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import CompositionError, InputError
 from .freecat import (
@@ -201,17 +201,7 @@ def eval_tree(grammar: Grammar, tree: DerivationTree) -> SplicedArrow:
 
 
 # ---------------------------------------------------------------------------
-# property predicates
-
-
-class GrammarProperties(NamedTuple):
-    linear: bool
-    left_linear: bool
-    right_linear: bool
-    bilinear: bool
-    cnf: bool
-    nullable: tuple[str, ...]
-    useful: tuple[str, ...]
+# nullable and useful colors
 
 
 def nullable_set(grammar: Grammar) -> tuple[str, ...]:
@@ -250,49 +240,6 @@ def _usable(grammar: Grammar) -> tuple[set[str], list[Node], set[str]]:
         + [((node.output,), c) for node in usable for c in node.inputs]
     )
     return productive, usable, reachable
-
-
-def properties(grammar: Grammar) -> GrammarProperties:
-    nodes = grammar.species.nodes
-    linear = all(n.arity <= 1 for n in nodes)
-    left_linear = linear and all(
-        grammar.splice_of(n.name).segments[0].is_identity for n in nodes if n.arity == 1
-    )
-    right_linear = linear and all(
-        grammar.splice_of(n.name).segments[-1].is_identity for n in nodes if n.arity == 1
-    )
-    bilinear = all(n.arity <= 2 for n in nodes)
-    cnf = _is_cnf(grammar)
-    return GrammarProperties(
-        linear=linear,
-        left_linear=left_linear,
-        right_linear=right_linear,
-        bilinear=bilinear,
-        cnf=cnf,
-        nullable=nullable_set(grammar),
-        useful=useful_set(grammar),
-    )
-
-
-def _is_cnf(grammar: Grammar) -> bool:
-    start = grammar.start
-    for node in grammar.species.nodes:
-        if start in node.inputs:
-            return False
-        splice = grammar.splice_of(node.name)
-        if node.arity == 2:
-            if not all(seg.is_identity for seg in splice.segments):
-                return False
-        elif node.arity == 0:
-            seg = splice.segments[0]
-            if len(seg) == 1:
-                continue
-            if seg.is_identity and node.output == start:
-                continue
-            return False
-        else:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ independent evidence.
 from __future__ import annotations
 
 from .automaton import Automaton
-from .errors import CatgramError
+from .errors import CatgramError, InputError
 from .freecat import Path, enumerate_paths
 from .grammar import Grammar
 
@@ -49,7 +49,7 @@ def enumerate_language(grammar: Grammar, max_len: int, max_sweeps: int | None = 
     unexpectedly slow saturation into an error instead of a long wait.
     """
     if max_len < 0:
-        raise CatgramError("max_len must be nonnegative")
+        raise InputError("max_len must be nonnegative")
     words: dict[str, set[tuple[str, ...]]] = {c: set() for c in grammar.species.colors}
     rows = []
     for node in grammar.species.nodes:

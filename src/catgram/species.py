@@ -198,10 +198,6 @@ def leaf_colors(tree: DerivationTree) -> tuple[str, ...]:
     return tuple(t.color for t, _ in walk(tree) if isinstance(t, Leaf))
 
 
-def is_closed(tree: DerivationTree) -> bool:
-    return all(isinstance(t, Apply) for t, _ in walk(tree))
-
-
 def node_count(tree: DerivationTree) -> int:
     return sum(1 for t, i in walk(tree) if i == 0 and isinstance(t, Apply))
 

@@ -12,7 +12,7 @@ from collections import namedtuple
 from typing import NamedTuple, Sequence
 
 from .errors import CompositionError
-from .freecat import FiniteGraph, Path, enumerate_paths, identity_path, path_compose
+from .freecat import Path, identity_path, path_compose
 
 
 class GapType(NamedTuple):
@@ -104,8 +104,3 @@ def spliced_compose_parallel(f: SplicedArrow, operands: tuple[SplicedArrow, ...]
         segments[-1] = path_compose(segments[-1], f.segments[i + 1])
     return SplicedArrow(tuple(segments))
 
-
-def constants_of(graph: FiniteGraph, gap: GapType, max_len: int) -> tuple[SplicedArrow, ...]:
-    """All constants of the given gap type with segment length at most
-    ``max_len``, one per path."""
-    return tuple(constant(p) for p in enumerate_paths(graph, gap.left, gap.right, max_len))

@@ -33,7 +33,6 @@ from catgram import (
     functorial_image,
     grammar_from_rules,
     identity_path,
-    import_classical_automaton,
     intersect,
     interval_automaton,
     monoid_graph,
@@ -50,6 +49,7 @@ from catgram import (
     word,
 )
 from catgram import jsonio
+from catgram.automaton import import_classical
 from catgram.fixtures import (
     G_AB,
     G_AMB,
@@ -250,7 +250,7 @@ def test_criterion_5_classical_automata_and_ulf():
             (["q0", "q1"], [("q0", "a", "q1")], "q0", ["q0", "q1"]),  # finals include the start
         ]
         for states, delta, q0, finals in cases:
-            imported = import_classical_automaton("ab", states, delta, q0, finals)
+            imported = import_classical("ab", states, delta, q0, finals)
             for n in range(6):
                 for chars in itertools.product("ab", repeat=n):
                     text = "".join(chars)

@@ -19,10 +19,8 @@ from catgram import (
     enumerate_closed_trees,
     enumerate_paths,
     enumerate_regular_language,
-    enumerate_runs,
     identity_functor,
     identity_path,
-    import_classical_automaton,
     interval_automaton,
     monoid_graph,
     node_count,
@@ -32,6 +30,7 @@ from catgram import (
     validate_species_map,
     word,
 )
+from catgram.automaton import import_classical, runs_by_source
 from catgram.contour import down, up
 from catgram.fixtures import GRAPH_AB, GRAPH_AB_END, M_EVENA, SPC_FIG3, fig3_tree
 from catgram.species import Apply, Leaf
@@ -66,7 +65,7 @@ def all_words(max_len):
 @pytest.mark.parametrize("spec", [ENDS_IN_A, EPS_OR_A])
 def test_import_matches_classical_oracle(spec):
     states, delta, q0, finals = spec
-    imported = import_classical_automaton("ab", states, delta, q0, finals)
+    imported = import_classical("ab", states, delta, q0, finals)
     for text in all_words(5):
         marked_word = imported.base.path(tuple(text) + ("$",))
         assert run_membership(imported, marked_word) == classical_accepts(
@@ -76,7 +75,7 @@ def test_import_matches_classical_oracle(spec):
 
 def test_import_examples():
     states, delta, q0, finals = ENDS_IN_A
-    imported = import_classical_automaton("ab", states, delta, q0, finals)
+    imported = import_classical("ab", states, delta, q0, finals)
     assert run_membership(imported, imported.base.path(("a", "a", "$")))
     assert not run_membership(imported, imported.base.path(("b", "$")))
 
@@ -85,7 +84,7 @@ def test_import_initial_accepting_has_no_closure_artifact():
     # L = {eps, a} is not closed under concatenation; the end marker keeps
     # the single-final-state construction honest
     states, delta, q0, finals = EPS_OR_A
-    imported = import_classical_automaton("ab", states, delta, q0, finals)
+    imported = import_classical("ab", states, delta, q0, finals)
     accepted = {
         "".join(w.gens[:-1])
         for w in enumerate_regular_language(imported, 6)
@@ -94,22 +93,27 @@ def test_import_initial_accepting_has_no_closure_artifact():
 
 
 def test_import_empty_final_set():
-    imported = import_classical_automaton("ab", ["q0"], [("q0", "a", "q0")], "q0", [])
+    imported = import_classical("ab", ["q0"], [("q0", "a", "q0")], "q0", [])
     assert enumerate_regular_language(imported, 5) == ()
 
 
 def test_import_rejects_epsilon_transitions():
     with pytest.raises(InputError):
-        import_classical_automaton("ab", ["q0"], [("q0", "", "q0")], "q0", ["q0"])
+        import_classical("ab", ["q0"], [("q0", "", "q0")], "q0", ["q0"])
 
 
 # -- runs ---------------------------------------------------------------------
 
 
+def _runs(w, src, dst):
+    """The runs of ``M_EVENA`` over ``w`` from ``src`` to ``dst``."""
+    return tuple(r for r in runs_by_source(M_EVENA, w)[src] if r.dst == dst)
+
+
 def test_even_a_membership_and_runs():
     w = word(GRAPH_AB, "abab")
     assert run_membership(M_EVENA, w)
-    runs = enumerate_runs(M_EVENA, w, "e", "e")
+    runs = _runs(w, "e", "e")
     assert len(runs) == 1
     assert runs[0].gens == ("a_eo", "b_oo", "a_oe", "b_ee")
     assert not run_membership(M_EVENA, word(GRAPH_AB, "a"))
@@ -117,16 +121,14 @@ def test_even_a_membership_and_runs():
 
 def test_empty_run_is_identity_lift():
     eps = GRAPH_AB.path((), src="*")
-    assert enumerate_runs(M_EVENA, eps, "e", "e") == (identity_path("e"),)
-    assert enumerate_runs(M_EVENA, eps, "e", "o") == ()
+    assert _runs(eps, "e", "e") == (identity_path("e"),)
+    assert _runs(eps, "e", "o") == ()
     assert run_membership(M_EVENA, eps)
 
 
 def test_membership_iff_some_run():
     for w in enumerate_paths(GRAPH_AB, "*", "*", 6):
-        assert run_membership(M_EVENA, w) == bool(
-            enumerate_runs(M_EVENA, w, "e", "e")
-        ), w
+        assert run_membership(M_EVENA, w) == bool(_runs(w, "e", "e")), w
 
 
 def test_even_a_language():
@@ -324,8 +326,8 @@ AUTOMATA = [
     interval_automaton(GRAPH_AB, word(GRAPH_AB, "aabb")),
     interval_automaton(GRAPH_AB, GRAPH_AB.path((), src="*")),
     interval_automaton(GRAPH_AB_END, GRAPH_AB_END.path(("a", "b", "$"))),
-    import_classical_automaton("ab", *ENDS_IN_A),
-    import_classical_automaton("ab", *EPS_OR_A),
+    import_classical("ab", *ENDS_IN_A),
+    import_classical("ab", *EPS_OR_A),
 ]
 
 
@@ -375,11 +377,11 @@ def test_collapse_functor_fails_ulf():
 
 
 def test_fibers_are_finite():
-    # enumerate_runs terminates and returns finitely many lifts per word
+    # runs_by_source terminates with finitely many lifts of each word
     for w in enumerate_paths(GRAPH_AB, "*", "*", 4):
         for q in ("e", "o"):
             for q2 in ("e", "o"):
-                runs = enumerate_runs(M_EVENA, w, q, q2)
+                runs = _runs(w, q, q2)
                 assert len(runs) <= 1  # this automaton is deterministic
 
 
@@ -419,16 +421,8 @@ def test_automaton_validation():
             "InputError: duplicate transition names",
         ),
         (
-            lambda: import_classical_automaton("a", ["qf", "q"], [("qf", "a", "q")], "qf", ["q"]).final,
+            lambda: import_classical("a", ["qf", "q"], [("qf", "a", "q")], "qf", ["q"]).final,
             "\"qf'\"",
-        ),
-        (
-            lambda: enumerate_runs(M_EVENA, Path("*", "*", ("z",)), "e", "e"),
-            "InputError: word is not a path of the base category",
-        ),
-        (
-            lambda: enumerate_runs(M_EVENA, word(GRAPH_AB, "ab"), "e", "x"),
-            "InputError: unknown state",
         ),
         (
             lambda: run_membership(M_EVENA, Path("*", "*", ("z",))),
@@ -436,7 +430,7 @@ def test_automaton_validation():
         ),
         (
             lambda: run_membership(
-                import_classical_automaton("a", ["q"], [], "q", ["q"]), identity_path(TOP)
+                import_classical("a", ["q"], [], "q", ["q"]), identity_path(TOP)
             ),
             "False",
         ),
@@ -449,8 +443,6 @@ def test_automaton_validation():
         "duplicate-state",
         "duplicate-transition",
         "final-state-name-taken",
-        "runs-of-no-path",
-        "runs-to-unknown-state",
         "membership-of-no-path",
         "membership-from-another-object",
         "interval-of-no-path",

@@ -20,7 +20,6 @@ from catgram import (
     apply_functor,
     brackets,
     chromatic_factorization,
-    colors_automaton,
     compose_functors,
     contour_category,
     contour_functor,
@@ -34,7 +33,6 @@ from catgram import (
     enumerate_language,
     enumerate_paths,
     enumerate_regular_language,
-    enumerate_runs,
     eval_tree,
     functorial_image,
     grammar_from_rules,
@@ -48,6 +46,7 @@ from catgram import (
     word,
 )
 from catgram import cli, jsonio
+from catgram.automaton import runs_by_source
 from catgram.fixtures import (
     G_AB,
     G_AMB,
@@ -288,7 +287,7 @@ def test_chromatic_language_contains_original():
 
 
 def test_colors_automaton_of_g_ab():
-    auto = colors_automaton(G_AB)
+    auto = cs_decompose(G_AB).automaton
     assert [s.name for s in auto.states] == ["S" + UP, "S" + DOWN]
     assert len({s.over for s in auto.states}) == 2
     assert len(auto.transitions) == 3
@@ -316,7 +315,7 @@ def _reference_colors_automaton(grammar):
 
 def test_colors_automaton_agrees_with_a_reference():
     for grammar in SIX_GRAMMARS.values():
-        assert colors_automaton(grammar) == _reference_colors_automaton(grammar)
+        assert cs_decompose(grammar).automaton == _reference_colors_automaton(grammar)
 
 
 # sha256 of ``catgram cs-decompose -g <grammar> --check-bound 4`` stdout,
@@ -351,12 +350,12 @@ def test_contour_functor_is_ulf():
 def test_derivation_contours_lift_uniquely():
     for g in (G_AB, G_AMB):
         _, collapse = chromatic_factorization(g)
-        auto = colors_automaton(g)
+        auto = cs_decompose(g).automaton
         functor = contour_functor(collapse)
         for t in enumerate_closed_trees(g.species, g.start, 5):
             cw = contour_word(g.species, t)
             image = apply_functor(functor, cw)
-            runs = enumerate_runs(auto, image, auto.initial, auto.final)
+            runs = [r for r in runs_by_source(auto, image)[auto.initial] if r.dst == auto.final]
             assert len(runs) == 1
             assert runs[0].gens == cw.gens
 

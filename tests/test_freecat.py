@@ -17,7 +17,6 @@ from catgram import (
     identity_functor,
     identity_path,
     monoid_graph,
-    ordinal_sum,
     path_compose,
     word,
 )
@@ -180,61 +179,6 @@ def test_end_marked_hom_to_top():
 def test_end_marked_requires_one_object():
     with pytest.raises(InputError):
         end_marked(TWO)
-
-
-TERMINAL = FiniteGraph(objects=("⊤",), generators=())
-
-
-def test_ordinal_sum_matches_end_marking():
-    # same objects, and the generators pair up by endpoints once the single
-    # connector is renamed to the end marker
-    summed = ordinal_sum(AB, TERMINAL)
-    marked = end_marked(AB)
-    assert set(summed.objects) == set(marked.objects)
-    assert sorted((g.src, g.dst) for g in summed.generators) == sorted(
-        (g.src, g.dst) for g in marked.generators
-    )
-
-
-def test_ordinal_sum_empty_left_summand():
-    empty = FiniteGraph(objects=(), generators=())
-    assert ordinal_sum(empty, AB) == AB
-
-
-def test_ordinal_sum_connector_paths():
-    summed = ordinal_sum(monoid_graph(("a",)), TERMINAL)
-    got = enumerate_paths(summed, "*", "⊤", 3)
-    connector = "e(*,⊤)"
-    assert [p.gens for p in got] == [
-        (connector,),
-        ("a", connector),
-        ("a", "a", connector),
-    ]
-
-
-def test_ordinal_sum_renames_collisions():
-    summed = ordinal_sum(monoid_graph(("a",)), monoid_graph(("a",)))
-    assert set(summed.objects) == {"*", "*#2"}
-    assert {g.name for g in summed.generators} == {"a", "a#2", "e(*,*#2)"}
-
-
-def test_ordinal_sum_renames_chained_collisions():
-    # a renamed name can itself be taken, so "#2" is appended until it is free
-    first = FiniteGraph(
-        objects=("*", "*#2"),
-        generators=(Generator("a", "*", "*#2"), Generator("a#2", "*#2", "*")),
-    )
-    summed = ordinal_sum(first, monoid_graph(("a",)))
-    assert summed == FiniteGraph(
-        objects=("*", "*#2", "*#2#2"),
-        generators=(
-            Generator("a", "*", "*#2"),
-            Generator("a#2", "*#2", "*"),
-            Generator("a#2#2", "*#2#2", "*#2#2"),
-            Generator("e(*,*#2#2)", "*", "*#2#2"),
-            Generator("e(*#2,*#2#2)", "*#2", "*#2#2"),
-        ),
-    )
 
 
 def test_enumerate_paths_short_words():

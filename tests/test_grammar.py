@@ -33,7 +33,6 @@ from catgram import (
     nullable_set,
     parse_classical_text,
     parse_forest,
-    properties,
     recognize,
     spliced_compose_parallel,
     spliced_concat,
@@ -290,54 +289,11 @@ def test_eval_tree_takes_linear_time():
     assert t_long < 2.0
 
 
-def test_properties_g_ab():
-    props = properties(G_AB)
-    assert props.linear and props.bilinear and not props.cnf
-    assert not props.left_linear and not props.right_linear
-    assert props.nullable == ()
-    assert props.useful == ("S",)
-
-
-def test_properties_g_amb():
-    props = properties(G_AMB)
-    assert not props.linear and props.bilinear
-    assert props.nullable == ()
-
-
-def test_properties_epsilon_rule():
-    assert properties(G_EPS).nullable == ("S",)
-
-
-def test_properties_left_right_linear():
-    left = grammar_from_rules(
-        GRAPH_AB,
-        "S",
-        {"S": ("*", "*")},
-        [("k", "S", ("S",), ((), ("a",))), ("z", "S", (), ((),))],
-    )
-    right = grammar_from_rules(
-        GRAPH_AB,
-        "S",
-        {"S": ("*", "*")},
-        [("k", "S", ("S",), (("a",), ())), ("z", "S", (), ((),))],
-    )
-    assert properties(left).left_linear and not properties(left).right_linear
-    assert properties(right).right_linear and not properties(right).left_linear
-
-
-def test_properties_cnf():
-    cnf = grammar_from_rules(
-        GRAPH_AB,
-        "S",
-        {"S": ("*", "*"), "A": ("*", "*"), "B": ("*", "*")},
-        [
-            ("s", "S", ("A", "B"), ((), (), ())),
-            ("a", "A", (), (("a",),)),
-            ("b", "B", (), (("b",),)),
-        ],
-    )
-    assert properties(cnf).cnf
-    assert not properties(G_AB).cnf
+def test_nullable_and_useful_sets_of_fixtures():
+    assert nullable_set(G_AB) == ()
+    assert useful_set(G_AB) == ("S",)
+    assert nullable_set(G_AMB) == ()
+    assert nullable_set(G_EPS) == ("S",)
 
 
 def test_nullable_matches_tree_oracle():
@@ -348,7 +304,7 @@ def test_nullable_matches_tree_oracle():
                 if eval_tree(g, t).as_path().is_identity:
                     expected.add(color)
                     break
-        assert set(properties(g).nullable) == expected
+        assert set(nullable_set(g)) == expected
 
 
 def _useful_by_open_trees(g, max_nodes=6):
@@ -959,16 +915,9 @@ def test_spliced_concat_language_is_the_spliced_words_on_random_grammars(grammar
 # -- branches no other test takes -------------------------------------------
 
 
-def _cnf(*rules):
-    nonterminals = {"S": ("*", "*"), "A": ("*", "*")}
-    return properties(grammar_from_rules(GRAPH_AB, "S", nonterminals, rules)).cnf
-
-
 @pytest.mark.parametrize(
     "call, expected",
     [
-        (lambda: _cnf(("m", "S", ("A", "A"), (("a",), (), ()))), "False"),
-        (lambda: _cnf(("r0", "S", (), (("a", "b"),))), "False"),
         (
             lambda: import_classical("a", ["S"], "S", [("T", ["a"])]),
             "InputError: production 0: unknown nonterminal 'T'",
@@ -994,8 +943,6 @@ def _cnf(*rules):
         ),
     ],
     ids=[
-        "cnf-binary-with-letters",
-        "cnf-two-letter-constant",
         "classical-unknown-lhs",
         "classical-text-skips-comments",
         "classical-text-no-arrow",

@@ -100,6 +100,7 @@ ORACLE_IMPORTS = {
     ("__future__", "annotations"),
     (".automaton", "Automaton"),
     (".errors", "CatgramError"),
+    (".errors", "InputError"),
     (".freecat", "Path"),
     (".freecat", "enumerate_paths"),
     (".grammar", "Grammar"),
@@ -124,7 +125,7 @@ def test_oracle_imports_only_data_types():
 
 @pytest.mark.parametrize(
     "call, expected",
-    [(lambda: enumerate_language(G_AB, -1), "CatgramError: max_len must be nonnegative")],
+    [(lambda: enumerate_language(G_AB, -1), "InputError: max_len must be nonnegative")],
     ids=["negative-length"],
 )
 def test_rarely_taken_branches(call, expected):

@@ -29,7 +29,6 @@ from catgram import (
     grammar_from_rules,
     identity_functor,
     import_classical,
-    import_classical_automaton,
     intersect,
     interval_automaton,
     jsonio,
@@ -42,6 +41,7 @@ from catgram import (
     validate,
     word,
 )
+import catgram.automaton
 import catgram.parser
 import catgram.product
 from catgram.automaton import runs_by_source
@@ -441,7 +441,7 @@ PINNED_CASES = {
     "g_ab_evena": (G_AB, M_EVENA),
     "g_end_classical": (
         G_END,
-        import_classical_automaton(
+        catgram.automaton.import_classical(
             "ab", ["p", "q"], [("p", "a", "p"), ("p", "b", "q"), ("q", "b", "q")], "p", ["p", "q"]
         ),
     ),
@@ -588,7 +588,9 @@ _MISSING_SPLICE = Grammar(
     G_END.color_gap,
     {name: splice for name, splice in G_END.node_splice.items() if name != "r0"},
 )
-_ONE_STATE = import_classical_automaton("ab", ["p"], [("p", "a", "p"), ("p", "b", "p")], "p", ["p"])
+_ONE_STATE = catgram.automaton.import_classical(
+    "ab", ["p"], [("p", "a", "p"), ("p", "b", "p")], "p", ["p"]
+)
 
 
 @pytest.mark.parametrize(

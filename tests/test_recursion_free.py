@@ -13,7 +13,6 @@ from catgram import (
     enumerate_parses,
     eval_tree,
     identity_species_map,
-    is_closed,
     leaf_colors,
     node_count,
     parse_forest,
@@ -39,7 +38,6 @@ def test_deep_chain_parses_enumerates_and_walks():
     assert eval_tree(G_AB, tree).as_path() == w
     assert len(contour_word(G_AB.species, tree).gens) == 2 * N - 1
     assert leaf_colors(tree) == ()
-    assert is_closed(tree)
     image = identity_species_map(G_AB.species).apply_tree(tree)
     assert preorder_names(image) == preorder_names(tree)
     data = tree_to_json(tree)

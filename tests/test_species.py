@@ -13,7 +13,6 @@ from catgram import (
     SpeciesMap,
     enumerate_closed_trees,
     identity_species_map,
-    is_closed,
     leaf_colors,
     node_count,
     root_color,
@@ -82,7 +81,11 @@ def test_apply_checks_arity_and_colors():
 
 
 def test_validate_identity_map_ok():
-    assert validate_species_map(identity_species_map(AB_SPECIES)) == []
+    identity = identity_species_map(AB_SPECIES)
+    assert validate_species_map(identity) == []
+    # the unit law: the identity map leaves every tree as it is
+    for t in enumerate_closed_trees(AB_SPECIES, "S", 4) + (Apply(R1, (Leaf("S"),)),):
+        assert identity.apply_tree(t) == t
 
 
 def test_validate_reports_arity_mismatch():
@@ -227,7 +230,7 @@ def test_enumeration_matches_grafting_oracle():
         oracle = {
             t
             for t in _open_trees(species, color, budget)
-            if is_closed(t) and node_count(t) <= budget
+            if not leaf_colors(t) and node_count(t) <= budget
         }
         got = enumerate_closed_trees(species, color, budget)
         assert len(got) == len(set(got))
@@ -242,8 +245,8 @@ def test_enumeration_canonical_order():
 def test_root_and_closed_queries():
     t = Apply(R1, (Leaf("S"),))
     assert root_color(t) == "S"
-    assert not is_closed(t)
-    assert is_closed(tree_substitute(t, 0, Apply(R0, ())))
+    assert leaf_colors(t)
+    assert not leaf_colors(tree_substitute(t, 0, Apply(R0, ())))
 
 
 def _derivable_by_sweep(edges):

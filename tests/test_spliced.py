@@ -10,7 +10,6 @@ from catgram import (
     GapType,
     SplicedArrow,
     constant,
-    constants_of,
     end_marked,
     enumerate_paths,
     identity_path,
@@ -20,7 +19,7 @@ from catgram import (
     spliced_identity,
     word,
 )
-from conftest import outcome, words
+from conftest import outcome
 from test_parser import GRAPH_PQ
 
 pytestmark = pytest.mark.deep  # all of it runs under the deep profile in CI
@@ -210,23 +209,6 @@ def test_operad_laws_random_arities_up_to_three():
                                 spliced_compose_partial(f, i + 1, h), i, g
                             )
                             assert lhs == rhs
-
-
-def test_constants_of_wraps_paths():
-    got = constants_of(AB, STAR_GAP, 1)
-    assert all(c.is_constant for c in got)
-    assert words(c.as_path() for c in got) == {"", "a", "b"}
-
-
-def test_constants_of_end_marked():
-    marked = end_marked(monoid_graph(("a",)))
-    got = constants_of(marked, GapType("*", "⊤"), 2)
-    assert words(c.as_path() for c in got) == {"$", "a$"}
-
-
-def test_constants_of_empty_hom_set():
-    marked = end_marked(monoid_graph(("a",)))
-    assert constants_of(marked, GapType("⊤", "*"), 0) == ()
 
 
 def test_types_are_read_off_the_segments():
