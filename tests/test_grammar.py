@@ -289,10 +289,16 @@ def test_eval_tree_takes_linear_time():
     assert t_long < 2.0
 
 
-def test_nullable_and_useful_sets_of_fixtures():
+def test_properties_g_ab():
     assert nullable_set(G_AB) == ()
     assert useful_set(G_AB) == ("S",)
+
+
+def test_properties_g_amb():
     assert nullable_set(G_AMB) == ()
+
+
+def test_properties_epsilon_rule():
     assert nullable_set(G_EPS) == ("S",)
 
 
