@@ -412,10 +412,12 @@ def functorial_image(grammar: Grammar, functor: FreeFunctor) -> Grammar:
     start, segments replaced by their images."""
     if functor.domain != grammar.category:
         raise CompositionError("functor domain does not match the grammar's category")
+    if grammar.start not in grammar.species.colors:
+        _reject_invalid(grammar)
 
     # each distinct segment (checked by ``apply_functor``) and gap type is
     # mapped once; an image is as long as its splice, so needs no check.  A
-    # missing entry is reported as ``validate`` words it
+    # missing entry, or an undeclared start, is reported as ``validate`` words it
     obj = functor.object_map
     gaps = functools.cache(lambda left, right: GapType(obj[left], obj[right]))
     images = functools.cache(functools.partial(apply_functor, functor))

@@ -14,8 +14,9 @@ hold the popped item yet, so a use that item cannot complete stops there.
 
 The kernel has one mode.  Anchoring, top-down prediction read on spliced
 arrows (Graham, Harrison & Ruzzo 1980), cuts its placement table to where
-items below some roots can start and end (``_anchors``), so the kernel
-derives only what the roots can use, and all of what lies below them.
+items below some roots can start and end (``_anchors``), one least fixed
+point over both ends, so the kernel derives only what the roots can use,
+and all of what lies below them.
 
 Each item is one ``ParseItem`` object from its first derivation on, and
 alternatives hold those objects as gap items, so the kernel's output below
@@ -218,52 +219,42 @@ def _anchors(nodes: Sequence[Node], placements: Table, roots: Iterable[tuple]) -
     nullary node's one segment is cut at both ends.  Middle segments are
     shared as they are, and kept placements keep their order.
 
-    Ends are the least sets with each root's end at its color, and, for a
-    node whose last segment sits at ``(p, q)`` with ``q`` an end of its
-    output, ``p`` an end of its last input; every other input may end
-    anywhere.  Starts are the mirror image, through first segments and
-    first inputs.  This is top-down prediction (Earley deduction; Graham,
-    Harrison & Ruzzo 1980) read on spliced arrows, with one edge per
-    placement of an outer segment.
+    The anchors are one least fixed point over vertices ``(end, color,
+    place)``, ``end`` 0 for a start and 1 for an end.  Each root holds its
+    start and its end at its color, and a node whose first segment sits at
+    ``(p, q)`` with ``p`` a start of its output gives ``q`` as a start of
+    its first input; ends are the mirror image, through last segments and
+    last inputs.  An input with a sibling before it may start anywhere, and
+    one with a sibling after it end anywhere, so a node whose output may
+    start or end anywhere keeps that outer segment whole.  This is top-down
+    prediction (Earley deduction; Graham, Harrison & Ruzzo 1980) read on
+    spliced arrows, with one edge per placement of an outer segment.
     """
-    roots = list(roots)
-    inner = [(node, segs) for node, segs in zip(nodes, placements) if node.inputs]
-    start_anywhere, may_start = _anchored(
-        [(c, p) for c, p, _ in roots],
-        {c for node, _ in inner for c in node.inputs[1:]},
-        [(node.output, node.inputs[0], segs[0], 0, 1) for node, segs in inner],
+    anywhere = (
+        {c for node in nodes for c in node.inputs[1:]},
+        {c for node in nodes for c in node.inputs[:-1]},
     )
-    end_anywhere, may_end = _anchored(
-        [(c, q) for c, _, q in roots],
-        {c for node, _ in inner for c in node.inputs[:-1]},
-        [(node.output, node.inputs[-1], segs[-1], 1, 0) for node, segs in inner],
-    )
+    edges = [((), (end, root[0], root[1 + end])) for root in roots for end in (0, 1)]
+    for node, segs in zip(nodes, placements):
+        # segment and input ``-end``: the first for starts, the last for ends
+        for end in (0, 1) if node.inputs else ():
+            color, out, seg = node.inputs[-end], node.output, segs[-end]
+            if color in anywhere[end]:
+                continue
+            free = out in anywhere[end]
+            edges += [
+                (() if free else ((end, out, placed[end]),), (end, color, placed[1 - end]))
+                for placed in seg
+            ]
+    held = derivable(edges)[0]
     table = []
     for node, segs in zip(nodes, placements):
-        segs, color = list(segs), node.output
-        if color not in start_anywhere:
-            segs[0] = [placed for placed in segs[0] if (color, placed[0]) in may_start]
-        if color not in end_anywhere:
-            segs[-1] = [placed for placed in segs[-1] if (color, placed[1]) in may_end]
+        segs, out = list(segs), node.output
+        for end in (0, 1):
+            if out not in anywhere[end]:
+                segs[-end] = [placed for placed in segs[-end] if (end, out, placed[end]) in held]
         table.append(segs)
     return table
-
-
-def _anchored(
-    roots: list[tuple[str, Hashable]], anywhere: set[str], links: list[tuple]
-) -> tuple[set[str], set[tuple[str, Hashable]]]:
-    """One end of ``_anchors``.  A link ``(out, color, seg, x, y)`` says a
-    ``color`` item may sit at ``placement[y]`` for each placement of ``seg``
-    whose ``placement[x]`` is a place of ``out``."""
-    edges: list[tuple[tuple, tuple[str, Hashable]]] = [((), root) for root in roots]
-    for out, color, seg, x, y in links:
-        if color in anywhere:
-            continue
-        if out in anywhere:
-            edges += [((), (color, placement[y])) for placement in seg]
-        else:
-            edges += [(((out, placement[x]),), (color, placement[y])) for placement in seg]
-    return anywhere, derivable(edges)[0]
 
 
 def _group(placements: Sequence[tuple], end: int) -> dict[Hashable, list[int]]:
@@ -434,15 +425,17 @@ def trim(grammar: Grammar) -> Grammar:
     color is useful and the result keeps only the start, with no nodes: the
     empty-language grammar at the same gap type.
     """
-    productive, usable, reachable = _usable(grammar)
     start = grammar.start
+    if start not in grammar.species.colors:
+        _reject_invalid(grammar)
+    productive, usable, reachable = _usable(grammar)
     colors = tuple(
         c for c in grammar.species.colors if c in reachable and c in productive or c == start
     )
     nodes = tuple(itertools.compress(usable, map(reachable.__contains__, map(_output, usable))))
     # a subset of a valid species that keeps every color of its nodes needs
-    # no re-check, and the two tables are new; a missing entry is reported
-    # as ``validate`` words it
+    # no re-check, and the two tables are new; a missing entry, or the
+    # undeclared start checked on entry, is reported as ``validate`` words it
     new = tuple.__new__
     species = new(Species, (colors, nodes))
     names = list(map(_name, nodes))

@@ -1,6 +1,6 @@
 import math
 import time
-from collections import deque
+from collections import Counter, deque
 from unittest import mock
 
 import pytest
@@ -16,11 +16,11 @@ from catgram import (
     enumerate_parses,
     enumerate_paths,
     eval_tree,
+    intersect,
     interval_automaton,
     leaf_colors,
     parse_chart,
     parse_forest,
-    pullback_grammar,
     recognize,
     word,
 )
@@ -130,6 +130,14 @@ def test_enumerate_parses_examples():
     assert len(got) == 5
     assert enumerate_parses(forest, 0) == ()
     assert enumerate_parses(forest, 3) == got[:3]
+
+
+@pytest.mark.parametrize("w", [word(GRAPH_AB, "aab"), word(GRAPH_AB, "ab")])
+def test_enumerate_parses_refuses_a_negative_limit(w):
+    # the check precedes the empty-root return, so an empty forest raises too
+    forest = parse_forest(G_AB, w)
+    with pytest.raises(InputError, match="limit must be nonnegative"):
+        enumerate_parses(forest, -1)
 
 
 def test_enumerate_parses_canonical_order():
@@ -267,18 +275,33 @@ def test_forest_holds_one_object_per_item():
                 assert canonical[child] is child
 
 
+def _check_forest_is_the_interval_intersection(grammar, w):
+    """Parsing is intersection, alternative by alternative: the forest's
+    items ``(i,N,j)`` are the trimmed intersection's colors, and its
+    alternatives, as ``(node, child items, item)``, the intersection's nodes
+    with each pulled name cut to its base node's name."""
+    forest = parse_forest(grammar, w)
+    pulled = intersect(grammar, interval_automaton(grammar.category, w))
+    name = "({},{},{})".format
+    alternatives = Counter(
+        (node.name, tuple(name(k, d, l) for d, k, l in kids), name(i, c, j))
+        for (c, i, j), alts in forest.alternatives.items()
+        for node, kids in alts
+    )
+    nodes = Counter(
+        (node.name[1:].partition("|")[0], node.inputs, node.output)
+        for node in pulled.species.nodes
+    )
+    assert nodes == alternatives, w
+    if not forest.is_empty:
+        items = {name(i, c, j) for c, i, j in forest.alternatives}
+        assert set(pulled.species.colors) == items, w
+
+
 @pytest.mark.parametrize("grammar,src,dst,max_len,max_nodes", FIXTURES)
 def test_forest_is_the_trimmed_interval_pullback(grammar, src, dst, max_len, max_nodes):
-    # items (i,N,j) are the pullback's colors, alternatives its nodes
     for w in enumerate_paths(grammar.category, src, dst, 5):
-        forest = parse_forest(grammar, w)
-        pulled = pullback_grammar(grammar, interval_automaton(grammar.category, w))
-        if forest.is_empty:
-            assert pulled.species.nodes == ()
-            continue
-        items = {f"({i.start},{i.color},{i.end})" for i in forest.alternatives}
-        assert set(pulled.species.colors) == items
-        assert len(pulled.species.nodes) == sum(len(a) for a in forest.alternatives.values())
+        _check_forest_is_the_interval_intersection(grammar, w)
 
 
 def test_alternatives_are_agenda_order_independent_and_distinct():
@@ -373,6 +396,14 @@ def test_parser_agrees_with_oracles_on_random_grammars(grammar):
         trees = enumerate_parses(forest, count + 1)
         assert len(trees) == count == len(set(trees))
         assert all(eval_tree(grammar, t).as_path() == w for t in trees)
+
+
+@pytest.mark.deep
+@given(random_grammars(max_inputs=3))
+def test_forest_is_the_trimmed_interval_pullback_on_random_grammars(grammar):
+    gap = grammar.gap_of(grammar.start)
+    for w in enumerate_paths(grammar.category, gap.left, gap.right, RANDOM_WORD_BOUND):
+        _check_forest_is_the_interval_intersection(grammar, w)
 
 
 def _check_reachable_graph(grammar, w):

@@ -630,13 +630,16 @@ def test_pulled_grammars_keep_the_constructors_checks(grammar, automaton, outcom
 
 
 def test_trim_and_image_name_a_missing_splice():
-    # both skip validation until a lookup fails, then report it as
-    # ``validate`` words it
+    # both skip validation until a lookup fails or the start is undeclared,
+    # then report it as ``validate`` words it
     got = [
-        outcome(lambda: build(_MISSING_SPLICE))
+        outcome(lambda: build(grammar))
+        for grammar in (_MISSING_SPLICE, _UNDECLARED_START)
         for build in (trim, lambda g: functorial_image(g, identity_functor(g.category)))
     ]
-    assert got == ["InputError: node 'r0' has no spliced arrow"] * 2
+    assert got == ["InputError: node 'r0' has no spliced arrow"] * 2 + [
+        "InputError: start symbol 'Z' is not a declared color"
+    ] * 2
 
 
 # -- readers of the kernel's output -------------------------------------------
