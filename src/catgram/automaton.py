@@ -38,7 +38,7 @@ from .freecat import (
     enumerate_paths,
     monoid_graph,
 )
-from .species import Apply, DerivationTree, Leaf, Node, SpeciesMap, fold, validate_species_map
+from .species import Apply, DerivationTree, Leaf, Node, SpeciesMap, fold
 
 
 class State(NamedTuple):
@@ -226,12 +226,11 @@ def tree_accept(phi: SpeciesMap, accept: str, tree: DerivationTree) -> bool:
     ``tree``: the bottom-up run of the tree automaton whose states and
     transitions are the colors and nodes of ``phi.source``.  A run of the
     contour word along ``contour_functor(phi)`` would accept more, as it may
-    take each corner of a node on a different transition over it."""
+    take each corner of a node on a different transition over it.  A
+    species map checks itself when built, so only the tree is checked here:
+    each of its nodes must be one of the base species'."""
     if accept not in phi.source.colors:
         raise InputError(f"accept state {accept!r} is not a color of the automaton")
-    problems = validate_species_map(phi)
-    if problems:
-        raise InputError(problems[0])
     fibre: dict[str, list[Node]] = {}
     for n in phi.source.nodes:
         fibre.setdefault(phi.apply_node(n.name), []).append(n)

@@ -32,11 +32,15 @@ from .freecat import (
     apply_functor,
     monoid_graph,
 )
-from .species import DerivationTree, Leaf, Node, Species, _inputs, _output, derivable, walk
-from .spliced import GapType, SplicedArrow, check_operands
+from .species import DerivationTree, Leaf, Node, Species, _inputs, _output, derivable, root_color, walk
+from .spliced import GapType, SplicedArrow
 
 
 class Grammar(namedtuple("Grammar", "category species start color_gap node_splice")):
+    """A grammar checks itself when built: ``Grammar(...)`` raises the first
+    message of ``validate`` as an ``InputError``, so no consumer re-checks
+    it.  ``_make`` and ``_replace`` skip the check."""
+
     __slots__ = ()
 
     def __new__(
@@ -47,7 +51,11 @@ class Grammar(namedtuple("Grammar", "category species start color_gap node_splic
         color_gap: Mapping[str, GapType],
         node_splice: Mapping[str, SplicedArrow],
     ) -> Grammar:
-        return super().__new__(cls, category, species, start, dict(color_gap), dict(node_splice))
+        grammar = super().__new__(cls, category, species, start, dict(color_gap), dict(node_splice))
+        problems = validate(grammar)
+        if problems:
+            raise InputError(problems[0])
+        return grammar
 
     def gap_of(self, color: str) -> GapType:
         return self.color_gap[color]
@@ -155,45 +163,32 @@ def validate(grammar: Grammar) -> list[str]:
     return problems
 
 
-def _reject_invalid(grammar: Grammar) -> None:
-    """Raise ``validate``'s first message as an ``InputError``, if any."""
-    problems = validate(grammar)
-    if problems:
-        raise InputError(problems[0])
-
-
 def eval_tree(grammar: Grammar, tree: DerivationTree) -> SplicedArrow:
     """Evaluate a derivation tree to a spliced arrow, homomorphically.
 
     Closed trees yield constants; a leaf evaluates to the identity operation
     on its gap type.  One walk along the contour builds the result: each
     corner ``(t, i)`` appends segment ``i`` of ``t``'s splice to the current
-    segment, and each leaf closes the segment at its gap.  A node's operand
-    types are checked after its last child, as parallel composition checks
-    them, so an ill-typed grammar fails with the same error at the same node.
+    segment, and each leaf closes the segment at its gap.  The grammar is
+    valid, so a tree of its own nodes is well typed; a node that is not one
+    of them, or a root leaf of a color it lacks, is an ``InputError``.
     """
+    if isinstance(tree, Leaf) and tree.color not in grammar.species.colors:
+        raise InputError(f"tree leaf {tree.color!r} is not a color of the grammar")
+    nodes, splices = grammar.species.node_by_name, grammar.node_splice
     segments: list[list[str]] = [[]]
     gaps: list[GapType] = []
-    # per open node: its splice (looked up without failing, so that errors
-    # below it come first) and the outer types of its finished children
-    frames: list[tuple[SplicedArrow | None, list[GapType]]] = [(None, [])]
     for t, i in walk(tree):
         if isinstance(t, Leaf):
             gaps.append(grammar.gap_of(t.color))
-            frames[-1][1].append(gaps[-1])
             segments.append([])
             continue
         if i == 0:
-            frames.append((grammar.node_splice.get(t.node.name), []))
-        splice, outers = frames[-1]
-        if splice is not None and i < len(splice.segments):
-            segments[-1] += splice.segments[i].gens
-        if i == len(t.children):
-            splice = grammar.splice_of(t.node.name)
-            check_operands(splice, outers)
-            frames.pop()
-            frames[-1][1].append(splice.outer)
-    (outer,) = frames[0][1]
+            own = nodes.get(t.node.name)
+            if own is not t.node and own != t.node:
+                raise InputError(f"tree node {t.node.name!r} is not a node of the grammar")
+        segments[-1] += splices[t.node.name].segments[i].gens
+    outer = grammar.gap_of(root_color(tree))
     ends = [outer.left, *(end for gap in gaps for end in (gap.left, gap.right)), outer.right]
     return SplicedArrow(
         tuple(Path(ends[2 * k], ends[2 * k + 1], tuple(gens)) for k, gens in enumerate(segments))
@@ -345,9 +340,7 @@ def _rules(
 ) -> tuple[dict[str, tuple[str, str]], list[tuple]]:
     """The rule data of a grammar as ``grammar_from_rules`` reads it, in
     species order: node names end in ``tag``, and colors are renamed by
-    ``color``, which by default appends ``tag`` too.  A grammar that
-    ``validate`` faults is rejected with its first message."""
-    _reject_invalid(grammar)
+    ``color``, which by default appends ``tag`` too."""
     color = color or (lambda c: c + tag)
     gaps = grammar.color_gap
     nonterminals = {color(c): (gaps[c].left, gaps[c].right) for c in grammar.species.colors}
@@ -412,26 +405,18 @@ def functorial_image(grammar: Grammar, functor: FreeFunctor) -> Grammar:
     start, segments replaced by their images."""
     if functor.domain != grammar.category:
         raise CompositionError("functor domain does not match the grammar's category")
-    if grammar.start not in grammar.species.colors:
-        _reject_invalid(grammar)
-
     # each distinct segment (checked by ``apply_functor``) and gap type is
-    # mapped once; an image is as long as its splice, so needs no check.  A
-    # missing entry, or an undeclared start, is reported as ``validate`` words it
+    # mapped once; an image is as long as its splice, so needs no check
     obj = functor.object_map
     gaps = functools.cache(lambda left, right: GapType(obj[left], obj[right]))
     images = functools.cache(functools.partial(apply_functor, functor))
     new, splices = tuple.__new__, grammar.node_splice
-    try:
-        node_splice = {
-            node.name: new(SplicedArrow, (tuple(map(images, splices[node.name].segments)),))
-            for node in grammar.species.nodes
-        }
-        # the image keeps its species, and both tables are new
-        color_gap = {c: gaps(g.left, g.right) for c, g in grammar.color_gap.items()}
-    except KeyError:
-        _reject_invalid(grammar)
-        raise
+    node_splice = {
+        node.name: new(SplicedArrow, (tuple(map(images, splices[node.name].segments)),))
+        for node in grammar.species.nodes
+    }
+    # the image keeps its species, and both tables are new
+    color_gap = {c: gaps(g.left, g.right) for c, g in grammar.color_gap.items()}
     return new(Grammar, (functor.codomain, grammar.species, grammar.start, color_gap, node_splice))
 
 

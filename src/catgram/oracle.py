@@ -7,8 +7,7 @@ length bound.  The lattice of bounded word sets is finite, so the sweep
 terminates exactly, with no tree bound or cycle analysis; every derivable
 word within the bound appears because its subderivations derive shorter (or
 equal) words.  Words are tuples of generator names; only the words
-returned become ``Path`` objects.  The grammar must be one ``validate``
-accepts.
+returned become ``Path`` objects.
 
 Nothing here shares algorithms with the parser or the pullback; only the
 data types are common.  Splicing is re-done by plain tuple concatenation,
@@ -42,8 +41,8 @@ def _combos(pools: list[list[tuple[str, ...]]], budget: int) -> list[tuple[tuple
 
 def enumerate_language(grammar: Grammar, max_len: int, max_sweeps: int | None = None) -> tuple[Path, ...]:
     """Exactly the arrows of length at most ``max_len`` derived at the start
-    color, in length-then-lexicographic order, for a grammar ``validate``
-    accepts: each color's words then lie over its gap type.
+    color, in length-then-lexicographic order.  A grammar is checked when
+    built, so each color's words lie over its gap type.
 
     ``max_sweeps`` optionally caps the number of full sweeps, turning an
     unexpectedly slow saturation into an error instead of a long wait.

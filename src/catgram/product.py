@@ -44,19 +44,20 @@ that depend on them are read by index from lists made once per node and
 state, on first use: per ``(node, last state of the head)`` the pulled last
 inputs, and per ``(node, first state)`` the pulled outputs.
 
-``_pulled`` first rejects a grammar that ``validate`` faults, with its first
-message.  In a valid grammar every splice has its node's gap types, so
-every run endpoint lies over them and each pulled input and output is one
-of the pulled ``(state, color, state)`` triples.  The triples are distinct
-and so are the ``(node, placements)`` pairs, so their names are distinct
-unless two render alike, which the sizes of the two name tables show and
-which raises what ``Species`` would.  So pulled nodes, run splices, and
-the ``Species`` and ``Grammar`` around them are built one way, by
-``tuple.__new__``, with no constructor frame and no check lost.  ``trim``
-keeps a subset of a valid species and ``functorial_image`` keeps its
-species, so both assemble the same way.  ``trim`` reads the usable nodes
-(inputs all productive) off the productivity pass's fired edges and keeps
-those whose output is reachable through them, in one pass over the nodes.
+A ``Grammar`` is checked when built, so ``_pulled``, ``trim`` and
+``functorial_image`` read a valid one and check nothing again.  Every
+splice has its node's gap types, so every run endpoint lies over them and
+each pulled input and output is one of the pulled ``(state, color,
+state)`` triples.  The triples are distinct and so are the ``(node,
+placements)`` pairs, so their names are distinct unless two render alike,
+which the sizes of the two name tables show and which raises what
+``Species`` would.  So pulled nodes, run splices, and the ``Species`` and
+``Grammar`` around them are built one way, by ``tuple.__new__``, with no
+constructor frame and no check lost.  ``trim`` keeps a subset of a valid
+species and ``functorial_image`` keeps its species, so both assemble the
+same way.  ``trim`` reads the usable nodes (inputs all productive) off the
+productivity pass's fired edges and keeps those whose output is reachable
+through them, in one pass over the nodes.
 
 The kernel, the render, ``trim`` and the parser's forest run with the
 cyclic collector paused (``_acyclic``).  What they build are acyclic graphs
@@ -77,7 +78,7 @@ from typing import Callable, Hashable, Iterable, NamedTuple, Sequence, TypeVar
 from .errors import CompositionError, InputError
 from .automaton import Automaton, runs_by_source
 from .freecat import Path
-from .grammar import Grammar, _reject_invalid, _usable
+from .grammar import Grammar, _usable
 from .species import Node, Species, _name, _output, derivable
 from .spliced import GapType, SplicedArrow
 
@@ -282,7 +283,6 @@ def _pulled(grammar: Grammar, automaton: Automaton, trim_useless: bool, over_run
     ``over_runs`` and with each base node's own splice otherwise."""
     if grammar.category != automaton.base:
         raise CompositionError("grammar and automaton must share the base category")
-    _reject_invalid(grammar)
     start_gap = grammar.gap_of(grammar.start)
     over = automaton.state_over
     if (start_gap.left, start_gap.right) != (over[automaton.initial], over[automaton.final]):
@@ -423,28 +423,22 @@ def trim(grammar: Grammar) -> Grammar:
     inputs productive and reachable, so this is the filter above without a
     second pass over every node.  A useless start has no closed tree, so no
     color is useful and the result keeps only the start, with no nodes: the
-    empty-language grammar at the same gap type.
+    empty-language grammar at the same gap type.  The grammar is valid, as
+    built, so the result is too and is assembled without a second check.
     """
     start = grammar.start
-    if start not in grammar.species.colors:
-        _reject_invalid(grammar)
     productive, usable, reachable = _usable(grammar)
     colors = tuple(
         c for c in grammar.species.colors if c in reachable and c in productive or c == start
     )
     nodes = tuple(itertools.compress(usable, map(reachable.__contains__, map(_output, usable))))
     # a subset of a valid species that keeps every color of its nodes needs
-    # no re-check, and the two tables are new; a missing entry, or the
-    # undeclared start checked on entry, is reported as ``validate`` words it
+    # no re-check, and the two tables are new
     new = tuple.__new__
     species = new(Species, (colors, nodes))
     names = list(map(_name, nodes))
-    try:
-        color_gap = dict(zip(colors, map(grammar.color_gap.__getitem__, colors)))
-        node_splice = dict(zip(names, map(grammar.node_splice.__getitem__, names)))
-    except KeyError:
-        _reject_invalid(grammar)
-        raise
+    color_gap = dict(zip(colors, map(grammar.color_gap.__getitem__, colors)))
+    node_splice = dict(zip(names, map(grammar.node_splice.__getitem__, names)))
     return new(Grammar, (grammar.category, species, start, color_gap, node_splice))
 
 

@@ -237,14 +237,21 @@ def tree_substitute(tree: DerivationTree, index: int, sub: DerivationTree) -> De
 
 class SpeciesMap(namedtuple("SpeciesMap", "source target color_map node_map")):
     """A map of species: a color renaming and a node renaming that are
-    required to commute with the input/output coloring."""
+    required to commute with the input/output coloring.  It checks itself
+    when built: ``SpeciesMap(...)`` raises the first message of
+    ``validate_species_map`` as an ``InputError``; ``_make`` and
+    ``_replace`` skip the check."""
 
     __slots__ = ()
 
     def __new__(
         cls, source: Species, target: Species, color_map: Mapping[str, str], node_map: Mapping[str, str]
     ) -> SpeciesMap:
-        return super().__new__(cls, source, target, dict(color_map), dict(node_map))
+        phi = super().__new__(cls, source, target, dict(color_map), dict(node_map))
+        problems = validate_species_map(phi)
+        if problems:
+            raise InputError(problems[0])
+        return phi
 
     def apply_color(self, color: str) -> str:
         return self.color_map[color]

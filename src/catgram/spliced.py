@@ -9,7 +9,7 @@ underlying category.
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .errors import CompositionError
 from .freecat import Path, identity_path, path_compose
@@ -81,22 +81,18 @@ def spliced_compose_partial(f: SplicedArrow, i: int, g: SplicedArrow) -> Spliced
     return spliced_compose_parallel(f, operands)
 
 
-def check_operands(f: SplicedArrow, outers: Sequence[GapType]) -> None:
-    """Raise :class:`CompositionError` unless operands of outer types
-    ``outers`` fill the gaps of ``f``, one per gap."""
-    if len(outers) != f.arity:
-        raise CompositionError(f"parallel composition needs {f.arity} operands, got {len(outers)}")
-    for i, (gap, outer) in enumerate(zip(f.gaps, outers)):
-        if gap != outer:
+def spliced_compose_parallel(f: SplicedArrow, operands: tuple[SplicedArrow, ...]) -> SplicedArrow:
+    """Substitute one operand into every gap of ``f`` simultaneously; a
+    :class:`CompositionError` unless the operands' outer types fill the
+    gaps of ``f``, one per gap."""
+    if len(operands) != f.arity:
+        raise CompositionError(f"parallel composition needs {f.arity} operands, got {len(operands)}")
+    for i, (gap, g) in enumerate(zip(f.gaps, operands)):
+        if gap != g.outer:
             raise CompositionError(
                 f"gap {i} has type ({gap.left},{gap.right}), operand has "
-                f"outer type ({outer.left},{outer.right})"
+                f"outer type ({g.outer.left},{g.outer.right})"
             )
-
-
-def spliced_compose_parallel(f: SplicedArrow, operands: tuple[SplicedArrow, ...]) -> SplicedArrow:
-    """Substitute one operand into every gap of ``f`` simultaneously."""
-    check_operands(f, [g.outer for g in operands])
     segments = [f.segments[0]]
     for i, g in enumerate(operands):
         segments[-1] = path_compose(segments[-1], g.segments[0])

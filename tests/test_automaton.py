@@ -207,12 +207,12 @@ def test_tree_accept_rejects_open_trees_with_input_error():
 
 def test_tree_automaton_validation_reports():
     # a nullary transition over the unary node f: the species map reports
-    # the wrong type of f, and tree_accept refuses to run
-    bad = tree_automaton({"p": "1"}, [("t", "f", (), "p")])
-    problems = validate_species_map(bad)
+    # the wrong type of f, and cannot be built for tree_accept to run
+    fields = (Species(("p",), (Node("t", (), "p"),)), SPC_FIG3, {"p": "1"}, {"t": "f"})
+    problems = validate_species_map(SpeciesMap._make(fields))
     assert problems == ["node 't': image 'f' has type ('1',) -> '1', expected () -> '1'"]
     with pytest.raises(InputError) as info:
-        tree_accept(bad, "p", Apply(SPC_FIG3.node_by_name["g"], ()))
+        SpeciesMap(*fields)
     assert str(info.value) == problems[0]
 
 
@@ -222,13 +222,12 @@ def test_tree_accept_rejects_an_accept_state_that_is_no_color():
 
 
 def test_tree_accept_rejects_a_species_map_with_a_missing_node():
+    # the species map refuses itself when built, so tree_accept never runs
     ta = _alternating_ta()
-    partial = SpeciesMap(ta.source, ta.target, ta.color_map, {"b": "b"})
     with pytest.raises(InputError, match="node 'd' missing from node map"):
-        tree_accept(partial, "q", fig3_tree())
-    unmapped = SpeciesMap(ta.source, ta.target, {"p": "1"}, ta.node_map)
+        SpeciesMap(ta.source, ta.target, ta.color_map, {"b": "b"})
     with pytest.raises(InputError, match="color 'q' missing from color map"):
-        tree_accept(unmapped, "q", fig3_tree())
+        SpeciesMap(ta.source, ta.target, {"p": "1"}, ta.node_map)
 
 
 @pytest.mark.parametrize(

@@ -88,29 +88,24 @@ def test_validate_reports_outer_mismatch():
         "S",
         {"S": ("*", "*")},
         [("r1", "S", ("S",), (("a",), ("b",))), ("r0", "S", (), (("a", "b"),))],
-    )
-    bad = type(bad)(
-        category=bad.category,
-        species=bad.species,
-        start=bad.start,
-        color_gap={"S": GapType("*", TOP)},
-        node_splice=bad.node_splice,
-    )
+    )._replace(color_gap={"S": GapType("*", TOP)})
     report = validate(bad)
     assert any("outer type" in line for line in report)
+    with pytest.raises(InputError, match=f"^{re.escape(report[0])}$"):
+        Grammar(*bad)
 
 
 def _g_ab_with(start="S", color_gap=None, **splices):
-    """G_AB, hand-built, with another start, gap types or node splices;
-    a splice given as None is dropped."""
+    """G_AB, hand-built without the constructor's check, with another
+    start, gap types or node splices; a splice given as None is dropped."""
     node_splice = {**G_AB.node_splice, **splices}
-    return Grammar(
+    return Grammar._make((
         GRAPH_AB,
         G_AB.species,
         start,
         G_AB.color_gap if color_gap is None else color_gap,
         {k: v for k, v in node_splice.items() if v is not None},
-    )
+    ))
 
 
 @pytest.mark.parametrize(
@@ -136,11 +131,25 @@ def _g_ab_with(start="S", color_gap=None, **splices):
             _g_ab_with(r0=SplicedArrow((Path("*", "*", ("a", "c")),))),
             ["node 'r0': segment 0 is not a path of the category"],
         ),
+        (
+            # G_END with r0 splicing the end marker into E, typed (*,*)
+            G_END._replace(
+                node_splice={
+                    **G_END.node_splice,
+                    "r0": SplicedArrow((GRAPH_AB_END.path(("a", "b", "$")),)),
+                }
+            ),
+            ["node 'r0': outer type (*,⊤) differs from gap type (*,*) of 'E'"],
+        ),
     ],
-    ids=["start", "no-gap", "gap-outside", "no-splice", "arity", "segment"],
+    ids=["start", "no-gap", "gap-outside", "no-splice", "arity", "segment", "end-marker-splice"],
 )
 def test_validate_reports_are_pinned(grammar, report):
     assert validate(grammar) == report
+    # the constructor refuses it with the first message, so no consumer
+    # sees it
+    with pytest.raises(InputError, match=f"^{re.escape(report[0])}$"):
+        Grammar(*grammar)
 
 
 def test_validate_knuth_end_rule():
@@ -217,14 +226,6 @@ def eval_tree_by_composing(grammar, tree):
     )
 
 
-def _outcome(evaluate, grammar, tree):
-    """The value, or the class and message of the exception raised."""
-    try:
-        return evaluate(grammar, tree)
-    except Exception as exc:
-        return type(exc), str(exc)
-
-
 def test_eval_tree_agrees_with_composing_on_fixtures():
     for g in (G_AB, G_AMB, G_EPS, G_END, G_TERN, G_UNIT):
         for color in g.species.colors:
@@ -234,38 +235,11 @@ def test_eval_tree_agrees_with_composing_on_fixtures():
                 assert eval_tree(g, t) == eval_tree_by_composing(g, t), t
 
 
-def _variants(grammar, gap):
-    """The grammar with its color gap types as they are, with its first
-    color typed ``gap``, or with its last color's gap type missing, each
-    with its splices as they are, handed on to the next node, or with the
-    last node's splice missing: all but the first are ill-typed."""
-    names = [n.name for n in grammar.species.nodes]
-    colors = grammar.species.colors
-    color_gaps = (
-        grammar.color_gap,
-        {**grammar.color_gap, colors[0]: gap},
-        {c: grammar.gap_of(c) for c in colors[:-1]},
-    )
-    node_splices = (
-        grammar.node_splice,
-        {n: grammar.splice_of(m) for n, m in zip(names, names[1:] + names[:1])},
-        {n: grammar.splice_of(n) for n in names[:-1]},
-    )
-    for color_gap, node_splice in itertools.product(color_gaps, node_splices):
-        yield Grammar(grammar.category, grammar.species, grammar.start, color_gap, node_splice)
-
-
-@given(
-    random_grammars(max_inputs=3),
-    st.sampled_from(GRAPH_PQ.objects),
-    st.sampled_from(GRAPH_PQ.objects),
-)
-def test_eval_tree_agrees_with_composing_on_random_grammars(grammar, left, right):
-    # ill-typed grammars must fail with the exception composing raises first
+@given(random_grammars(max_inputs=3))
+def test_eval_tree_agrees_with_composing_on_random_grammars(grammar):
     trees = [t for c in grammar.species.colors for t in _open_trees(grammar.species, c, 3)]
-    for g in _variants(grammar, GapType(left, right)):
-        for t in trees:
-            assert _outcome(eval_tree, g, t) == _outcome(eval_tree_by_composing, g, t), t
+    for t in trees:
+        assert eval_tree(grammar, t) == eval_tree_by_composing(grammar, t), t
 
 
 def _time_eval_chain(n):
@@ -855,16 +829,16 @@ NOT_A_PATH = _g_ab_with(r0=SplicedArrow((Path("*", "*", ("a", "c")),)))
 @pytest.mark.parametrize(
     "construct",
     [
-        lambda: union(NOT_A_PATH, G_AB),
-        lambda: union(G_AB, NOT_A_PATH),
-        lambda: spliced_concat(spliced_identity(STAR), [NOT_A_PATH]),
-        lambda: bilinearize(NOT_A_PATH),
-        lambda: chromatic_factorization(NOT_A_PATH),
+        lambda: union(Grammar(*NOT_A_PATH), G_AB),
+        lambda: union(G_AB, Grammar(*NOT_A_PATH)),
+        lambda: spliced_concat(spliced_identity(STAR), [Grammar(*NOT_A_PATH)]),
+        lambda: bilinearize(Grammar(*NOT_A_PATH)),
+        lambda: chromatic_factorization(Grammar(*NOT_A_PATH)),
     ],
     ids=["union-left", "union-right", "spliced_concat", "bilinearize", "chromatic"],
 )
 def test_constructions_reject_a_grammar_that_validate_faults(construct):
-    # they used to build a grammar carrying the fault on
+    # the faulty operand cannot be built, so no construction carries it on
     with pytest.raises(InputError, match="^node 'r0': segment 0 is not a path of the category$"):
         construct()
 
@@ -947,6 +921,11 @@ def test_spliced_concat_language_is_the_spliced_words_on_random_grammars(grammar
             lambda: check_equiv_bounded(G_AB, G_AMB, 2),
             "CompositionError: bounded equivalence needs grammars over one category",
         ),
+        (
+            lambda: eval_tree(G_AB, Apply(G_AMB.species.node_by_name["c"], ())),
+            "InputError: tree node 'c' is not a node of the grammar",
+        ),
+        (lambda: eval_tree(G_AB, Leaf("T")), "InputError: tree leaf 'T' is not a color of the grammar"),
     ],
     ids=[
         "classical-unknown-lhs",
@@ -957,6 +936,8 @@ def test_spliced_concat_language_is_the_spliced_words_on_random_grammars(grammar
         "classical-export-two-objects",
         "image-along-another-domain",
         "equivalence-across-categories",
+        "eval-foreign-node",
+        "eval-foreign-leaf",
     ],
 )
 def test_rarely_taken_branches(call, expected):

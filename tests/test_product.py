@@ -538,9 +538,10 @@ def test_pulled_values_have_exact_types_on_random_automata(pair):
 # ``_pulled``, ``trim`` and ``functorial_image`` also make their ``Species``
 # and ``Grammar`` with ``tuple.__new__``.  ``_check_exact_types`` asserts
 # that the constructors accept each one and rebuild it equal, so skipping
-# their checks lost none.  ``_pulled`` refuses the cases below itself: an
-# input that ``validate`` faults with its first message, and two names
-# rendered alike with the message ``Species`` gives.
+# their checks lost none, and each is valid as ``Grammar`` checks it.  An
+# input that ``validate`` faults cannot be built: the constructor refuses
+# it with the first message.  ``_pulled`` refuses two names rendered alike
+# itself, with the message ``Species`` gives.
 
 
 def _check_assembled(g):
@@ -570,23 +571,15 @@ _COMMA_STATE = Automaton(
     initial="p",
     final="p",
 )
-# ill-typed: r0's one segment ends over the end marker's object, not E's
-_ILL_TYPED = Grammar(
-    G_END.category,
-    G_END.species,
-    G_END.start,
-    G_END.color_gap,
-    {**G_END.node_splice, "r0": SplicedArrow((G_END.category.path(("a", "b", "$")),))},
+# faulty values, made without the constructor's check: r0's one segment
+# ends over the end marker's object, not E's; an undeclared start; no splice
+# for r0
+_ILL_TYPED = G_END._replace(
+    node_splice={**G_END.node_splice, "r0": SplicedArrow((G_END.category.path(("a", "b", "$")),))}
 )
-_UNDECLARED_START = Grammar(
-    G_END.category, G_END.species, "Z", G_END.color_gap, G_END.node_splice
-)
-_MISSING_SPLICE = Grammar(
-    G_END.category,
-    G_END.species,
-    G_END.start,
-    G_END.color_gap,
-    {name: splice for name, splice in G_END.node_splice.items() if name != "r0"},
+_UNDECLARED_START = G_END._replace(start="Z")
+_MISSING_SPLICE = G_END._replace(
+    node_splice={name: splice for name, splice in G_END.node_splice.items() if name != "r0"}
 )
 _ONE_STATE = catgram.automaton.import_classical(
     "ab", ["p"], [("p", "a", "p"), ("p", "b", "p")], "p", ["p"]
@@ -619,10 +612,11 @@ _ONE_STATE = catgram.automaton.import_classical(
     ],
 )
 def test_pulled_grammars_keep_the_constructors_checks(grammar, automaton, outcomes):
-    # raw then trimmed pullback, raw then trimmed intersection: a fault is
-    # named the same way by each, and the rest still build
+    # raw then trimmed pullback, raw then trimmed intersection of the
+    # grammar as the constructor builds it: a fault is named the same way
+    # for each, and the rest still build
     got = [
-        outcome(lambda: len(build(grammar, automaton, trim_useless).species.nodes))
+        outcome(lambda: len(build(Grammar(*grammar), automaton, trim_useless).species.nodes))
         for build in (pullback_grammar, intersect)
         for trim_useless in (False, True)
     ]
@@ -630,10 +624,10 @@ def test_pulled_grammars_keep_the_constructors_checks(grammar, automaton, outcom
 
 
 def test_trim_and_image_name_a_missing_splice():
-    # both skip validation until a lookup fails or the start is undeclared,
-    # then report it as ``validate`` words it
+    # neither checks its grammar again: the constructor reports the fault
+    # as ``validate`` words it
     got = [
-        outcome(lambda: build(grammar))
+        outcome(lambda: build(Grammar(*grammar)))
         for grammar in (_MISSING_SPLICE, _UNDECLARED_START)
         for build in (trim, lambda g: functorial_image(g, identity_functor(g.category)))
     ]
@@ -759,16 +753,12 @@ def test_raw_interval_pullback_node_count(n):
 
 def test_functorial_image_rejects_segment_outside_domain():
     # a grammar over the right graph whose splice holds a path the graph
-    # does not have: the image must still refuse it
-    bad = Grammar(
-        category=GRAPH_AB,
-        species=G_AB.species,
-        start=G_AB.start,
-        color_gap=G_AB.color_gap,
-        node_splice={
-            **G_AB.node_splice,
-            "r0": SplicedArrow((Path("*", "*", ("a", "c")),)),
-        },
+    # does not have: the constructor refuses it, and the image of one made
+    # without the check still refuses it
+    bad = G_AB._replace(
+        node_splice={**G_AB.node_splice, "r0": SplicedArrow((Path("*", "*", ("a", "c")),))}
     )
+    with pytest.raises(InputError, match="^node 'r0': segment 0 is not a path of the category$"):
+        Grammar(*bad)
     with pytest.raises(InputError, match="does not lie in the functor's domain"):
         functorial_image(bad, identity_functor(GRAPH_AB))

@@ -1,4 +1,5 @@
 import pickle
+import re
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -89,14 +90,11 @@ def test_validate_identity_map_ok():
 
 
 def test_validate_reports_arity_mismatch():
-    phi = SpeciesMap(
-        source=AMB_SPECIES,
-        target=AB_SPECIES,
-        color_map={"S": "S"},
-        node_map={"c": "r0", "m": "r1"},
-    )
-    report = validate_species_map(phi)
+    fields = (AMB_SPECIES, AB_SPECIES, {"S": "S"}, {"c": "r0", "m": "r1"})
+    report = validate_species_map(SpeciesMap._make(fields))
     assert len(report) == 1 and "'m'" in report[0]
+    with pytest.raises(InputError, match=f"^{re.escape(report[0])}$"):
+        SpeciesMap(*fields)
 
 
 def test_substitute_into_leaf_is_identity_law():
@@ -305,16 +303,16 @@ def test_derivable_counts_each_tail_occurrence():
     "call, expected",
     [
         (
-            lambda: validate_species_map(
-                SpeciesMap(Species(("S",)), Species(("S",)), {"S": "T"}, {})
-            ),
-            "[\"color 'S' mapped to undeclared color 'T'\"]",
+            lambda: SpeciesMap(Species(("S",)), Species(("S",)), {"S": "T"}, {}),
+            "InputError: color 'S' mapped to undeclared color 'T'",
         ),
         (
-            lambda: validate_species_map(
-                SpeciesMap(AMB_SPECIES, AMB_SPECIES, {"S": "S"}, {"c": "c", "m": "z"})
-            ),
-            "[\"node 'm' mapped to undeclared node 'z'\"]",
+            lambda: SpeciesMap(AMB_SPECIES, AMB_SPECIES, {"S": "S"}, {"c": "c", "m": "z"}),
+            "InputError: node 'm' mapped to undeclared node 'z'",
+        ),
+        (
+            lambda: SpeciesMap(AMB_SPECIES, AMB_SPECIES, {"S": "S"}, {"c": "c"}),
+            "InputError: node 'm' missing from node map",
         ),
         (
             lambda: enumerate_closed_trees(AB_SPECIES, "S", 0),
@@ -322,7 +320,7 @@ def test_derivable_counts_each_tail_occurrence():
         ),
         (lambda: enumerate_closed_trees(AB_SPECIES, "T", 1), "InputError: unknown color 'T'"),
     ],
-    ids=["undeclared-color", "undeclared-node", "no-nodes", "unknown-color"],
+    ids=["undeclared-color", "undeclared-node", "missing-node", "no-nodes", "unknown-color"],
 )
 def test_rarely_taken_branches(call, expected):
     assert outcome(call) == expected
