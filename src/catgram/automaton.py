@@ -234,15 +234,12 @@ def tree_accept(phi: SpeciesMap, accept: str, tree: DerivationTree) -> bool:
     fibre: dict[str, list[Node]] = {}
     for n in phi.source.nodes:
         fibre.setdefault(phi.apply_node(n.name), []).append(n)
-    nodes = phi.target.node_by_name
 
     def open_leaf(leaf: Leaf) -> frozenset[str]:
         raise InputError("tree automata run on closed trees only")
 
     def states_of(t: Apply, below: tuple[frozenset[str], ...]) -> frozenset[str]:
-        own = nodes.get(t.node.name)
-        if own is not t.node and own != t.node:
-            raise InputError(f"tree node {t.node.name!r} is not a node of the base species")
+        phi.target.check_own(t.node, "base species")
         return frozenset(
             n.output
             for n in fibre.get(t.node.name, ())

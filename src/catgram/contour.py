@@ -128,16 +128,13 @@ def universal_grammar(species: Species, start: str) -> Grammar:
 def contour_word(species: Species, tree: DerivationTree) -> Path:
     """The corner sequence traced by walking around a closed tree; equals the
     evaluation of the tree in the universal grammar."""
-    nodes = species.node_by_name
     names = _contour_table(species).names
     gens: list[str] = []
     for t, i in walk(tree):
         if isinstance(t, Leaf):
             raise InputError("contour words are defined for closed trees")
         if i == 0:
-            own = nodes.get(t.node.name)
-            if own is not t.node and own != t.node:
-                raise InputError(f"tree node {t.node.name!r} is not a node of the species")
+            species.check_own(t.node, "species")
         gens.append(names[t.node.name][i])
     root = tree.node.output  # type: ignore[union-attr]
     return Path(up(root), down(root), tuple(gens))

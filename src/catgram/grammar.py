@@ -11,9 +11,10 @@ category, the nullable and useful nonterminals, the closure constructions
 bounded language equivalence check, which diffs the two grammars' bounded
 languages as ``catgram.oracle`` computes them (least fixed points on word
 sets).  Union, spliced concatenation, bilinearization and the chromatic
-collapse rewrite rule data, read off with ``_rules``, and build through the
-checked ``grammar_from_rules``; the functorial image maps each splice's
-segments.
+collapse rewrite rule data, read off with ``_rules``, and build through
+``grammar_from_rules``, which only assembles: ``validate`` is the one
+statement of a valid grammar, and the ``Grammar`` constructor runs it.  The
+functorial image maps each splice's segments.
 """
 
 from __future__ import annotations
@@ -37,9 +38,10 @@ from .spliced import GapType, SplicedArrow
 
 
 class Grammar(namedtuple("Grammar", "category species start color_gap node_splice")):
-    """A grammar checks itself when built: ``Grammar(...)`` raises the first
-    message of ``validate`` as an ``InputError``, so no consumer re-checks
-    it.  ``_make`` and ``_replace`` skip the check."""
+    """A grammar checks itself when built: ``Grammar(...)`` and
+    ``_replace`` raise the first message of ``validate`` as an
+    ``InputError``, so no consumer re-checks it.  ``_make`` is the one
+    path that skips the check."""
 
     __slots__ = ()
 
@@ -57,6 +59,9 @@ class Grammar(namedtuple("Grammar", "category species start color_gap node_splic
             raise InputError(problems[0])
         return grammar
 
+    def _replace(self, **changes) -> Grammar:
+        return Grammar(**{**self._asdict(), **changes})
+
     def gap_of(self, color: str) -> GapType:
         return self.color_gap[color]
 
@@ -72,56 +77,36 @@ def grammar_from_rules(
     nonterminals: Mapping[str, tuple[str, str]],
     rules: Iterable[tuple[str, str, Sequence[str], Sequence[Sequence[str]]]],
 ) -> Grammar:
-    """Assemble a grammar from rule data, inferring segment endpoints.
+    """Assemble a grammar from rule data; ``Grammar`` checks it.
 
-    Each rule is ``(name, output, inputs, segments)`` with segments given as
-    generator-name sequences; empty segments become identity paths at the
-    position forced by the gap types.  A segment with an unknown generator,
-    generators that do not compose, or other endpoints than the gap types
-    force is an ``InputError`` that names its rule and segment.
+    Each rule is ``(name, output, inputs, segments)`` with one more segment
+    than inputs, each given as a sequence of generator names and run between
+    the ends the gap types force, so an empty segment is an identity path
+    there.  A wrong segment count is an ``InputError`` that names its rule;
+    ``Species`` refuses an undeclared color, and ``Grammar`` raises the
+    first message of ``validate`` for any other fault.
     """
     color_gap = {c: GapType(left, right) for c, (left, right) in nonterminals.items()}
-    for c, gap in color_gap.items():
-        if not category.has_object(gap.left) or not category.has_object(gap.right):
-            raise InputError(f"nonterminal {c!r} typed outside the category")
-    nodes = []
+    rules = list(rules)
+    nodes = tuple(Node(name, tuple(inputs), output) for name, output, inputs, _ in rules)
+    species = Species(colors=tuple(nonterminals), nodes=nodes)
     node_splice: dict[str, SplicedArrow] = {}
     for name, output, inputs, segments in rules:
-        for c in (output, *inputs):
-            if c not in color_gap:
-                raise InputError(f"rule {name!r} references undeclared nonterminal {c!r}")
-        outer = color_gap[output]
-        gaps = tuple(color_gap[c] for c in inputs)
         if len(segments) != len(inputs) + 1:
             raise InputError(
                 f"rule {name!r} needs {len(inputs) + 1} segments, got {len(segments)}"
             )
-        # the endpoints the gap types force on each segment
-        ends = [outer.left, *(end for gap in gaps for end in (gap.left, gap.right)), outer.right]
-        spans = list(zip(ends[::2], ends[1::2]))
-        paths = []
-        for i, (gens, (src, _)) in enumerate(zip(segments, spans)):
-            try:
-                paths.append(category.path(tuple(gens), src=None if gens else src))
-            except (InputError, CompositionError) as exc:
-                raise InputError(f"rule {name!r}: segment {i}: {exc}") from exc
-        for i, (seg, (src, dst)) in enumerate(zip(paths, spans)):
-            if (seg.src, seg.dst) != (src, dst):
-                raise InputError(
-                    f"rule {name!r}: segment {i} has type {seg.src}->{seg.dst}, "
-                    f"expected {src}->{dst}"
-                )
-        nodes.append(Node(name, tuple(inputs), output))
-        node_splice[name] = SplicedArrow(tuple(paths))
-    species = Species(colors=tuple(nonterminals), nodes=tuple(nodes))
-    if start not in color_gap:
-        raise InputError(f"start symbol {start!r} is not a declared nonterminal")
+        outer = color_gap[output]
+        ends = [outer.left, *(end for c in inputs for end in color_gap[c]), outer.right]
+        node_splice[name] = SplicedArrow(tuple(map(Path, ends[::2], ends[1::2], map(tuple, segments))))
     return Grammar(category, species, start, color_gap, node_splice)
 
 
 def validate(grammar: Grammar) -> list[str]:
     """Check that the color/node assignment is a species map into the
-    spliced-arrow operad; returns one message per defect."""
+    spliced-arrow operad: the one check of a grammar, whose first message
+    ``Grammar(...)`` raises.  Returns one message per defect, in reading
+    order; a segment that is no path says why, or which type it has."""
     problems: list[str] = []
     cat = grammar.category
     if grammar.start not in set(grammar.species.colors):
@@ -158,8 +143,15 @@ def validate(grammar: Grammar) -> list[str]:
                     f"({want.left},{want.right}) for input {node.inputs[i]!r}"
                 )
         for i, seg in enumerate(splice.segments):
-            if not cat.contains_path(seg):
-                problems.append(f"node {node.name!r}: segment {i} is not a path of the category")
+            if cat.contains_path(seg):
+                continue
+            try:  # walked again, only for the message
+                walked = cat.path(seg.gens, src=None if seg.gens else seg.src)
+            except (InputError, CompositionError) as exc:
+                fault = f": {exc}"
+            else:
+                fault = f" has type {walked.src}->{walked.dst}, expected {seg.src}->{seg.dst}"
+            problems.append(f"node {node.name!r}: segment {i}{fault}")
     return problems
 
 
@@ -175,7 +167,7 @@ def eval_tree(grammar: Grammar, tree: DerivationTree) -> SplicedArrow:
     """
     if isinstance(tree, Leaf) and tree.color not in grammar.species.colors:
         raise InputError(f"tree leaf {tree.color!r} is not a color of the grammar")
-    nodes, splices = grammar.species.node_by_name, grammar.node_splice
+    species, splices = grammar.species, grammar.node_splice
     segments: list[list[str]] = [[]]
     gaps: list[GapType] = []
     for t, i in walk(tree):
@@ -184,9 +176,7 @@ def eval_tree(grammar: Grammar, tree: DerivationTree) -> SplicedArrow:
             segments.append([])
             continue
         if i == 0:
-            own = nodes.get(t.node.name)
-            if own is not t.node and own != t.node:
-                raise InputError(f"tree node {t.node.name!r} is not a node of the grammar")
+            species.check_own(t.node, "grammar")
         segments[-1] += splices[t.node.name].segments[i].gens
     outer = grammar.gap_of(root_color(tree))
     ends = [outer.left, *(end for gap in gaps for end in (gap.left, gap.right)), outer.right]

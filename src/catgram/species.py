@@ -82,6 +82,13 @@ class Species(namedtuple("Species", "colors nodes")):
     def node_by_name(self) -> Mapping[str, Node]:
         return {n.name: n for n in self.nodes}
 
+    def check_own(self, node: Node, owner: str) -> None:
+        """Refuse a tree node that is not this species' node of its name;
+        the message calls the species the ``owner``."""
+        own = self.node_by_name.get(node.name)
+        if own is not node and own != node:
+            raise InputError(f"tree node {node.name!r} is not a node of the {owner}")
+
     @cached_property
     def nodes_into(self) -> Mapping[str, tuple[Node, ...]]:
         """Nodes grouped by output color, in declaration order."""
@@ -238,9 +245,9 @@ def tree_substitute(tree: DerivationTree, index: int, sub: DerivationTree) -> De
 class SpeciesMap(namedtuple("SpeciesMap", "source target color_map node_map")):
     """A map of species: a color renaming and a node renaming that are
     required to commute with the input/output coloring.  It checks itself
-    when built: ``SpeciesMap(...)`` raises the first message of
-    ``validate_species_map`` as an ``InputError``; ``_make`` and
-    ``_replace`` skip the check."""
+    when built: ``SpeciesMap(...)`` and ``_replace`` raise the first
+    message of ``validate_species_map`` as an ``InputError``; ``_make`` is
+    the one path that skips the check."""
 
     __slots__ = ()
 
@@ -252,6 +259,9 @@ class SpeciesMap(namedtuple("SpeciesMap", "source target color_map node_map")):
         if problems:
             raise InputError(problems[0])
         return phi
+
+    def _replace(self, **changes) -> SpeciesMap:
+        return SpeciesMap(**{**self._asdict(), **changes})
 
     def apply_color(self, color: str) -> str:
         return self.color_map[color]

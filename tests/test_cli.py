@@ -325,10 +325,11 @@ def test_validate_rejects_a_duplicate_nonterminal(files):
 @pytest.mark.parametrize(
     "rule,segment,gens,message",
     [
-        (0, 1, ["$", "$"], "generators do not compose: expected source '⊤', got '$' : '*' -> '⊤'"),
-        (1, 0, ["z"], "unknown generator(s) ['z']"),
+        (0, 1, ["$", "$"], ": generators do not compose: expected source '⊤', got '$' : '*' -> '⊤'"),
+        (1, 0, ["z"], ": unknown generator(s) ['z']"),
+        (1, 1, ["$"], " has type *->⊤, expected *->*"),
     ],
-    ids=["compose", "unknown"],
+    ids=["compose", "unknown", "type"],
 )
 def test_validate_names_the_rule_of_a_bad_segment(files, rule, segment, gens, message):
     data = jsonio.grammar_to_json(G_END)
@@ -336,7 +337,7 @@ def test_validate_names_the_rule_of_a_bad_segment(files, rule, segment, gens, me
     name = data["rules"][rule]["name"]
     res = run_cli("validate", "-g", files["write"]("bad_segment.json", data))
     assert (res.returncode, res.stdout) == (2, "")
-    assert res.stderr == f"error: grammar: rule {name!r}: segment {segment}: {message}\n"
+    assert res.stderr == f"error: grammar: node {name!r}: segment {segment}{message}\n"
 
 
 def test_validate_without_input_exits_2():

@@ -55,7 +55,7 @@ from catgram.fixtures import (
     G_UNIT,
 )
 from catgram.grammar import Grammar
-from catgram.species import Node, Species, fold
+from catgram.species import Node, Species, fold, identity_species_map
 from conftest import outcome, words
 from test_species import _open_trees
 from test_parser import (
@@ -83,12 +83,13 @@ def test_validate_fixtures_ok():
 
 def test_validate_reports_outer_mismatch():
     # S declared over (*, top) while its rule still splices a-b over (*, *)
-    bad = grammar_from_rules(
+    good = grammar_from_rules(
         GRAPH_AB_END,
         "S",
         {"S": ("*", "*")},
         [("r1", "S", ("S",), (("a",), ("b",))), ("r0", "S", (), (("a", "b"),))],
-    )._replace(color_gap={"S": GapType("*", TOP)})
+    )
+    bad = Grammar._make({**good._asdict(), "color_gap": {"S": GapType("*", TOP)}}.values())
     report = validate(bad)
     assert any("outer type" in line for line in report)
     with pytest.raises(InputError, match=f"^{re.escape(report[0])}$"):
@@ -129,16 +130,17 @@ def _g_ab_with(start="S", color_gap=None, **splices):
         ),
         (
             _g_ab_with(r0=SplicedArrow((Path("*", "*", ("a", "c")),))),
-            ["node 'r0': segment 0 is not a path of the category"],
+            ["node 'r0': segment 0: unknown generator(s) ['c']"],
         ),
         (
             # G_END with r0 splicing the end marker into E, typed (*,*)
-            G_END._replace(
-                node_splice={
+            Grammar._make({
+                **G_END._asdict(),
+                "node_splice": {
                     **G_END.node_splice,
                     "r0": SplicedArrow((GRAPH_AB_END.path(("a", "b", "$")),)),
-                }
-            ),
+                },
+            }.values()),
             ["node 'r0': outer type (*,⊤) differs from gap type (*,*) of 'E'"],
         ),
     ],
@@ -150,6 +152,16 @@ def test_validate_reports_are_pinned(grammar, report):
     # sees it
     with pytest.raises(InputError, match=f"^{re.escape(report[0])}$"):
         Grammar(*grammar)
+
+
+def test_replace_builds_through_the_checking_constructor():
+    # a copy is checked as a new value is; ``_make`` is the one unchecked path
+    with pytest.raises(InputError, match="^start symbol 'X' is not a declared color$"):
+        enumerate_language(G_AB._replace(start="X"), 3)
+    phi = identity_species_map(G_AB.species)
+    with pytest.raises(InputError, match="^node 'r0' missing from node map$"):
+        phi._replace(node_map={"r1": "r1"}).apply_tree(Apply(G_AB.species.node_by_name["r0"], ()))
+    assert G_AB._replace(start="S") == G_AB and phi._replace() == phi
 
 
 def test_validate_knuth_end_rule():
@@ -662,73 +674,113 @@ def test_spliced_concat_error_messages(op, grammars, error, message):
 def test_spliced_concat_rejects_a_segment_that_is_no_path():
     # the middle segment claims to run from top to * with no generators
     op = SplicedArrow((identity_path("*"), Path(TOP, "*", ()), identity_path(TOP)))
-    with pytest.raises(InputError, match="^rule 'x#cat': segment 1 has type"):
+    message = "node 'x#cat': segment 1 has type ⊤->⊤, expected ⊤->*"
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
         spliced_concat(op, [G_END, G_END])
 
 
+RULE_NONTERMINALS = {"S": ("*", TOP), "A": ("*", "*")}
+
+
 @pytest.mark.parametrize(
-    "inputs,segments,message",
+    "start,nonterminals,inputs,segments,message",
     [
-        (("A",), (("$",), ("$",)), "rule 'x': segment 0 has type *->⊤, expected *->*"),
-        (("A", "A"), ((), ("$",), ("$",)), "rule 'x': segment 1 has type *->⊤, expected *->*"),
-        (("A",), (("a",), ("a",)), "rule 'x': segment 1 has type *->*, expected *->⊤"),
-        # every path is built before any segment's type is checked
-        (("A",), (("$",), ("c",)), "rule 'x': segment 1: unknown generator(s) ['c']"),
-        (("A",), (("a",),), "rule 'x' needs 2 segments, got 1"),
+        ("S", RULE_NONTERMINALS, ("A",), (("$",), ("$",)),
+         "node 'x': segment 0 has type *->⊤, expected *->*"),
+        ("S", RULE_NONTERMINALS, ("A", "A"), ((), ("$",), ("$",)),
+         "node 'x': segment 1 has type *->⊤, expected *->*"),
+        ("S", RULE_NONTERMINALS, ("A",), (("a",), ("a",)),
+         "node 'x': segment 1 has type *->*, expected *->⊤"),
+        # the first fault in reading order: segment 0's type, not segment
+        # 1's unknown generator
+        ("S", RULE_NONTERMINALS, ("A",), (("$",), ("c",)),
+         "node 'x': segment 0 has type *->⊤, expected *->*"),
+        ("S", RULE_NONTERMINALS, ("A",), (("a",),), "rule 'x' needs 2 segments, got 1"),
         (
+            "S",
+            RULE_NONTERMINALS,
             ("A",),
             (("$", "$"), ()),
-            "rule 'x': segment 0: generators do not compose: "
+            "node 'x': segment 0: generators do not compose: "
             "expected source '⊤', got '$' : '*' -> '⊤'",
         ),
+        ("S", RULE_NONTERMINALS, ("B",), ((), ()), "node 'x' references undeclared color 'B'"),
+        ("S", {**RULE_NONTERMINALS, "A": ("*", "q")}, ("A",), (("a",), ("$",)),
+         "color 'A' has gap type outside the category"),
+        ("T", RULE_NONTERMINALS, ("A",), (("a",), ("$",)),
+         "start symbol 'T' is not a declared color"),
     ],
-    ids=["first", "middle", "last", "paths-first", "count", "compose"],
+    ids=[
+        "first",
+        "middle",
+        "last",
+        "paths-first",
+        "count",
+        "compose",
+        "undeclared-color",
+        "gap-outside",
+        "undeclared-start",
+    ],
 )
-def test_grammar_from_rules_error_messages(inputs, segments, message):
-    nonterminals = {"S": ("*", TOP), "A": ("*", "*")}
+def test_grammar_from_rules_error_messages(start, nonterminals, inputs, segments, message):
     with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
-        grammar_from_rules(GRAPH_AB_END, "S", nonterminals, [("x", "S", inputs, segments)])
+        grammar_from_rules(GRAPH_AB_END, start, nonterminals, [("x", "S", inputs, segments)])
 
 
 @st.composite
 def rule_data(draw):
-    """Rule data over ``GRAPH_PQ``, each rule with at most one of the faults
-    ``grammar_from_rules`` checks: an undeclared color ``U``, an unknown
-    generator ``z``, a segment of another type or a wrong segment count;
-    sometimes a color ``R`` typed at an object of no graph."""
+    """Rule data over ``GRAPH_PQ``, each rule with at most one fault: an
+    undeclared color ``U``, an unknown generator ``z``, a segment of
+    another type or a wrong segment count; sometimes a color ``R`` typed at
+    an object of no graph, and sometimes the start ``U``.  Also returns
+    whether a fault was planted."""
     real = st.sampled_from(GRAPH_PQ.objects)
     declared = draw(st.lists(st.sampled_from(RANDOM_COLORS), min_size=1, unique=True))
     nonterminals = {c: (draw(real), draw(real)) for c in declared}
-    if not draw(st.integers(0, 7)):
+    planted = not draw(st.integers(0, 7))
+    if planted:
         nonterminals["R"] = ("r", draw(real))
     rules = []
     for index in range(draw(st.integers(0, 4))):
         fault = draw(st.integers(0, 9))
         colors = st.sampled_from(declared + ["U"] if fault == 0 else declared)
         output, inputs = draw(colors), tuple(draw(st.lists(colors, max_size=2)))
+        planted |= "U" in (output, *inputs)
         gaps = [nonterminals.get(c, ("p", "q")) for c in (output, *inputs)]
         ends = [gaps[0][0], *(end for gap in gaps[1:] for end in gap), gaps[0][1]]
-        segments = [_segment(draw, src, dst) for src, dst in zip(ends[::2], ends[1::2])]
+        spans = list(zip(ends[::2], ends[1::2]))
+        segments = [_segment(draw, src, dst) for src, dst in spans]
         at = draw(st.integers(0, len(segments) - 1))
         if fault == 1:
             segments[at] = draw(st.sampled_from([("z",), ("a", "z")]))
+            planted = True
         elif fault == 2:
-            segments[at] = _segment(draw, draw(real), draw(real))
+            src, dst = draw(real), draw(real)
+            segments[at] = _segment(draw, src, dst)
+            # an empty segment is a path at every object, so it is a fault
+            # only where the forced ends differ
+            wrong = spans[at][0] != spans[at][1] if not segments[at] else (src, dst) != spans[at]
+            planted |= wrong
         elif fault == 3:
             segments = draw(st.sampled_from([segments[:-1], segments + [()]]))
+            planted = True
         rules.append((f"n{index}", output, inputs, tuple(segments)))
-    return draw(st.sampled_from(declared * 3 + ["U"])), nonterminals, rules
+    start = draw(st.sampled_from(declared * 3 + ["U"]))
+    return start, nonterminals, rules, planted or start == "U"
 
 
 @given(rule_data())
 def test_grammar_from_rules_builds_only_grammars_validate_accepts(data):
     # every grammar file is read through grammar_from_rules, so `catgram
-    # validate -g` exits 0 or 2, never 1 with a report
-    start, nonterminals, rules = data
+    # validate -g` exits 0 or 2, never 1 with a report; and a draw is
+    # refused exactly when it has a fault
+    start, nonterminals, rules, planted = data
     try:
         grammar = grammar_from_rules(GRAPH_PQ, start, nonterminals, rules)
     except InputError:
+        assert planted
         return
+    assert not planted
     assert validate(grammar) == []
 
 
@@ -839,7 +891,8 @@ NOT_A_PATH = _g_ab_with(r0=SplicedArrow((Path("*", "*", ("a", "c")),)))
 )
 def test_constructions_reject_a_grammar_that_validate_faults(construct):
     # the faulty operand cannot be built, so no construction carries it on
-    with pytest.raises(InputError, match="^node 'r0': segment 0 is not a path of the category$"):
+    message = "node 'r0': segment 0: unknown generator(s) ['c']"
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
         construct()
 
 

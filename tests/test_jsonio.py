@@ -263,15 +263,18 @@ def test_mutation_messages_are_pinned():
     # Pinned from the readers as they were before they shared one record
     # reader, with two deliberate changes: `initial` and `final` errors of an
     # automaton used to carry the prefix twice (`automaton: automaton: ...`),
-    # and a segment that is no path now names its rule and segment (16 lines).
+    # and a segment that is no path now names its rule and segment (16 lines);
+    # and with the grammar checked by ``validate`` alone, its messages name
+    # a node and a color where they named a rule and a nonterminal (38
+    # lines, none moved between refused and accepted).
     assert len(lines) == 1709
     assert "M_EVENA ('initial',) dropped\tInputError: automaton: missing field 'initial'" in lines
     assert (
         "G_AB ('rules', 0, 'splice', 1, 0) = 'x'\t"
-        "InputError: grammar: rule 'r1': segment 1: unknown generator(s) ['x']"
+        "InputError: grammar: node 'r1': segment 1: unknown generator(s) ['x']"
     ) in lines
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == "62f2b5e1137e84a099cc30d5f3aa4ad881d5b8cedbece42f0871f24af446974c"
+    assert digest == "b9f40285ff7d813d9ae4b5ee29b0a0752af8c99f7386fa5c24c4c4dc59508e7d"
 
 
 # -- branches no other test takes -------------------------------------------

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import itertools
 import math
+import re
 from unittest import mock
 
 import pytest
@@ -574,13 +575,18 @@ _COMMA_STATE = Automaton(
 # faulty values, made without the constructor's check: r0's one segment
 # ends over the end marker's object, not E's; an undeclared start; no splice
 # for r0
-_ILL_TYPED = G_END._replace(
-    node_splice={**G_END.node_splice, "r0": SplicedArrow((G_END.category.path(("a", "b", "$")),))}
-)
-_UNDECLARED_START = G_END._replace(start="Z")
-_MISSING_SPLICE = G_END._replace(
-    node_splice={name: splice for name, splice in G_END.node_splice.items() if name != "r0"}
-)
+_ILL_TYPED = Grammar._make({
+    **G_END._asdict(),
+    "node_splice": {
+        **G_END.node_splice,
+        "r0": SplicedArrow((G_END.category.path(("a", "b", "$")),)),
+    },
+}.values())
+_UNDECLARED_START = Grammar._make({**G_END._asdict(), "start": "Z"}.values())
+_MISSING_SPLICE = Grammar._make({
+    **G_END._asdict(),
+    "node_splice": {name: splice for name, splice in G_END.node_splice.items() if name != "r0"},
+}.values())
 _ONE_STATE = catgram.automaton.import_classical(
     "ab", ["p"], [("p", "a", "p"), ("p", "b", "p")], "p", ["p"]
 )
@@ -755,10 +761,12 @@ def test_functorial_image_rejects_segment_outside_domain():
     # a grammar over the right graph whose splice holds a path the graph
     # does not have: the constructor refuses it, and the image of one made
     # without the check still refuses it
-    bad = G_AB._replace(
-        node_splice={**G_AB.node_splice, "r0": SplicedArrow((Path("*", "*", ("a", "c")),))}
-    )
-    with pytest.raises(InputError, match="^node 'r0': segment 0 is not a path of the category$"):
+    bad = Grammar._make({
+        **G_AB._asdict(),
+        "node_splice": {**G_AB.node_splice, "r0": SplicedArrow((Path("*", "*", ("a", "c")),))},
+    }.values())
+    message = "node 'r0': segment 0: unknown generator(s) ['c']"
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
         Grammar(*bad)
     with pytest.raises(InputError, match="does not lie in the functor's domain"):
         functorial_image(bad, identity_functor(GRAPH_AB))
