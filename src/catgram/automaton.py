@@ -6,8 +6,9 @@ the induced functor of free categories finitary (finite fibers) and gives it
 the unique-lifting-of-factorizations property, which is what lets grammars
 be pulled back along automata.  A run is a path in the state graph; the
 recognized language is the set of images of runs from the initial to the
-final state.  ``Automaton.functor`` is that functor, and ``automaton_of``
-reads an automaton back off any functor of this kind.
+final state.  ``Automaton.functor`` is that functor, and building it checks
+the automaton; ``automaton_of`` reads an automaton back off any functor of
+this kind and keeps it.
 
 Epsilon transitions and transitions over longer paths are deliberately
 rejected: collapsing a generator to an identity already breaks unique
@@ -25,7 +26,7 @@ from collections import namedtuple
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple
 
-from .errors import InputError
+from .errors import Checked, InputError
 from .freecat import (
     STAR,
     END_MARKER,
@@ -53,7 +54,12 @@ class Transition(NamedTuple):
     over: str
 
 
-class Automaton(namedtuple("Automaton", "base states transitions initial final")):
+class Automaton(Checked, namedtuple("Automaton", "base states transitions initial final")):
+    """An automaton checks itself by building its functor once, through
+    ``FiniteGraph`` and ``FreeFunctor``; it refuses on its own only a
+    transition over an unknown generator and an undeclared initial or
+    final state.  A value built with ``_make`` is checked on first use."""
+
     def __new__(
         cls,
         base: FiniteGraph,
@@ -62,42 +68,41 @@ class Automaton(namedtuple("Automaton", "base states transitions initial final")
         initial: str,
         final: str,
     ) -> Automaton:
-        names = [s.name for s in states]
-        if len(set(names)) != len(names):
-            raise InputError("duplicate state names")
-        tnames = [t.name for t in transitions]
-        if len(set(tnames)) != len(tnames):
-            raise InputError("duplicate transition names")
-        over = {s.name: s.over for s in states}
-        for s in states:
-            if not base.has_object(s.over):
-                raise InputError(f"state {s.name!r} lies over unknown object {s.over!r}")
-        gen_table = base.generator_by_name
-        for t in transitions:
+        automaton = super().__new__(cls, base, states, transitions, initial, final)
+        automaton.functor
+        return automaton
+
+    @cached_property
+    def functor(self) -> FreeFunctor:
+        """The induced functor from the free category of runs to the base."""
+        gen_table = self.base.generator_by_name
+        images: dict[str, Path] = {}
+        for t in self.transitions:
             g = gen_table.get(t.over)
             if g is None:
                 raise InputError(f"transition {t.name!r} lies over unknown generator {t.over!r}")
-            if t.src not in over or t.dst not in over:
-                raise InputError(f"transition {t.name!r} uses undeclared states")
-            if over[t.src] != g.src or over[t.dst] != g.dst:
-                raise InputError(
-                    f"transition {t.name!r} does not lie over its generator: "
-                    f"{over[t.src]}->{over[t.dst]} vs {g.src}->{g.dst}"
-                )
-        if initial not in over or final not in over:
-            raise InputError("initial or final state undeclared")
-        return super().__new__(cls, base, states, transitions, initial, final)
+            images[t.name] = Path(g.src, g.dst, (g.name,))
+        states = FiniteGraph(
+            tuple(s.name for s in self.states),
+            tuple(Generator(t.name, t.src, t.dst) for t in self.transitions),
+        )
+        return self._hold(FreeFunctor(states, self.base, {s.name: s.over for s in self.states}, images))
 
-    @cached_property
-    def state_over(self) -> Mapping[str, str]:
-        return {s.name: s.over for s in self.states}
+    def _hold(self, functor: FreeFunctor) -> FreeFunctor:
+        """Hold ``functor`` as this automaton's, once its initial and final
+        states are states of its domain."""
+        if not (functor.domain.has_object(self.initial) and functor.domain.has_object(self.final)):
+            raise InputError("initial or final state undeclared")
+        self.__dict__["functor"] = functor
+        return functor
 
     @cached_property
     def state_graph(self) -> FiniteGraph:
-        return FiniteGraph(
-            objects=tuple(s.name for s in self.states),
-            generators=tuple(Generator(t.name, t.src, t.dst) for t in self.transitions),
-        )
+        return self.functor.domain
+
+    @cached_property
+    def state_over(self) -> Mapping[str, str]:
+        return self.functor.object_map
 
     @cached_property
     def transitions_from(self) -> Mapping[tuple[str, str], list[Transition]]:
@@ -108,25 +113,12 @@ class Automaton(namedtuple("Automaton", "base states transitions initial final")
             table.setdefault((t.src, t.over), []).append(t)
         return table
 
-    @cached_property
-    def functor(self) -> FreeFunctor:
-        """The induced functor from the free category of runs to the base."""
-        gen_table = self.base.generator_by_name
-        return FreeFunctor(
-            domain=self.state_graph,
-            codomain=self.base,
-            object_map=dict(self.state_over),
-            generator_map={
-                t.name: Path(gen_table[t.over].src, gen_table[t.over].dst, (t.over,))
-                for t in self.transitions
-            },
-        )
-
 
 def automaton_of(functor: FreeFunctor, initial: str, final: str) -> Automaton:
     """The automaton of a functor that sends each generator to a single
     generator, the inverse of ``Automaton.functor``: each domain object is a
-    state over its image, each domain generator a transition over its own."""
+    state over its image, each domain generator a transition over its own.
+    The functor is checked already, so the automaton holds it as it is."""
     transitions = []
     for g in functor.domain.generators:
         image = functor.generator_map[g.name]
@@ -134,7 +126,9 @@ def automaton_of(functor: FreeFunctor, initial: str, final: str) -> Automaton:
             raise InputError(f"generator {g.name!r} is sent to {len(image)} generators, not one")
         transitions.append(Transition(g.name, g.src, g.dst, *image.gens))
     states = tuple(State(o, functor.object_map[o]) for o in functor.domain.objects)
-    return Automaton(functor.codomain, states, tuple(transitions), initial, final)
+    automaton = Automaton._make((functor.codomain, states, tuple(transitions), initial, final))
+    automaton._hold(functor)
+    return automaton
 
 
 def import_classical(

@@ -111,8 +111,6 @@ def contour_category(species: Species) -> FiniteGraph:
 def universal_grammar(species: Species, start: str) -> Grammar:
     """The grammar of tree contours over the contour category: each color
     refines its own oriented pair and each node splices its own corners."""
-    if start not in set(species.colors):
-        raise InputError(f"unknown start color {start!r}")
     graph = contour_category(species)
     color_gap = {c: GapType(up(c), down(c)) for c in species.colors}
     corners = iter(graph.generators)  # node by node, each in index order

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the mixin of the values
+that refuse them when built."""
 
 
 class CatgramError(Exception):
@@ -16,3 +17,14 @@ class CompositionError(CatgramError):
 class InputError(CatgramError):
     """External input (JSON, classical grammar text, CLI words) is malformed
     or refers to undeclared names."""
+
+
+class Checked:
+    """A named tuple that checks itself in ``__new__``: ``_replace`` builds
+    the copy through the constructor, so a copy is checked as a new value
+    is.  ``_make`` is the one path that skips the check."""
+
+    __slots__ = ()
+
+    def _replace(self, **changes):
+        return type(self)(**{**self._asdict(), **changes})

@@ -13,7 +13,7 @@ from collections import namedtuple
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple
 
-from .errors import CompositionError, InputError
+from .errors import Checked, CompositionError, InputError
 
 STAR = "*"
 TOP = "⊤"
@@ -52,7 +52,7 @@ def identity_path(obj: str) -> Path:
     return Path(obj, obj, ())
 
 
-class FiniteGraph(namedtuple("FiniteGraph", "objects generators")):
+class FiniteGraph(Checked, namedtuple("FiniteGraph", "objects generators")):
     """A finite presentation of a free category.
 
     Objects and generators are kept in declaration order so that every
@@ -149,7 +149,7 @@ def word(graph: FiniteGraph, letters: str, src: str | None = None) -> Path:
     return graph.path(tuple(letters), src=src)
 
 
-class FreeFunctor(namedtuple("FreeFunctor", "domain codomain object_map generator_map")):
+class FreeFunctor(Checked, namedtuple("FreeFunctor", "domain codomain object_map generator_map")):
     """A functor between free categories, given on objects and generators.
 
     ``generator_map`` sends each generator of the domain to a path of the
@@ -170,7 +170,7 @@ class FreeFunctor(namedtuple("FreeFunctor", "domain codomain object_map generato
             if o not in object_map:
                 raise InputError(f"object {o!r} missing from object map")
             if not codomain.has_object(object_map[o]):
-                raise InputError(f"object {o!r} mapped outside the codomain")
+                raise InputError(f"object {o!r} mapped to {object_map[o]!r}, outside the codomain")
         for g in domain.generators:
             img = generator_map.get(g.name)
             if img is None:

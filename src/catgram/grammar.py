@@ -24,7 +24,7 @@ import itertools
 from collections import namedtuple
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .errors import CompositionError, InputError
+from .errors import Checked, CompositionError, InputError
 from .freecat import (
     STAR,
     FiniteGraph,
@@ -37,7 +37,7 @@ from .species import DerivationTree, Leaf, Node, Species, _inputs, _output, deri
 from .spliced import GapType, SplicedArrow
 
 
-class Grammar(namedtuple("Grammar", "category species start color_gap node_splice")):
+class Grammar(Checked, namedtuple("Grammar", "category species start color_gap node_splice")):
     """A grammar checks itself when built: ``Grammar(...)`` and
     ``_replace`` raise the first message of ``validate`` as an
     ``InputError``, so no consumer re-checks it.  ``_make`` is the one
@@ -58,9 +58,6 @@ class Grammar(namedtuple("Grammar", "category species start color_gap node_splic
         if problems:
             raise InputError(problems[0])
         return grammar
-
-    def _replace(self, **changes) -> Grammar:
-        return Grammar(**{**self._asdict(), **changes})
 
     def gap_of(self, color: str) -> GapType:
         return self.color_gap[color]

@@ -28,7 +28,7 @@ from collections import namedtuple
 from functools import cached_property
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar, Union
 
-from .errors import CompositionError, InputError
+from .errors import Checked, CompositionError, InputError
 
 
 class Node(NamedTuple):
@@ -47,7 +47,7 @@ class Node(NamedTuple):
 _name, _inputs, _output = map(operator.itemgetter, range(3))
 
 
-class Species(namedtuple("Species", "colors nodes")):
+class Species(Checked, namedtuple("Species", "colors nodes")):
     def __new__(cls, colors: tuple[str, ...], nodes: tuple[Node, ...] = ()) -> Species:
         declared = set(colors)
         if len(declared) != len(colors):
@@ -104,7 +104,7 @@ class Leaf(NamedTuple):
     color: str
 
 
-class Apply(namedtuple("Apply", "node children")):
+class Apply(Checked, namedtuple("Apply", "node children")):
     """A node applied to one subtree per input.
 
     Equality and hashing read the preorder of nodes and leaves in one walk,
@@ -242,7 +242,7 @@ def tree_substitute(tree: DerivationTree, index: int, sub: DerivationTree) -> De
     return grafted
 
 
-class SpeciesMap(namedtuple("SpeciesMap", "source target color_map node_map")):
+class SpeciesMap(Checked, namedtuple("SpeciesMap", "source target color_map node_map")):
     """A map of species: a color renaming and a node renaming that are
     required to commute with the input/output coloring.  It checks itself
     when built: ``SpeciesMap(...)`` and ``_replace`` raise the first
@@ -259,9 +259,6 @@ class SpeciesMap(namedtuple("SpeciesMap", "source target color_map node_map")):
         if problems:
             raise InputError(problems[0])
         return phi
-
-    def _replace(self, **changes) -> SpeciesMap:
-        return SpeciesMap(**{**self._asdict(), **changes})
 
     def apply_color(self, color: str) -> str:
         return self.color_map[color]

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import namedtuple
 from typing import NamedTuple
 
-from .errors import CompositionError
+from .errors import Checked, CompositionError
 from .freecat import Path, identity_path, path_compose
 
 
@@ -22,7 +22,7 @@ class GapType(NamedTuple):
     right: str
 
 
-class SplicedArrow(namedtuple("SplicedArrow", "segments")):
+class SplicedArrow(Checked, namedtuple("SplicedArrow", "segments")):
     """n+1 path segments around n gaps.
 
     Segment ``i`` runs from the right object of gap ``i-1`` to the left

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -35,6 +36,7 @@ from catgram.contour import down, up
 from catgram.fixtures import GRAPH_AB, GRAPH_AB_END, M_EVENA, SPC_FIG3, fig3_tree
 from catgram.species import Apply, Leaf
 from conftest import outcome
+from test_parser import GRAPH_PQ
 
 pytestmark = pytest.mark.deep  # all of it runs under the deep profile in CI
 
@@ -337,7 +339,10 @@ def test_automaton_functors_are_ulf():
 
 @pytest.mark.parametrize("auto", AUTOMATA)
 def test_automaton_of_inverts_the_automaton_functor(auto):
-    assert automaton_of(auto.functor, auto.initial, auto.final) == auto
+    # and holds the functor it was given, which is checked already
+    inverse = automaton_of(auto.functor, auto.initial, auto.final)
+    assert inverse == auto and inverse.functor is auto.functor
+    assert auto.state_graph is auto.functor.domain
 
 
 @pytest.mark.parametrize(
@@ -384,23 +389,146 @@ def test_fibers_are_finite():
                 assert len(runs) <= 1  # this automaton is deterministic
 
 
+_AB_END_STATES = (State("e", "*"), State("t", TOP))
+
+
+# one case per refusal, each with its whole message
+AUTOMATON_REFUSALS = [
+    (
+        lambda: Automaton(GRAPH_AB, (State("e", "*"), State("e", "*")), (), "e", "e"),
+        "duplicate object names in graph",
+    ),
+    (
+        lambda: Automaton(
+            GRAPH_AB, (State("e", "*"),), (Transition("t", "e", "e", "a"),) * 2, "e", "e"
+        ),
+        "duplicate generator names in graph",
+    ),
+    (
+        lambda: Automaton(GRAPH_AB, (State("e", "x"),), (), "e", "e"),
+        "object 'e' mapped to 'x', outside the codomain",
+    ),
+    (
+        lambda: Automaton(
+            GRAPH_AB, (State("e", "*"),), (Transition("t", "e", "e", "z"),), "e", "e"
+        ),
+        "transition 't' lies over unknown generator 'z'",
+    ),
+    (
+        lambda: Automaton(
+            GRAPH_AB, (State("e", "*"),), (Transition("t", "e", "o", "a"),), "e", "e"
+        ),
+        "generator 't' has undeclared endpoint 'e' or 'o'",
+    ),
+    (
+        lambda: Automaton(
+            GRAPH_AB_END, _AB_END_STATES, (Transition("x", "e", "e", "$"),), "e", "t"
+        ),
+        "image of generator 'x' has endpoints *->⊤, expected *->*",
+    ),
+    (
+        lambda: Automaton(GRAPH_AB, (State("e", "*"),), (), "o", "e"),
+        "initial or final state undeclared",
+    ),
+    (
+        lambda: Automaton(GRAPH_AB, (State("e", "*"),), (), "e", "o"),
+        "initial or final state undeclared",
+    ),
+    (
+        lambda: Automaton._make(
+            (GRAPH_AB_END, _AB_END_STATES, (Transition("x", "e", "e", "$"),), "e", "t")
+        ).functor,
+        "image of generator 'x' has endpoints *->⊤, expected *->*",
+    ),
+]
+
+
 def test_automaton_validation():
-    with pytest.raises(InputError):
-        Automaton(
-            base=GRAPH_AB,
-            states=(State("e", "*"),),
-            transitions=(Transition("t", "e", "e", "z"),),
-            initial="e",
-            final="e",
+    # the last case is built by ``_make``, which skips the check; the first
+    # use of its functor makes it
+    assert [outcome(call) for call, _ in AUTOMATON_REFUSALS] == [
+        f"InputError: {message}" for _, message in AUTOMATON_REFUSALS
+    ]
+
+
+# a planted fault, and the start of the message that refuses it
+AUTOMATON_FAULTS = {
+    "duplicate-state": "duplicate object names in graph",
+    "duplicate-transition": "duplicate generator names in graph",
+    "unknown-object": "object 's0' mapped to 'x', outside the codomain",
+    "unknown-generator": "transition 'bad' lies over unknown generator 'z'",
+    "undeclared-state": "generator 'bad' has undeclared endpoint ",
+    "not-over-its-generator": "image of generator 'bad' has endpoints ",
+    "undeclared-end": "initial or final state undeclared",
+}
+
+
+@st.composite
+def automaton_data(draw):
+    """Arguments of ``Automaton`` over ``GRAPH_AB_END`` or ``GRAPH_PQ``,
+    and the one fault planted in them, or None."""
+    base = draw(st.sampled_from([GRAPH_AB_END, GRAPH_PQ]))
+    # a state over the first object, so a transition is always possible
+    overs = [base.objects[0]] + draw(st.lists(st.sampled_from(base.objects), max_size=3))
+    states = [State(f"s{i}", o) for i, o in enumerate(overs)]
+    lying = [
+        (g.name, s.name, d.name)
+        for g in base.generators
+        for s in states
+        if s.over == g.src
+        for d in states
+        if d.over == g.dst
+    ]
+    transitions = [
+        Transition(f"t{i}", src, dst, over)
+        for i, (over, src, dst) in enumerate(draw(st.lists(st.sampled_from(lying), max_size=5)))
+    ]
+    names = [s.name for s in states]
+    ends = [draw(st.sampled_from(names)), draw(st.sampled_from(names))]
+    fault = draw(st.sampled_from([None, *AUTOMATON_FAULTS]))
+    if fault == "duplicate-state":
+        states.append(State(draw(st.sampled_from(names)), draw(st.sampled_from(base.objects))))
+    elif fault == "duplicate-transition":
+        over, src, dst = draw(st.sampled_from(lying))
+        transitions += [Transition("bad", src, dst, over)] * 2
+    elif fault == "unknown-object":
+        states[0] = State("s0", "x")
+    elif fault == "unknown-generator":
+        transitions.append(Transition("bad", draw(st.sampled_from(names)), names[0], "z"))
+    elif fault == "undeclared-state":
+        over, src, dst = draw(st.sampled_from(lying))
+        src, dst = draw(st.sampled_from([("nowhere", dst), (src, "nowhere")]))
+        transitions.append(Transition("bad", src, dst, over))
+    elif fault == "not-over-its-generator":
+        over, src, dst = draw(
+            st.sampled_from(
+                [
+                    (g.name, s.name, d.name)
+                    for g in base.generators
+                    for s in states
+                    for d in states
+                    if (s.over, d.over) != (g.src, g.dst)
+                ]
+            )
         )
-    with pytest.raises(InputError):
-        Automaton(
-            base=GRAPH_AB_END,
-            states=(State("e", "*"), State("t", TOP)),
-            transitions=(Transition("x", "e", "e", "$"),),
-            initial="e",
-            final="t",
-        )
+        transitions.append(Transition("bad", src, dst, over))
+    elif fault == "undeclared-end":
+        ends[draw(st.integers(0, 1))] = "nowhere"
+    draw(st.randoms()).shuffle(transitions)
+    return (base, tuple(states), tuple(transitions), *ends), fault
+
+
+@given(automaton_data())
+def test_automaton_is_refused_exactly_when_a_fault_is_planted(data):
+    args, fault = data
+    if fault is not None:
+        with pytest.raises(InputError, match=f"^{re.escape(AUTOMATON_FAULTS[fault])}"):
+            Automaton(*args)
+        return
+    automaton = Automaton(*args)
+    assert automaton.state_graph is automaton.functor.domain
+    assert automaton.state_over is automaton.functor.object_map
+    assert ulf_check_bounded(automaton.functor, 2) is None
 
 
 # -- branches no other test takes -------------------------------------------
@@ -411,13 +539,13 @@ def test_automaton_validation():
     [
         (
             lambda: Automaton(GRAPH_AB, (State("q", "*"), State("q", "*")), (), "q", "q"),
-            "InputError: duplicate state names",
+            "InputError: duplicate object names in graph",
         ),
         (
             lambda: Automaton(
                 GRAPH_AB, (State("q", "*"),), (Transition("t", "q", "q", "a"),) * 2, "q", "q"
             ),
-            "InputError: duplicate transition names",
+            "InputError: duplicate generator names in graph",
         ),
         (
             lambda: import_classical("a", ["qf", "q"], [("qf", "a", "q")], "qf", ["q"]).final,

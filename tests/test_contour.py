@@ -703,7 +703,7 @@ def test_compose_functors_recolors_then_interprets():
 @pytest.mark.parametrize(
     "call, expected",
     [
-        (lambda: universal_grammar(SPC_FIG3, "2"), "InputError: unknown start color '2'"),
+        (lambda: universal_grammar(SPC_FIG3, "2"), "InputError: start symbol '2' is not a declared color"),
         (
             lambda: contour_word(SPC_FIG3, Leaf("1")),
             "InputError: contour words are defined for closed trees",

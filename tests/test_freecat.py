@@ -273,7 +273,7 @@ def test_contains_path_agrees_with_rebuilding_exhaustive(graph):
     "object_map,generator_map,message",
     [
         ({"X": "*"}, {}, "object 'Y' missing from object map"),
-        ({"X": "*", "Y": "nowhere"}, {}, "object 'Y' mapped outside the codomain"),
+        ({"X": "*", "Y": "nowhere"}, {}, "object 'Y' mapped to 'nowhere', outside the codomain"),
         ({"X": "*", "Y": "*"}, {"u": word(AB, "a")}, "generator 'v' missing from generator map"),
         ({"X": "*", "Y": "*"}, {"u": Path("*", "*", ("z",)), "v": word(AB, "a")},
          "image of generator 'u' is not a codomain path"),

@@ -34,6 +34,7 @@ from catgram import (
     parse_classical_text,
     parse_forest,
     recognize,
+    run_membership,
     spliced_compose_parallel,
     spliced_concat,
     spliced_identity,
@@ -53,6 +54,7 @@ from catgram.fixtures import (
     GRAPH_AB,
     GRAPH_AB_END,
     G_UNIT,
+    M_EVENA,
 )
 from catgram.grammar import Grammar
 from catgram.species import Node, Species, fold, identity_species_map
@@ -162,6 +164,46 @@ def test_replace_builds_through_the_checking_constructor():
     with pytest.raises(InputError, match="^node 'r0' missing from node map$"):
         phi._replace(node_map={"r1": "r1"}).apply_tree(Apply(G_AB.species.node_by_name["r0"], ()))
     assert G_AB._replace(start="S") == G_AB and phi._replace() == phi
+
+
+_R0, _R1 = map(G_AB.species.node_by_name.get, ("r0", "r1"))
+
+
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        (
+            lambda: run_membership(M_EVENA._replace(initial="nope"), word(GRAPH_AB, "aa")),
+            "InputError: initial or final state undeclared",
+        ),
+        (
+            lambda: G_AB.species._replace(colors=("S", "S")),
+            "InputError: duplicate color names in species",
+        ),
+        (
+            lambda: GRAPH_AB._replace(objects=("*", "*")),
+            "InputError: duplicate object names in graph",
+        ),
+        (
+            lambda: identity_functor(GRAPH_AB)._replace(object_map={}),
+            "InputError: object '*' missing from object map",
+        ),
+        (
+            lambda: Apply(_R1, (Apply(_R0, ()),))._replace(children=()),
+            "CompositionError: node 'r1' has arity 1, got 0 children",
+        ),
+        (
+            lambda: G_AB.splice_of("r0")._replace(segments=()),
+            "CompositionError: a spliced arrow needs at least one segment",
+        ),
+    ],
+    ids=["automaton", "species", "graph", "functor", "tree", "spliced-arrow"],
+)
+def test_replace_checks_every_value_that_checks_itself(call, expected):
+    # each value's copy is checked as a new value is, where it was copied
+    # unchecked: the automaton then failed with a bare KeyError in
+    # run_membership, and the species held the color S twice
+    assert outcome(call) == expected
 
 
 def test_validate_knuth_end_rule():

@@ -266,7 +266,10 @@ def test_mutation_messages_are_pinned():
     # and a segment that is no path now names its rule and segment (16 lines);
     # and with the grammar checked by ``validate`` alone, its messages name
     # a node and a color where they named a rule and a nonterminal (38
-    # lines, none moved between refused and accepted).
+    # lines, none moved between refused and accepted); and with an
+    # automaton checked by building its state graph and functor, its
+    # messages are those of the graph and the functor (13 lines, wording
+    # only).
     assert len(lines) == 1709
     assert "M_EVENA ('initial',) dropped\tInputError: automaton: missing field 'initial'" in lines
     assert (
@@ -274,7 +277,7 @@ def test_mutation_messages_are_pinned():
         "InputError: grammar: node 'r1': segment 1: unknown generator(s) ['x']"
     ) in lines
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == "b9f40285ff7d813d9ae4b5ee29b0a0752af8c99f7386fa5c24c4c4dc59508e7d"
+    assert digest == "7e5ecd4907b15264b7aedfa670ee791b1935c4f3b9549bf230ed162731428d80"
 
 
 # -- branches no other test takes -------------------------------------------
