@@ -28,7 +28,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import islice
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import CompositionError, InputError
 from .automaton import Automaton, automaton_of
@@ -250,19 +250,15 @@ _NO_TREE = "not the contour of a closed tree"
 _NO_PATH = "not a path of the contour category"
 
 
-def _pair_letters(letters: Sequence[DyckLetter]) -> None:
-    """Check in one stack pass that letters obeying the orientation rules
-    pair as the translation pairs them: the second letter of ``(x,i)`` with
-    the first of ``(x,i+1)``, the first of ``(x,0)`` with the second of
-    ``(x,arity)``.  So each corner ``(x,i)`` with i > 0 is the next one of
-    the innermost open node, and a composable path passes just when it is
-    the contour of a closed tree."""
-    waiting: list[tuple[str, int]] = []  # the next corner of each open node
-    for k, (bracket, name, i) in enumerate(letters[1::2]):
-        if i and (not waiting or waiting.pop() != (name, i)):
-            raise InputError(f"corner {k} {corner_name(name, i)} is out of turn: {_NO_TREE}")
-        if bracket == "[":
-            waiting.append((name, i + 1))
+def _pairing_fault(out_of_turn: tuple[int, str, int] | None, waiting: list) -> None:
+    """Raise the first fault of a stack pass over the second letters of a
+    path's corners.  Letters obeying the orientation rules pair as the
+    translation pairs them, so each corner ``(x,i)`` with i > 0 must be the
+    next one of the innermost open node; ``out_of_turn`` is the first ``(k,
+    x, i)`` that was not, ``waiting`` the next corner of each node left open."""
+    if out_of_turn is not None:
+        k, name, i = out_of_turn
+        raise InputError(f"corner {k} {corner_name(name, i)} is out of turn: {_NO_TREE}")
     if waiting:
         raise InputError(f"the path ends inside {len(waiting)} open node(s): {_NO_TREE}")
 
@@ -270,13 +266,14 @@ def _pair_letters(letters: Sequence[DyckLetter]) -> None:
 def dyck_translate(species: Species, cw: Path) -> tuple[DyckLetter, ...]:
     """Expand each corner into its two annotated brackets, doubling the word
     length.  A path whose corners do not compose from its source to its
-    target, or that is the contour of no closed tree, is rejected.
-    """
+    target, or that is the contour of no closed tree, is rejected, in one
+    pass that raises a pairing fault only once the corners compose."""
     if cw.is_identity:
         raise InputError(f"identity path at {cw.src!r} is {_NO_TREE}")
     encode = _contour_table(species).encode
     letters: list[DyckLetter] = []
-    at = cw.src
+    waiting: list[tuple[str, int]] = []  # the next corner of each open node
+    at, out_of_turn = cw.src, None
     for k, name in enumerate(cw.gens):
         corner = encode.get(name)
         if corner is None:
@@ -286,35 +283,52 @@ def dyck_translate(species: Species, cw: Path) -> tuple[DyckLetter, ...]:
             raise InputError(f"corner {k} {name} starts at {src!r}, not at {at!r}: {_NO_PATH}")
         at = at_next
         letters += (first, second)
+        bracket, node, i = second
+        if i and (not waiting or waiting.pop() != (node, i)):
+            out_of_turn = out_of_turn or (k, node, i)
+        elif bracket == "[":
+            waiting.append((node, i + 1))
     if at != cw.dst:
         raise InputError(f"the corners end at {at!r}, not at {cw.dst!r}: {_NO_PATH}")
-    _pair_letters(letters)
+    _pairing_fault(out_of_turn, waiting)
     return tuple(letters)
 
 
 def dyck_decode(species: Species, letters: Iterable[DyckLetter]) -> Path:
     """Recover the contour word from its bracket expansion, validating the
-    pairing, the two orientation rules and that it is a tree's contour."""
+    pairing, the two orientation rules and that it is a tree's contour, in
+    one pass: composition and pairing faults are raised after it, in turn."""
     letters = tuple(letters)
     if not letters:
         raise InputError("empty letter sequence")
     if len(letters) % 2 != 0:
         raise InputError("odd number of letters")
     table = _contour_table(species)
-    corner_of = table.decode.get
+    corner_of, encode = table.decode.get, table.encode
     gens: list[str] = []
+    waiting: list[tuple[str, int]] = []
+    at, out_of_turn, composes = None, None, True
     for j, pair in enumerate(zip(letters[::2], letters[1::2])):
         name = corner_of(pair)
         # 1.0 and True equal the index 1, but name no corner
         if name is None or type(pair[0].index) is not int:
             name = _corner_of_pair(species, 2 * j, *pair)
         gens.append(name)
-    try:
-        cw = table.graph.path(gens)
-    except CompositionError as exc:
-        raise InputError(f"letters do not decode to a contour path: {exc}") from exc
-    _pair_letters(letters)
-    return cw
+        corner = encode.get(name)
+        composes = composes and corner is not None and (not j or corner[0] == at)
+        at = corner and corner[1]
+        bracket, node, i = pair[1]
+        if i and (not waiting or waiting.pop() != (node, i)):
+            out_of_turn = out_of_turn or (j, node, i)
+        elif bracket == "[":
+            waiting.append((node, i + 1))
+    if not composes:
+        try:
+            table.graph.path(gens)  # raises the first fault
+        except CompositionError as exc:
+            raise InputError(f"letters do not decode to a contour path: {exc}") from exc
+    _pairing_fault(out_of_turn, waiting)
+    return Path(encode[gens[0]][0], at, tuple(gens))
 
 
 def _corner_of_pair(species: Species, k: int, first: DyckLetter, second: DyckLetter) -> str:

@@ -9,9 +9,9 @@ and derived gap items tile the span exactly.
 Parsing is lifting along the positions of the word: a segment sits wherever
 its generators occur, an identity segment wherever its object does.  The
 chart is the item set of ``product.lift``, the semi-naive kernel that
-also builds the trimmed pullback along an automaton.  It records every
-alternative as it derives it, so the chart and the forest come out of one
-pass, and its item set does not depend on the agenda order.
+also builds the trimmed pullback along an automaton.  It writes each
+alternative into its output where it finds it, so the chart and the forest
+come out of one pass, and its item set does not depend on the agenda order.
 
 ``parse_chart`` lifts the whole placement table: every item of the word.
 ``parse_forest`` cuts the table to the start color's anchors over the
@@ -27,7 +27,8 @@ It is the kernel's own output below the root, each item the one
 in the order a depth-first search leaves them, so children first unless a
 cycle is reachable.  Forest order is pinned, so the forest alone sorts
 each item's alternatives (node declaration order, then gap spans
-ascending), into a new list; the kernel's output is left as found.  A
+ascending, by two stable sorts, as ``(node, placements)`` is unique in an
+item) into a new list; the kernel's output is left as found.  A
 forest is a hypergraph like a species, with items as vertices and
 alternatives as edges: parse counts and size bounds fold over its items in
 key order, and enumeration is ``species.trees_by_size`` on those edges
@@ -38,6 +39,7 @@ limit, not by the number of trees of a size.
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import InputError
@@ -140,7 +142,8 @@ def _forest(grammar: Grammar, w: Path, derived: dict[ParseItem, list[Alt]]) -> P
         if item in entered:
             continue
         entered[item] = True
-        alts = sorted(derived[item])
+        alts = sorted(derived[item], key=itemgetter(1))
+        alts.sort(key=itemgetter(0))
         stack.append((item, alts))
         for _, _, kids in alts:
             for child in kids:

@@ -19,20 +19,21 @@ point over both ends, so the kernel derives only what the roots can use,
 and all of what lies below them.
 
 Each item is one ``ParseItem`` object from its first derivation on, and
-alternatives hold those objects as gap items, so the kernel's output below
-a root already is its packed forest (Billot & Lang 1989).  Each reader
-walks that output for its own purpose and leaves it as found.  The parser's
-forest keeps a pinned order, so it alone sorts each item's alternatives,
-into new lists; the trimmed pullback collects the items its root reaches
-with a plain worklist, since it sorts its own head groups.
+alternatives, written in where the join finds them, hold those objects as
+gap items, so the kernel's output below a root already is its packed forest
+(Billot & Lang 1989).  Each reader walks that output and leaves it as
+found, and sorts what it reads, so the order of the kernel's insertions is
+not observable: the forest sorts each item's alternatives, into new lists,
+and the trimmed pullback its colors and head groups.
 
 The pullback grammar lives over the automaton's state graph.  Its colors are
 triples of a source state, a nonterminal and a target state whose gap type
 matches the states' underlying objects; its nodes pair a grammar node with a
 tuple of runs, one per splice segment.  Trimmed, it is read off the items
-reachable from the start item; raw, it is the full product of the same run
-lists.  The pullback square maps each run down to the segment it lies over
-and each pulled color to its color's gap type, so the grammar for the
+reachable from the start item, its colors in the raw product's order;
+raw, it is the full product of the same run lists.  The pullback square
+maps each run down to the segment it lies over and each pulled color to
+its color's gap type, so the grammar for the
 intersection of the two languages is the same pulled species over the base
 category, each node carrying its base node's own splice.  The trimmed
 pullback lifts and renders the table cut at the start item; the raw one
@@ -129,11 +130,10 @@ def lift(nodes: Sequence[Node], placements: Table) -> dict[ParseItem, list[Alt]]
     ``(p, q, *tags)``.  Node ``n`` derives ``(output, P0.p, Pk.q)`` from
     placements ``P0..Pk`` whenever each gap item ``(inputs[m], Pm.q,
     P(m+1).p)`` is derived.  Every item maps to its alternatives ``(n,
-    placement indexes, gap items)`` in the order they were found; an item is
-    made a ``ParseItem`` when first derived, and gap items are those objects.
-
-    A table cut by ``_anchors`` derives only what its roots can use.
-    Readers walk the result without changing it.
+    placement indexes, gap items)``, each written in where it is found; an
+    item is made a ``ParseItem`` when first derived, and gap items are those
+    objects.  A table cut by ``_anchors`` derives only what its roots can
+    use.  Readers walk the result without changing it.
     """
     by_start = [[_group(seg, 0) for seg in segs] for segs in placements]
     by_end = [[_group(seg, 1) for seg in segs] for segs in placements]
@@ -143,29 +143,23 @@ def lift(nodes: Sequence[Node], placements: Table) -> dict[ParseItem, list[Alt]]
             uses.setdefault(color, []).append((n, m))
     derived: dict[ParseItem, list[Alt]] = {}
     agenda: deque[ParseItem] = deque()
-    pop = agenda.popleft
+    pop, push, new = agenda.popleft, agenda.append, tuple.__new__
     # popped items by (color, start) and (color, end); an item enters
     # ``ends`` before it is joined and ``starts`` after, so a placement
     # using it in two gaps is found once
     ends: dict[tuple[str, Hashable], list[ParseItem]] = {}
     starts: dict[tuple[str, Hashable], list[ParseItem]] = {}
-    found = [
-        ((node.output, p, q), (n, (a,), ()))
-        for n, node in enumerate(nodes)
-        if not node.inputs
-        for a, (p, q, *_) in enumerate(placements[n][0])
-    ]
-    while True:
-        for item, alt in found:
-            alts = derived.get(item)
+    # each alternative goes into ``derived`` where it is found: seeds first
+    for n, node in enumerate(nodes):
+        for a, (p, q, *_) in enumerate(() if node.inputs else placements[n][0]):
+            key = (node.output, p, q)
+            alts = derived.get(key)
             if alts is None:
-                item = ParseItem._make(item)
+                item = new(ParseItem, key)
                 alts = derived[item] = []
-                agenda.append(item)
-            alts.append(alt)
-        if not agenda:
-            break
-        found = []
+                push(item)
+            alts.append((n, (a,), ()))
+    while agenda:
         popped = pop()
         color, p, q = popped
         ends.setdefault((color, p), []).append(popped)
@@ -203,11 +197,16 @@ def lift(nodes: Sequence[Node], placements: Table) -> dict[ParseItem, list[Alt]]
                 ]
                 if not rights:
                     break
-            found += [
-                ((nodes[n].output, left, right), (n, lidx + ridx, lkids + rkids))
-                for left, lidx, lkids in lefts
-                for right, ridx, rkids in rights
-            ]
+            output = nodes[n].output
+            for left, lidx, lkids in lefts:
+                for right, ridx, rkids in rights:
+                    key = (output, left, right)
+                    alts = derived.get(key)
+                    if alts is None:
+                        item = new(ParseItem, key)
+                        alts = derived[item] = []
+                        push(item)
+                    alts.append((n, lidx + ridx, lkids + rkids))
         starts.setdefault((color, q), []).append(popped)
     return derived
 
@@ -307,15 +306,6 @@ def _pulled(grammar: Grammar, automaton: Automaton, trim_useless: bool, over_run
 
     nodes = grammar.species.nodes
     table = [[placements(seg) for seg in grammar.splice_of(node.name).segments] for node in nodes]
-    color_gaps = [(color, grammar.gap_of(color)) for color in grammar.species.colors]
-    items = [
-        (color, q, q2)
-        for q in state_names
-        for color, gap in color_gaps
-        if over[q] == gap.left
-        for q2 in state_names
-        if over[q2] == gap.right
-    ]
     # head groups ``(n, head, tails)``: node n's placements of every segment
     # but the last, and the indexes of the last segment's placements that
     # complete them, in sorted order
@@ -335,12 +325,24 @@ def _pulled(grammar: Grammar, automaton: Automaton, trim_useless: bool, over_run
                     if kid not in useful:
                         useful.add(kid)
                         todo.append(kid)
-        items = [item for item in items if item in useful]
+        # in the order the raw product lists them, without listing the rest
+        state_at = {q: k for k, q in enumerate(state_names)}
+        color_at = {c: k for k, c in enumerate(grammar.species.colors)}
+        items = sorted(useful, key=lambda i: (state_at[i[1]], color_at[i[0]], state_at[i[2]]))
         groups = (
             (n, tuple(map(list.__getitem__, table[n], head)), sorted(tails))
             for (n, head), tails in sorted(heads.items())
         )
     else:
+        color_gaps = [(color, grammar.gap_of(color)) for color in grammar.species.colors]
+        items = [
+            (color, q, q2)
+            for q in state_names
+            for color, gap in color_gaps
+            if over[q] == gap.left
+            for q2 in state_names
+            if over[q2] == gap.right
+        ]
         groups = (
             (n, head, range(len(segs[-1])))
             for n, segs in enumerate(table)

@@ -2,6 +2,7 @@ import hashlib
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from catgram import (
     Apply,
@@ -58,7 +59,7 @@ from catgram.fixtures import (
     SPC_FIG3,
     fig3_tree,
 )
-from catgram.contour import _contour_table
+from catgram.contour import _contour_table, _corner_of_pair
 from conftest import no_cyclic_garbage, outcome
 from test_parser import RANDOM_WORD_BOUND, random_grammars
 
@@ -666,6 +667,102 @@ def test_dyck_decode_rejects_garbage():
     reordered = letters[2:4] + letters[:2] + letters[4:]
     with pytest.raises(InputError):
         dyck_decode(SPC_FIG3, reordered)  # corners no longer compose
+
+
+_NO_TREE = "not the contour of a closed tree"
+
+
+def _reference_pairing(letters):
+    """The pairing check as its own stack pass over the second letters."""
+    waiting = []
+    for k, (bracket, name, i) in enumerate(letters[1::2]):
+        if i and (not waiting or waiting.pop() != (name, i)):
+            raise InputError(f"corner {k} ({name},{i}) is out of turn: {_NO_TREE}")
+        if bracket == "[":
+            waiting.append((name, i + 1))
+    if waiting:
+        raise InputError(f"the path ends inside {len(waiting)} open node(s): {_NO_TREE}")
+
+
+def _reference_translate(species, cw):
+    """``dyck_translate`` as one check after another: the corners, their
+    composition, then their pairing."""
+    if cw.is_identity:
+        raise InputError(f"identity path at {cw.src!r} is {_NO_TREE}")
+    encode = _contour_table(species).encode
+    letters, at = [], cw.src
+    for k, name in enumerate(cw.gens):
+        if name not in encode:
+            raise InputError(f"unknown corner {name!r}")
+        src, dst, first, second = encode[name]
+        if src != at:
+            raise InputError(
+                f"corner {k} {name} starts at {src!r}, not at {at!r}: "
+                "not a path of the contour category"
+            )
+        at = dst
+        letters += (first, second)
+    if at != cw.dst:
+        raise InputError(
+            f"the corners end at {at!r}, not at {cw.dst!r}: not a path of the contour category"
+        )
+    _reference_pairing(letters)
+    return tuple(letters)
+
+
+def _reference_decode(species, letters):
+    """``dyck_decode`` as one check after another: the letters, the path
+    the contour category builds of their corners, then their pairing."""
+    letters = tuple(letters)
+    if not letters:
+        raise InputError("empty letter sequence")
+    if len(letters) % 2 != 0:
+        raise InputError("odd number of letters")
+    pairs = zip(letters[::2], letters[1::2])
+    gens = [_corner_of_pair(species, 2 * j, *pair) for j, pair in enumerate(pairs)]
+    try:
+        cw = contour_category(species).path(gens)
+    except CompositionError as exc:
+        raise InputError(f"letters do not decode to a contour path: {exc}") from exc
+    _reference_pairing(letters)
+    return cw
+
+
+_DYCK_SPECIES = st.sampled_from([SPC_FIG3, G_AMB.species, G_TERN.species])
+
+
+@given(_DYCK_SPECIES, st.data())
+def test_dyck_translate_raises_the_fault_a_check_at_a_time_raises(species, data):
+    graph = contour_category(species)
+    names = st.sampled_from([g.name for g in graph.generators] + ["(z,0)"])
+    objects = st.sampled_from(graph.objects)
+    cw = Path(data.draw(objects), data.draw(objects), tuple(data.draw(st.lists(names, max_size=9))))
+    assert outcome(lambda: dyck_translate(species, cw)) == outcome(
+        lambda: _reference_translate(species, cw)
+    )
+
+
+@given(_DYCK_SPECIES, st.data())
+def test_dyck_decode_raises_the_fault_a_check_at_a_time_raises(species, data):
+    # the letter pairs of corners, so that composition and pairing faults
+    # are reached, then maybe a pair whose index only equals an int, which
+    # names no corner, and a pair of letters that annotate no corner
+    encode = _contour_table(species).encode
+    pairs = [(first, second) for _, _, first, second in encode.values()]
+    drawn = data.draw(st.lists(st.sampled_from(pairs), max_size=8))
+    node = species.nodes[-1]
+    for odd in (
+        tuple(x._replace(index=data.draw(st.sampled_from([0.0, False]))) for x in pairs[0]),
+        (DyckLetter("[", "z", 0), DyckLetter("]", node.name, node.arity + 1)),
+    ):
+        if drawn and data.draw(st.booleans()):
+            drawn[data.draw(st.integers(0, len(drawn) - 1))] = odd
+    letters = [x for pair in drawn for x in pair]
+    if data.draw(st.integers(0, 5)) == 0:
+        letters = letters[:-1]
+    assert outcome(lambda: dyck_decode(species, letters)) == outcome(
+        lambda: _reference_decode(species, letters)
+    )
 
 
 def test_dyck_single_nullary_corner():

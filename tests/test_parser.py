@@ -255,6 +255,57 @@ def test_forest_alternative_order():
     }
 
 
+# z: S -> S S and w: S -> S a S, declared in the reverse of name order, so
+# an item spanning three or more letters has alternatives of both nodes,
+# each at several split points
+_SPLITS = grammar_from_rules(
+    GRAPH_A,
+    "S",
+    {"S": ("*", "*")},
+    [
+        ("z", "S", ("S", "S"), ((), (), ())),
+        ("c", "S", (), (("a",),)),
+        ("w", "S", ("S", "S"), ((), ("a",), ())),
+    ],
+)
+
+
+def test_forest_orders_alternatives_by_node_declaration_then_placements():
+    w = word(GRAPH_A, "aaaa")
+    forest = parse_forest(_SPLITS, w)
+    got = [
+        (
+            (item.start, item.end),
+            [(node.name, [(c.start, c.end) for c in kids]) for node, kids in alts],
+        )
+        for item, alts in forest.alternatives.items()
+    ]
+    assert got == [
+        ((3, 4), [("c", [])]),
+        ((1, 2), [("c", [])]),
+        ((0, 1), [("c", [])]),
+        ((0, 2), [("z", [(0, 1), (1, 2)])]),
+        ((2, 3), [("c", [])]),
+        ((2, 4), [("z", [(2, 3), (3, 4)])]),
+        ((1, 3), [("z", [(1, 2), (2, 3)])]),
+        ((0, 3), [("z", [(0, 1), (1, 3)]), ("z", [(0, 2), (2, 3)]), ("w", [(0, 1), (2, 3)])]),
+        ((1, 4), [("z", [(1, 2), (2, 4)]), ("z", [(1, 3), (3, 4)]), ("w", [(1, 2), (3, 4)])]),
+        (
+            (0, 4),
+            [
+                ("z", [(0, 1), (1, 4)]),
+                ("z", [(0, 2), (2, 4)]),
+                ("z", [(0, 3), (3, 4)]),
+                ("w", [(0, 1), (2, 4)]),
+                ("w", [(0, 2), (3, 4)]),
+            ],
+        ),
+    ]
+    # the kernel's insertion order does not reach the forest
+    backward = lifo(parse_forest, _SPLITS, w)
+    assert list(backward.alternatives.items()) == list(forest.alternatives.items())
+
+
 def test_forest_is_its_root_alternatives_and_cycle_flag():
     assert PackedForest._fields == ("root", "alternatives", "cyclic")
     forest = parse_forest(G_AMB, word(GRAPH_A, "aa"))

@@ -303,6 +303,30 @@ def test_pulled_and_transported_grammars_validate_on_random_automata(pair):
         assert validate(g) == []
 
 
+def _check_colors_in_product_order(grammar, automaton):
+    """Raw, a pullback lists every ``(state, color, state)`` triple over a
+    color's gap type, by source state, color and target state in
+    declaration order; trimmed, the same list filtered to the colors kept."""
+    gap = grammar.gap_of
+    product = [
+        f"({q.name},{c},{q2.name})"
+        for q in automaton.states
+        for c in grammar.species.colors
+        if q.over == gap(c).left
+        for q2 in automaton.states
+        if q2.over == gap(c).right
+    ]
+    for build in (pullback_grammar, intersect):
+        assert list(build(grammar, automaton, False).species.colors) == product
+        kept = build(grammar, automaton).species.colors
+        assert list(kept) == [c for c in product if c in set(kept)]
+
+
+@given(grammars_and_automata(max_inputs=3))
+def test_trimmed_colors_keep_product_order_on_random_automata(pair):
+    _check_colors_in_product_order(*pair)
+
+
 def _uncut(nodes, placements, roots):
     """The placement table as given: the kernel then lifts the whole least
     fixed point."""
@@ -506,6 +530,11 @@ def test_pulled_nodes_agree_with_a_naive_product_on_pinned_cases(name):
 # Equality cannot tell a plain tuple from a named tuple, so the tests above
 # would pass if a builder made plain tuples; ``_pulled`` and
 # ``functorial_image`` build their values with ``tuple.__new__``.
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CASES))
+def test_trimmed_colors_keep_product_order_on_pinned_cases(name):
+    _check_colors_in_product_order(*PINNED_CASES[name])
 
 
 def _check_exact_types(grammar, automaton):

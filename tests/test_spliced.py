@@ -294,8 +294,16 @@ def test_parallel_equals_iterated_partial_over_two_objects(data):
             lambda: ACROSS.as_path(),
             "CompositionError: only constants can be read back as arrows",
         ),
+        (
+            lambda: spliced_compose_parallel(op("a", "b", "c"), (op("d"),)),
+            "CompositionError: parallel composition needs 2 operands, got 1",
+        ),
+        (
+            lambda: spliced_compose_parallel(op("a"), (op("d"),)),
+            "CompositionError: parallel composition needs 0 operands, got 1",
+        ),
     ],
-    ids=["non-constant-as-path"],
+    ids=["non-constant-as-path", "parallel-too-few-operands", "parallel-into-a-constant"],
 )
 def test_rarely_taken_branches(call, expected):
     assert outcome(call) == expected
