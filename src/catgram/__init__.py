@@ -20,13 +20,12 @@ _EXPORTS = {
     " compose_functors end_marked enumerate_paths identity_functor identity_path monoid_graph"
     " path_compose word",
     "species": "Apply DerivationTree Leaf Node Species SpeciesMap enumerate_closed_trees"
-    " identity_species_map leaf_colors node_count root_color tree_substitute"
-    " validate_species_map",
+    " identity_species_map leaf_colors node_count root_color tree_substitute",
     "spliced": "GapType SplicedArrow constant spliced_compose_parallel spliced_compose_partial"
     " spliced_identity",
     "grammar": "Grammar bilinearize check_equiv_bounded eval_tree export_classical functorial_image"
     " grammar_from_rules import_classical nullable_set parse_classical_text spliced_concat union"
-    " useful_set validate",
+    " useful_set",
     "parser": "PackedForest ParseItem count_parses enumerate_parses parse_chart parse_forest recognize",
     "automaton": "Automaton State Transition UlfViolation automaton_of interval_automaton"
     " run_membership tree_accept ulf_check_bounded",

@@ -91,8 +91,9 @@ class Automaton(Checked, namedtuple("Automaton", "base states transitions initia
     def _hold(self, functor: FreeFunctor) -> FreeFunctor:
         """Hold ``functor`` as this automaton's, once its initial and final
         states are states of its domain."""
-        if not (functor.domain.has_object(self.initial) and functor.domain.has_object(self.final)):
-            raise InputError("initial or final state undeclared")
+        for end, state in (("initial", self.initial), ("final", self.final)):
+            if not functor.domain.has_object(state):
+                raise InputError(f"{end} state {state!r} undeclared")
         self.__dict__["functor"] = functor
         return functor
 

@@ -10,7 +10,8 @@ Exit codes: 0 on success and for properties that hold, 1 for properties
 that fail (a counterexample or a failed bounded check), 2 for malformed
 input and for JSON (a deep tree read or written) nested too deeply for the
 recursion limit; every exit 2 prints one ``error:`` line.  ``validate``
-exits 0 or 2: a file that loads is a valid grammar, automaton or species.
+exits 0 or 2: a file that loads is a valid grammar, automaton or species,
+so the ``problems`` it prints is always empty.
 
 Each command imports its layer (parser, product, oracle or contour) in its
 body, so a process loads only the modules its command runs.

@@ -1,5 +1,7 @@
-"""Exception types shared across the package, and the mixin of the values
-that refuse them when built."""
+"""Exception types shared across the package, the mixin of the values
+that refuse them when built, and the refusal of a repeated name."""
+
+from typing import Iterable
 
 
 class CatgramError(Exception):
@@ -28,3 +30,11 @@ class Checked:
 
     def _replace(self, **changes):
         return type(self)(**{**self._asdict(), **changes})
+
+
+def duplicate(kind: str, names: Iterable[str], owner: str) -> InputError:
+    """The refusal of a repeated name, naming the first repeat in declaration
+    order; looked for only once a size comparison has shown one."""
+    seen: set[str] = set()
+    name = next(n for n in names if n in seen or seen.add(n))
+    return InputError(f"duplicate {kind} name {name!r} in {owner}")

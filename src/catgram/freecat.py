@@ -13,7 +13,7 @@ from collections import namedtuple
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple
 
-from .errors import Checked, CompositionError, InputError
+from .errors import Checked, CompositionError, InputError, duplicate
 
 STAR = "*"
 TOP = "⊤"
@@ -60,17 +60,16 @@ class FiniteGraph(Checked, namedtuple("FiniteGraph", "objects generators")):
     """
 
     def __new__(cls, objects: tuple[str, ...], generators: tuple[Generator, ...] = ()) -> FiniteGraph:
-        if len(set(objects)) != len(objects):
-            raise InputError("duplicate object names in graph")
+        objs = set(objects)
+        if len(objs) != len(objects):
+            raise duplicate("object", objects, "graph")
         names = [g.name for g in generators]
         if len(set(names)) != len(names):
-            raise InputError("duplicate generator names in graph")
-        objs = set(objects)
+            raise duplicate("generator", names, "graph")
         for g in generators:
             if g.src not in objs or g.dst not in objs:
-                raise InputError(
-                    f"generator {g.name!r} has undeclared endpoint {g.src!r} or {g.dst!r}"
-                )
+                end, obj = ("source", g.src) if g.src not in objs else ("target", g.dst)
+                raise InputError(f"generator {g.name!r} has undeclared {end} {obj!r}")
         return super().__new__(cls, objects, generators)
 
     @cached_property

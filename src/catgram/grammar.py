@@ -12,9 +12,9 @@ bounded language equivalence check, which diffs the two grammars' bounded
 languages as ``catgram.oracle`` computes them (least fixed points on word
 sets).  Union, spliced concatenation, bilinearization and the chromatic
 collapse rewrite rule data, read off with ``_rules``, and build through
-``grammar_from_rules``, which only assembles: ``validate`` is the one
-statement of a valid grammar, and the ``Grammar`` constructor runs it.  The
-functorial image maps each splice's segments.
+``grammar_from_rules``, which only assembles: the ``Grammar`` constructor is
+the one statement of a valid grammar.  The functorial image maps each
+splice's segments.
 """
 
 from __future__ import annotations
@@ -38,10 +38,13 @@ from .spliced import GapType, SplicedArrow
 
 
 class Grammar(Checked, namedtuple("Grammar", "category species start color_gap node_splice")):
-    """A grammar checks itself when built: ``Grammar(...)`` and
-    ``_replace`` raise the first message of ``validate`` as an
-    ``InputError``, so no consumer re-checks it.  ``_make`` is the one
-    path that skips the check."""
+    """A grammar checks itself when built: the color/node assignment is a
+    species map into the spliced-arrow operad.  ``Grammar(...)`` and
+    ``_replace`` raise its first fault as an ``InputError``, reading the
+    start, then each color's gap type, then node by node its spliced arrow
+    and segment by segment its paths; a segment that is no path says why,
+    or which type it has.  So no consumer re-checks a grammar.  ``_make``
+    is the one path that skips the check."""
 
     __slots__ = ()
 
@@ -54,9 +57,48 @@ class Grammar(Checked, namedtuple("Grammar", "category species start color_gap n
         node_splice: Mapping[str, SplicedArrow],
     ) -> Grammar:
         grammar = super().__new__(cls, category, species, start, dict(color_gap), dict(node_splice))
-        problems = validate(grammar)
-        if problems:
-            raise InputError(problems[0])
+        color_gap, node_splice = grammar.color_gap, grammar.node_splice
+        if start not in set(species.colors):
+            raise InputError(f"start symbol {start!r} is not a declared color")
+        for c in species.colors:
+            gap = color_gap.get(c)
+            if gap is None:
+                raise InputError(f"color {c!r} has no gap type")
+            if not category.has_object(gap.left) or not category.has_object(gap.right):
+                raise InputError(f"color {c!r} has gap type outside the category")
+        # every color has a gap type now
+        for node in species.nodes:
+            splice = node_splice.get(node.name)
+            if splice is None:
+                raise InputError(f"node {node.name!r} has no spliced arrow")
+            if splice.arity != node.arity:
+                raise InputError(
+                    f"node {node.name!r} has arity {node.arity} but its spliced arrow has "
+                    f"arity {splice.arity}"
+                )
+            outer = color_gap[node.output]
+            if splice.outer != outer:
+                raise InputError(
+                    f"node {node.name!r}: outer type ({splice.outer.left},{splice.outer.right}) "
+                    f"differs from gap type ({outer.left},{outer.right}) of {node.output!r}"
+                )
+            for i, (got, c) in enumerate(zip(splice.gaps, node.inputs)):
+                want = color_gap[c]
+                if got != want:
+                    raise InputError(
+                        f"node {node.name!r}: gap {i} is ({got.left},{got.right}), expected "
+                        f"({want.left},{want.right}) for input {c!r}"
+                    )
+            for i, seg in enumerate(splice.segments):
+                if category.contains_path(seg):
+                    continue
+                try:  # walked again, only for the message
+                    walked = category.path(seg.gens, src=None if seg.gens else seg.src)
+                except (InputError, CompositionError) as exc:
+                    fault = f": {exc}"
+                else:
+                    fault = f" has type {walked.src}->{walked.dst}, expected {seg.src}->{seg.dst}"
+                raise InputError(f"node {node.name!r}: segment {i}{fault}")
         return grammar
 
     def gap_of(self, color: str) -> GapType:
@@ -80,8 +122,8 @@ def grammar_from_rules(
     than inputs, each given as a sequence of generator names and run between
     the ends the gap types force, so an empty segment is an identity path
     there.  A wrong segment count is an ``InputError`` that names its rule;
-    ``Species`` refuses an undeclared color, and ``Grammar`` raises the
-    first message of ``validate`` for any other fault.
+    ``Species`` refuses an undeclared color, and ``Grammar`` any other
+    fault.
     """
     color_gap = {c: GapType(left, right) for c, (left, right) in nonterminals.items()}
     rules = list(rules)
@@ -97,59 +139,6 @@ def grammar_from_rules(
         ends = [outer.left, *(end for c in inputs for end in color_gap[c]), outer.right]
         node_splice[name] = SplicedArrow(tuple(map(Path, ends[::2], ends[1::2], map(tuple, segments))))
     return Grammar(category, species, start, color_gap, node_splice)
-
-
-def validate(grammar: Grammar) -> list[str]:
-    """Check that the color/node assignment is a species map into the
-    spliced-arrow operad: the one check of a grammar, whose first message
-    ``Grammar(...)`` raises.  Returns one message per defect, in reading
-    order; a segment that is no path says why, or which type it has."""
-    problems: list[str] = []
-    cat = grammar.category
-    if grammar.start not in set(grammar.species.colors):
-        problems.append(f"start symbol {grammar.start!r} is not a declared color")
-    for c in grammar.species.colors:
-        gap = grammar.color_gap.get(c)
-        if gap is None:
-            problems.append(f"color {c!r} has no gap type")
-        elif not cat.has_object(gap.left) or not cat.has_object(gap.right):
-            problems.append(f"color {c!r} has gap type outside the category")
-    for node in grammar.species.nodes:
-        splice = grammar.node_splice.get(node.name)
-        if splice is None:
-            problems.append(f"node {node.name!r} has no spliced arrow")
-            continue
-        expected_outer = grammar.color_gap.get(node.output)
-        expected_gaps = tuple(grammar.color_gap.get(c) for c in node.inputs)
-        if splice.arity != node.arity:
-            problems.append(
-                f"node {node.name!r} has arity {node.arity} but its spliced arrow has "
-                f"arity {splice.arity}"
-            )
-            continue
-        if expected_outer is not None and splice.outer != expected_outer:
-            problems.append(
-                f"node {node.name!r}: outer type ({splice.outer.left},{splice.outer.right}) "
-                f"differs from gap type ({expected_outer.left},{expected_outer.right}) of "
-                f"{node.output!r}"
-            )
-        for i, (got, want) in enumerate(zip(splice.gaps, expected_gaps)):
-            if want is not None and got != want:
-                problems.append(
-                    f"node {node.name!r}: gap {i} is ({got.left},{got.right}), expected "
-                    f"({want.left},{want.right}) for input {node.inputs[i]!r}"
-                )
-        for i, seg in enumerate(splice.segments):
-            if cat.contains_path(seg):
-                continue
-            try:  # walked again, only for the message
-                walked = cat.path(seg.gens, src=None if seg.gens else seg.src)
-            except (InputError, CompositionError) as exc:
-                fault = f": {exc}"
-            else:
-                fault = f" has type {walked.src}->{walked.dst}, expected {seg.src}->{seg.dst}"
-            problems.append(f"node {node.name!r}: segment {i}{fault}")
-    return problems
 
 
 def eval_tree(grammar: Grammar, tree: DerivationTree) -> SplicedArrow:
@@ -422,7 +411,7 @@ def bilinearize(grammar: Grammar) -> Grammar:
         chain = [f"I({name},{i})" for i in range(n)] + [output]
         for link, c in zip(chain, inputs):
             if link in nonterminals:
-                raise InputError("duplicate color names in species")
+                raise InputError(f"duplicate color name {link!r} in species")
             nonterminals[link] = (nonterminals[output][0], nonterminals[c][0])
         chained.append((f"{name}#b0", chain[0], (), segments[:1]))
         chained += [

@@ -76,7 +76,7 @@ import itertools
 from collections import deque
 from typing import Callable, Hashable, Iterable, NamedTuple, Sequence, TypeVar
 
-from .errors import CompositionError, InputError
+from .errors import CompositionError, duplicate
 from .automaton import Automaton, runs_by_source
 from .freecat import Path
 from .grammar import Grammar, _usable
@@ -405,9 +405,9 @@ def _pulled(grammar: Grammar, automaton: Automaton, trim_useless: bool, over_run
     # placements)`` pairs, so their names are distinct unless two render
     # alike, which the two tables' sizes show
     if len(color_gap) != len(items):
-        raise InputError("duplicate color names in species")
+        raise duplicate("color", [names(q, c, q2) for c, q, q2 in items], "species")
     if len(node_splice) != len(pulled_nodes):
-        raise InputError("duplicate node names in species")
+        raise duplicate("node", map(_name, pulled_nodes), "species")
     species = new(Species, (tuple(color_gap), tuple(pulled_nodes)))
     start = names(automaton.initial, grammar.start, automaton.final)
     return new(Grammar, (category, species, start, color_gap, node_splice))

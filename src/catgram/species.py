@@ -28,7 +28,7 @@ from collections import namedtuple
 from functools import cached_property
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar, Union
 
-from .errors import Checked, CompositionError, InputError
+from .errors import Checked, CompositionError, InputError, duplicate
 
 
 class Node(NamedTuple):
@@ -51,9 +51,9 @@ class Species(Checked, namedtuple("Species", "colors nodes")):
     def __new__(cls, colors: tuple[str, ...], nodes: tuple[Node, ...] = ()) -> Species:
         declared = set(colors)
         if len(declared) != len(colors):
-            raise InputError("duplicate color names in species")
+            raise duplicate("color", colors, "species")
         if len(set(map(_name, nodes))) != len(nodes):
-            raise InputError("duplicate node names in species")
+            raise duplicate("node", map(_name, nodes), "species")
         if not (
             declared.issuperset(map(_output, nodes))
             and declared.issuperset(itertools.chain.from_iterable(map(_inputs, nodes)))
@@ -245,9 +245,10 @@ def tree_substitute(tree: DerivationTree, index: int, sub: DerivationTree) -> De
 class SpeciesMap(Checked, namedtuple("SpeciesMap", "source target color_map node_map")):
     """A map of species: a color renaming and a node renaming that are
     required to commute with the input/output coloring.  It checks itself
-    when built: ``SpeciesMap(...)`` and ``_replace`` raise the first
-    message of ``validate_species_map`` as an ``InputError``; ``_make`` is
-    the one path that skips the check."""
+    when built: ``SpeciesMap(...)`` and ``_replace`` raise its first fault
+    as an ``InputError``, reading the color map, then node by node the node
+    map and each image's type; ``_make`` is the one path that skips the
+    check."""
 
     __slots__ = ()
 
@@ -255,9 +256,26 @@ class SpeciesMap(Checked, namedtuple("SpeciesMap", "source target color_map node
         cls, source: Species, target: Species, color_map: Mapping[str, str], node_map: Mapping[str, str]
     ) -> SpeciesMap:
         phi = super().__new__(cls, source, target, dict(color_map), dict(node_map))
-        problems = validate_species_map(phi)
-        if problems:
-            raise InputError(problems[0])
+        color_map, node_map = phi.color_map, phi.node_map
+        declared = set(target.colors)
+        for c in source.colors:
+            if c not in color_map:
+                raise InputError(f"color {c!r} missing from color map")
+            if color_map[c] not in declared:
+                raise InputError(f"color {c!r} mapped to undeclared color {color_map[c]!r}")
+        # every color is mapped now
+        for n in source.nodes:
+            if n.name not in node_map:
+                raise InputError(f"node {n.name!r} missing from node map")
+            image = target.node_by_name.get(node_map[n.name])
+            if image is None:
+                raise InputError(f"node {n.name!r} mapped to undeclared node {node_map[n.name]!r}")
+            inputs, output = tuple(map(color_map.__getitem__, n.inputs)), color_map[n.output]
+            if image.inputs != inputs or image.output != output:
+                raise InputError(
+                    f"node {n.name!r}: image {image.name!r} has type {image.inputs} -> "
+                    f"{image.output!r}, expected {inputs} -> {output!r}"
+                )
         return phi
 
     def apply_color(self, color: str) -> str:
@@ -272,35 +290,6 @@ class SpeciesMap(Checked, namedtuple("SpeciesMap", "source target color_map node
             lambda leaf: Leaf(self.apply_color(leaf.color)),
             lambda t, children: Apply(self.target.node_by_name[self.apply_node(t.node.name)], children),
         )
-
-
-def validate_species_map(phi: SpeciesMap) -> list[str]:
-    """Check the commuting-square condition; returns one message per defect."""
-    problems: list[str] = []
-    declared = set(phi.target.colors)
-    for c in phi.source.colors:
-        if c not in phi.color_map:
-            problems.append(f"color {c!r} missing from color map")
-        elif phi.color_map[c] not in declared:
-            problems.append(f"color {c!r} mapped to undeclared color {phi.color_map[c]!r}")
-    for n in phi.source.nodes:
-        if n.name not in phi.node_map:
-            problems.append(f"node {n.name!r} missing from node map")
-            continue
-        image_name = phi.node_map[n.name]
-        image = phi.target.node_by_name.get(image_name)
-        if image is None:
-            problems.append(f"node {n.name!r} mapped to undeclared node {image_name!r}")
-            continue
-        expected_inputs = tuple(phi.color_map.get(c, "?") for c in n.inputs)
-        expected_output = phi.color_map.get(n.output, "?")
-        if image.inputs != expected_inputs or image.output != expected_output:
-            problems.append(
-                f"node {n.name!r}: image {image_name!r} has type "
-                f"{image.inputs} -> {image.output!r}, expected "
-                f"{expected_inputs} -> {expected_output!r}"
-            )
-    return problems
 
 
 def identity_species_map(species: Species) -> SpeciesMap:

@@ -1,5 +1,4 @@
 import itertools
-import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -28,7 +27,6 @@ from catgram import (
     run_membership,
     tree_accept,
     ulf_check_bounded,
-    validate_species_map,
     word,
 )
 from catgram.automaton import import_classical, runs_by_source
@@ -159,7 +157,7 @@ def _all_accepting_ta():
 
 def test_tree_automaton_accepting_everything():
     ta = _all_accepting_ta()
-    assert validate_species_map(ta) == []
+    assert ta._replace() == ta
     assert tree_accept(ta, "q", fig3_tree())
 
 
@@ -181,7 +179,7 @@ def _alternating_ta():
 
 def test_tree_automaton_alternating_hand_runs():
     ta = _alternating_ta()
-    assert validate_species_map(ta) == []
+    assert ta._replace() == ta
     n = SPC_FIG3.node_by_name
     g = Apply(n["g"], ())
     # f(g): g -> p, f flips to q: accepted
@@ -211,11 +209,9 @@ def test_tree_automaton_validation_reports():
     # a nullary transition over the unary node f: the species map reports
     # the wrong type of f, and cannot be built for tree_accept to run
     fields = (Species(("p",), (Node("t", (), "p"),)), SPC_FIG3, {"p": "1"}, {"t": "f"})
-    problems = validate_species_map(SpeciesMap._make(fields))
-    assert problems == ["node 't': image 'f' has type ('1',) -> '1', expected () -> '1'"]
     with pytest.raises(InputError) as info:
         SpeciesMap(*fields)
-    assert str(info.value) == problems[0]
+    assert str(info.value) == "node 't': image 'f' has type ('1',) -> '1', expected () -> '1'"
 
 
 def test_tree_accept_rejects_an_accept_state_that_is_no_color():
@@ -396,13 +392,13 @@ _AB_END_STATES = (State("e", "*"), State("t", TOP))
 AUTOMATON_REFUSALS = [
     (
         lambda: Automaton(GRAPH_AB, (State("e", "*"), State("e", "*")), (), "e", "e"),
-        "duplicate object names in graph",
+        "duplicate object name 'e' in graph",
     ),
     (
         lambda: Automaton(
             GRAPH_AB, (State("e", "*"),), (Transition("t", "e", "e", "a"),) * 2, "e", "e"
         ),
-        "duplicate generator names in graph",
+        "duplicate generator name 't' in graph",
     ),
     (
         lambda: Automaton(GRAPH_AB, (State("e", "x"),), (), "e", "e"),
@@ -418,7 +414,13 @@ AUTOMATON_REFUSALS = [
         lambda: Automaton(
             GRAPH_AB, (State("e", "*"),), (Transition("t", "e", "o", "a"),), "e", "e"
         ),
-        "generator 't' has undeclared endpoint 'e' or 'o'",
+        "generator 't' has undeclared target 'o'",
+    ),
+    (
+        lambda: Automaton(
+            GRAPH_AB, (State("e", "*"),), (Transition("t", "o", "e", "a"),), "e", "e"
+        ),
+        "generator 't' has undeclared source 'o'",
     ),
     (
         lambda: Automaton(
@@ -428,11 +430,11 @@ AUTOMATON_REFUSALS = [
     ),
     (
         lambda: Automaton(GRAPH_AB, (State("e", "*"),), (), "o", "e"),
-        "initial or final state undeclared",
+        "initial state 'o' undeclared",
     ),
     (
         lambda: Automaton(GRAPH_AB, (State("e", "*"),), (), "e", "o"),
-        "initial or final state undeclared",
+        "final state 'o' undeclared",
     ),
     (
         lambda: Automaton._make(
@@ -451,15 +453,15 @@ def test_automaton_validation():
     ]
 
 
-# a planted fault, and the start of the message that refuses it
+# a planted fault, and a pattern of the message that refuses it
 AUTOMATON_FAULTS = {
-    "duplicate-state": "duplicate object names in graph",
-    "duplicate-transition": "duplicate generator names in graph",
-    "unknown-object": "object 's0' mapped to 'x', outside the codomain",
-    "unknown-generator": "transition 'bad' lies over unknown generator 'z'",
-    "undeclared-state": "generator 'bad' has undeclared endpoint ",
-    "not-over-its-generator": "image of generator 'bad' has endpoints ",
-    "undeclared-end": "initial or final state undeclared",
+    "duplicate-state": r"duplicate object name 's\d' in graph$",
+    "duplicate-transition": r"duplicate generator name 'bad' in graph$",
+    "unknown-object": r"object 's0' mapped to 'x', outside the codomain$",
+    "unknown-generator": r"transition 'bad' lies over unknown generator 'z'$",
+    "undeclared-state": r"generator 'bad' has undeclared (source|target) 'nowhere'$",
+    "not-over-its-generator": r"image of generator 'bad' has endpoints ",
+    "undeclared-end": r"(initial|final) state 'nowhere' undeclared$",
 }
 
 
@@ -522,7 +524,7 @@ def automaton_data(draw):
 def test_automaton_is_refused_exactly_when_a_fault_is_planted(data):
     args, fault = data
     if fault is not None:
-        with pytest.raises(InputError, match=f"^{re.escape(AUTOMATON_FAULTS[fault])}"):
+        with pytest.raises(InputError, match="^" + AUTOMATON_FAULTS[fault]):
             Automaton(*args)
         return
     automaton = Automaton(*args)
@@ -539,13 +541,13 @@ def test_automaton_is_refused_exactly_when_a_fault_is_planted(data):
     [
         (
             lambda: Automaton(GRAPH_AB, (State("q", "*"), State("q", "*")), (), "q", "q"),
-            "InputError: duplicate object names in graph",
+            "InputError: duplicate object name 'q' in graph",
         ),
         (
             lambda: Automaton(
                 GRAPH_AB, (State("q", "*"),), (Transition("t", "q", "q", "a"),) * 2, "q", "q"
             ),
-            "InputError: duplicate generator names in graph",
+            "InputError: duplicate generator name 't' in graph",
         ),
         (
             lambda: import_classical("a", ["qf", "q"], [("qf", "a", "q")], "qf", ["q"]).final,

@@ -314,6 +314,21 @@ def test_validate_commands(files, tmp_path):
     assert res.returncode == 2
 
 
+@pytest.mark.parametrize(
+    "flag, name", [("-g", "g_ab.json"), ("-m", "m_evena.json"), ("-s", "fig3_species.json")]
+)
+@pytest.mark.parametrize(
+    # the JSON is ``jsonio.dumps({"ok": True, "problems": []})``
+    "fmt, expected",
+    [("json", '{\n  "ok": true,\n  "problems": []\n}\n'), ("text", "ok\n")],
+)
+def test_validate_prints_constant_bytes(files, flag, name, fmt, expected):
+    # a file that loads is valid, so `problems` is always empty; the
+    # benchmark's `cli` workload reads both keys
+    res = run_cli("--format", fmt, "validate", flag, files[name])
+    assert (res.returncode, res.stdout, res.stderr) == (0, expected, "")
+
+
 def test_validate_rejects_a_duplicate_nonterminal(files):
     data = jsonio.grammar_to_json(G_END)
     data["nonterminals"].append({"name": "E", "left": "*", "right": "*"})

@@ -41,7 +41,6 @@ from catgram import (
     trim,
     union,
     useful_set,
-    validate,
     word,
 )
 from catgram.fixtures import (
@@ -79,8 +78,9 @@ def lang(g, n):
 
 
 def test_validate_fixtures_ok():
+    # ``_replace`` builds through the checking constructor
     for g in (G_AB, G_AMB, G_END, G_EPS, G_TERN):
-        assert validate(g) == []
+        assert g._replace() == g
 
 
 def test_validate_reports_outer_mismatch():
@@ -92,9 +92,8 @@ def test_validate_reports_outer_mismatch():
         [("r1", "S", ("S",), (("a",), ("b",))), ("r0", "S", (), (("a", "b"),))],
     )
     bad = Grammar._make({**good._asdict(), "color_gap": {"S": GapType("*", TOP)}}.values())
-    report = validate(bad)
-    assert any("outer type" in line for line in report)
-    with pytest.raises(InputError, match=f"^{re.escape(report[0])}$"):
+    message = "node 'r1': outer type (*,*) differs from gap type (*,⊤) of 'S'"
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
         Grammar(*bad)
 
 
@@ -112,27 +111,23 @@ def _g_ab_with(start="S", color_gap=None, **splices):
 
 
 @pytest.mark.parametrize(
-    "grammar,report",
+    "grammar,message",
     [
-        (_g_ab_with(start="X"), ["start symbol 'X' is not a declared color"]),
-        (_g_ab_with(color_gap={}), ["color 'S' has no gap type"]),
+        (_g_ab_with(start="X"), "start symbol 'X' is not a declared color"),
+        (_g_ab_with(color_gap={}), "color 'S' has no gap type"),
+        # the first of four faults, the gap type before r1's and r0's types
         (
             _g_ab_with(color_gap={"S": GapType("*", TOP)}),
-            [
-                "color 'S' has gap type outside the category",
-                "node 'r1': outer type (*,*) differs from gap type (*,⊤) of 'S'",
-                "node 'r1': gap 0 is (*,*), expected (*,⊤) for input 'S'",
-                "node 'r0': outer type (*,*) differs from gap type (*,⊤) of 'S'",
-            ],
+            "color 'S' has gap type outside the category",
         ),
-        (_g_ab_with(r0=None), ["node 'r0' has no spliced arrow"]),
+        (_g_ab_with(r0=None), "node 'r0' has no spliced arrow"),
         (
             _g_ab_with(r0=G_AB.splice_of("r1")),
-            ["node 'r0' has arity 0 but its spliced arrow has arity 1"],
+            "node 'r0' has arity 0 but its spliced arrow has arity 1",
         ),
         (
             _g_ab_with(r0=SplicedArrow((Path("*", "*", ("a", "c")),))),
-            ["node 'r0': segment 0: unknown generator(s) ['c']"],
+            "node 'r0': segment 0: unknown generator(s) ['c']",
         ),
         (
             # G_END with r0 splicing the end marker into E, typed (*,*)
@@ -143,16 +138,15 @@ def _g_ab_with(start="S", color_gap=None, **splices):
                     "r0": SplicedArrow((GRAPH_AB_END.path(("a", "b", "$")),)),
                 },
             }.values()),
-            ["node 'r0': outer type (*,⊤) differs from gap type (*,*) of 'E'"],
+            "node 'r0': outer type (*,⊤) differs from gap type (*,*) of 'E'",
         ),
     ],
     ids=["start", "no-gap", "gap-outside", "no-splice", "arity", "segment", "end-marker-splice"],
 )
-def test_validate_reports_are_pinned(grammar, report):
-    assert validate(grammar) == report
-    # the constructor refuses it with the first message, so no consumer
+def test_validate_reports_are_pinned(grammar, message):
+    # the constructor refuses each with its first fault, so no consumer
     # sees it
-    with pytest.raises(InputError, match=f"^{re.escape(report[0])}$"):
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
         Grammar(*grammar)
 
 
@@ -174,15 +168,15 @@ _R0, _R1 = map(G_AB.species.node_by_name.get, ("r0", "r1"))
     [
         (
             lambda: run_membership(M_EVENA._replace(initial="nope"), word(GRAPH_AB, "aa")),
-            "InputError: initial or final state undeclared",
+            "InputError: initial state 'nope' undeclared",
         ),
         (
             lambda: G_AB.species._replace(colors=("S", "S")),
-            "InputError: duplicate color names in species",
+            "InputError: duplicate color name 'S' in species",
         ),
         (
             lambda: GRAPH_AB._replace(objects=("*", "*")),
-            "InputError: duplicate object names in graph",
+            "InputError: duplicate object name '*' in graph",
         ),
         (
             lambda: identity_functor(GRAPH_AB)._replace(object_map={}),
@@ -211,12 +205,12 @@ def test_validate_knuth_end_rule():
     fin = G_END.splice_of("fin")
     assert fin.outer == GapType("*", TOP)
     assert ["".join(s.gens) for s in fin.segments] == ["", "$"]
-    assert validate(G_END) == []
+    assert G_END._replace() == G_END
 
 
 def test_import_classical_ab_language():
     g = import_classical("ab", ["S"], "S", [("S", ["a", "S", "b"]), ("S", ["ab"])])
-    assert validate(g) == []
+    assert g._replace() == g
     assert lang(g, 8) == lang(G_AB, 8)
 
 
@@ -563,7 +557,7 @@ def test_bilinearize_leaves_small_grammars_alone():
 
 def test_bilinearize_preserves_language():
     assert lang(bilinearize(G_TERN), 8) == lang(G_TERN, 8) == {"aabababb"}
-    assert validate(bilinearize(G_TERN)) == []
+    assert bilinearize(G_TERN)._replace() == bilinearize(G_TERN)
 
 
 def test_check_equiv_bounded_equal():
@@ -823,7 +817,7 @@ def test_grammar_from_rules_builds_only_grammars_validate_accepts(data):
         assert planted
         return
     assert not planted
-    assert validate(grammar) == []
+    assert grammar._replace() == grammar
 
 
 # a^n b^n with arity four and interface colors of two gap types: a b b $
@@ -910,7 +904,7 @@ def test_construction_output_is_pinned(name):
 
 def test_bilinearize_of_g_quad():
     binned = bilinearize(G_QUAD)
-    assert validate(binned) == []
+    assert binned._replace() == binned
     # I(q,i) refines (*, left end of input i)
     end = GapType("*", TOP)
     assert [binned.gap_of(f"I(q,{i})") for i in range(4)] == [STAR, STAR, end, end]
@@ -945,7 +939,7 @@ def test_bilinearize_rejects_an_interface_color_that_is_taken():
         {"S": ("*", "*"), "T": ("*", "*"), "I(t,1)": ("*", "*")},
         [("r0", "S", (), (("a", "b"),)), ("t", "T", ("S", "S", "S"), (("a",), (), (), ("b",)))],
     )
-    with pytest.raises(InputError, match="^duplicate color names in species$"):
+    with pytest.raises(InputError, match=r"^duplicate color name 'I\(t,1\)' in species$"):
         bilinearize(taken)
 
 

@@ -264,20 +264,22 @@ def test_mutation_messages_are_pinned():
     # reader, with two deliberate changes: `initial` and `final` errors of an
     # automaton used to carry the prefix twice (`automaton: automaton: ...`),
     # and a segment that is no path now names its rule and segment (16 lines);
-    # and with the grammar checked by ``validate`` alone, its messages name
+    # and with the grammar checked in one place, its messages name
     # a node and a color where they named a rule and a nonterminal (38
     # lines, none moved between refused and accepted); and with an
     # automaton checked by building its state graph and functor, its
     # messages are those of the graph and the functor (13 lines, wording
-    # only).
+    # only); and with an undeclared endpoint, initial or final state named
+    # as such (34 lines, wording only).
     assert len(lines) == 1709
+    assert sum(line.endswith("\tok") for line in lines) == 97
     assert "M_EVENA ('initial',) dropped\tInputError: automaton: missing field 'initial'" in lines
     assert (
         "G_AB ('rules', 0, 'splice', 1, 0) = 'x'\t"
         "InputError: grammar: node 'r1': segment 1: unknown generator(s) ['x']"
     ) in lines
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == "7e5ecd4907b15264b7aedfa670ee791b1935c4f3b9549bf230ed162731428d80"
+    assert digest == "896beb821c1bdc9e2ed06fffcfcc8c1633e3bcd0cdd20c0584784bbd28262d13"
 
 
 # -- branches no other test takes -------------------------------------------

@@ -39,7 +39,6 @@ from catgram import (
     recognize,
     run_membership,
     trim,
-    validate,
     word,
 )
 import catgram.automaton
@@ -300,7 +299,7 @@ def test_pulled_and_transported_grammars_validate_on_random_automata(pair):
             intersect(grammar, automaton, trim_useless),
         ]
     for g in built:
-        assert validate(g) == []
+        assert g._replace() == g
 
 
 def _check_colors_in_product_order(grammar, automaton):
@@ -568,10 +567,10 @@ def test_pulled_values_have_exact_types_on_random_automata(pair):
 # ``_pulled``, ``trim`` and ``functorial_image`` also make their ``Species``
 # and ``Grammar`` with ``tuple.__new__``.  ``_check_exact_types`` asserts
 # that the constructors accept each one and rebuild it equal, so skipping
-# their checks lost none, and each is valid as ``Grammar`` checks it.  An
-# input that ``validate`` faults cannot be built: the constructor refuses
-# it with the first message.  ``_pulled`` refuses two names rendered alike
-# itself, with the message ``Species`` gives.
+# their checks lost none, and each is valid as ``Grammar`` checks it.  A
+# faulty input cannot be built: the constructor refuses it with its first
+# fault.  ``_pulled`` refuses two names rendered alike itself, with the
+# message ``Species`` gives, naming the first repeat.
 
 
 def _check_assembled(g):
@@ -624,8 +623,16 @@ _ONE_STATE = catgram.automaton.import_classical(
 @pytest.mark.parametrize(
     "grammar, automaton, outcomes",
     [
-        (_NAMES_ALIKE, ALL_LOOP, ["InputError: duplicate node names in species"] * 4),
-        (_TRIPLES_ALIKE, _COMMA_STATE, ["InputError: duplicate color names in species", "1"] * 2),
+        (
+            _NAMES_ALIKE,
+            ALL_LOOP,
+            ["InputError: duplicate node name '(m|q>la>q|q>lb>q)' in species"] * 4,
+        ),
+        (
+            _TRIPLES_ALIKE,
+            _COMMA_STATE,
+            ["InputError: duplicate color name '(p,A,S,p)' in species", "1"] * 2,
+        ),
         (
             _ILL_TYPED,
             _ONE_STATE,
@@ -660,7 +667,6 @@ def test_pulled_grammars_keep_the_constructors_checks(grammar, automaton, outcom
 
 def test_trim_and_image_name_a_missing_splice():
     # neither checks its grammar again: the constructor reports the fault
-    # as ``validate`` words it
     got = [
         outcome(lambda: build(Grammar(*grammar)))
         for grammar in (_MISSING_SPLICE, _UNDECLARED_START)
